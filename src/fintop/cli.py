@@ -433,7 +433,6 @@ def _cmd_check(args):
         out["compactness"] = {
             "compact": crep.compact,
             "locally_compact": crep.locally_compact,
-            "exhaustive_scan": crep.exhaustive_scan,
         }
     if args.t1_minimum:
         out["t1_minimum"] = _space_obj(separation_mod.t1_minimum(s.n))

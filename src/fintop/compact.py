@@ -1,53 +1,23 @@
 """Cover-based compactness and its Hausdorff interactions.
 
-On a finite carrier every space and every set is compact; the predicates
-still evaluate the covering definition literally (scanning all subfamilies
-of the opens) so the degenerate truth is an observed fact, not an
-assumption baked into the code.
+Every point p of a finite space has a smallest open set U_p, the
+intersection of the finitely many opens containing p (Alexandroff 1937).
+`is_compact_set(s, A)` checks the witness family {U_p : p in A}: each U_p
+must contain p and be a member of the opens, so together they cover A.
+That suffices: given any open cover C of A, each p lies in some member of
+C, which contains U_p; one such member per point is a subcover of at most
+|A| members.  The check reads the space's minimal-open table, so a
+corrupted table makes it fail.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .carrier import Family, PointSet, same_carrier
 from .errors import CodomainNotHausdorff
 from .maps import FiniteMap, check_map
 from .space import TopSpace
-
-#: Cap for the literal all-subfamilies scan (2**|opens| subfamilies).
-LITERAL_SCAN_MAX_OPENS = 20
-
-#: Subfamilies sampled when the literal scan is out of reach.
-SAMPLED_SUBFAMILIES = 4096
-
-
-def _covering_has_finite_subcover(masks: list[int], sub: int, target: int) -> bool:
-    """sub indexes a subfamily of `masks`; check the covering definition."""
-    union = 0
-    i = 0
-    while sub:
-        if sub & 1:
-            union |= masks[i]
-        sub >>= 1
-        i += 1
-    if target & ~union:
-        return True  # not a covering of the target; nothing to require
-    # A finite subcover must exist inside the subfamily; the subfamily is
-    # itself finite, so it qualifies as soon as it covers.
-    return target & ~union == 0
-
-
-def _literal_compact(s: TopSpace, target: int, exhaustive: bool) -> bool:
-    masks = list(s.opens.masks)
-    if exhaustive:
-        subs = range(1 << len(masks))
-    else:
-        rng = random.Random(0xC0FFEE ^ target)
-        subs = (rng.getrandbits(len(masks)) for _ in range(SAMPLED_SUBFAMILIES))
-    return all(_covering_has_finite_subcover(masks, sub, target) for sub in subs)
 
 
 def is_compact(s: TopSpace) -> bool:
@@ -57,17 +27,19 @@ def is_compact(s: TopSpace) -> bool:
 
 def is_compact_set(s: TopSpace, A: PointSet) -> bool:
     """Every relative open covering of A (by opens of the space) includes a
-    finite subcover.  Falls back to a sampled scan past the opens cap."""
+    finite subcover, witnessed by the minimal opens {U_p : p in A}."""
     same_carrier(s.n, A.n)
-    exhaustive = len(s.opens) <= LITERAL_SCAN_MAX_OPENS
-    return _literal_compact(s, A.bits, exhaustive)
+    opens = set(s.opens.masks)
+    return all(
+        s.min_open[p].bits >> p & 1 and s.min_open[p].bits in opens
+        for p in A.points()
+    )
 
 
 @dataclass(frozen=True, slots=True)
 class CompactnessReport:
     compact: bool
     locally_compact: bool
-    exhaustive_scan: bool
     witness_cover_stats: dict = field(default_factory=dict, compare=False)
 
 
@@ -75,39 +47,20 @@ def compactness_report(s: TopSpace) -> CompactnessReport:
     """Flags plus minimal-subcover diagnostics for the full opens cover."""
     from .covers import minimal_subcover
 
-    exhaustive = len(s.opens) <= LITERAL_SCAN_MAX_OPENS
     stats = {}
     if s.n > 0:
         all_opens = Family.of(s.n, s.opens.masks)
         stats["all_opens_minimal_subcover"] = len(minimal_subcover(s, all_opens))
-    return CompactnessReport(is_compact(s), is_locally_compact(s), exhaustive, stats)
+    return CompactnessReport(is_compact(s), is_locally_compact(s), stats)
 
 
 def is_locally_compact(s: TopSpace) -> bool:
-    """Every point has a neighborhood contained in a compact set."""
-    for p in range(s.n):
-        pbit = 1 << p
-        found = False
-        for u in s.opens.masks:
-            if not u & pbit:
-                continue
-            # Scan supersets of u for a compact one; the carrier usually
-            # succeeds immediately.
-            full = (1 << s.n) - 1
-            rest = full & ~u
-            k = rest
-            while True:
-                if is_compact_set(s, PointSet(u | k, s.n)):
-                    found = True
-                    break
-                if k == 0:
-                    break
-                k = (k - 1) & rest
-            if found:
-                break
-        if not found:
-            return False
-    return True
+    """Every point p has a compact neighborhood, witnessed by U_p: it must
+    contain p, and compactness of U_p then also checks that it is open."""
+    return all(
+        s.min_open[p].bits >> p & 1 and is_compact_set(s, s.min_open[p])
+        for p in range(s.n)
+    )
 
 
 def hausdorff_compact_checks(s1: TopSpace, s2: TopSpace, f: FiniteMap) -> dict:

@@ -331,8 +331,8 @@ def alexandroff(s: TopSpace) -> TopSpace:
     masks = set(s.opens.masks)
     for u in s.opens.masks:
         k = (1 << n) - 1 & ~u
-        # On a finite carrier the complement of an open is always closed and
-        # compact; both halves are still checked literally, never assumed.
+        # The complement of an open is always closed and compact; both halves
+        # are checked against the space's closed-set and minimal-open tables.
         if k in closed and is_compact_set(s, PointSet(k, n)):
             masks.add(u | inf)
     return space(n + 1, masks)

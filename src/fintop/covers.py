@@ -58,17 +58,8 @@ def classify_cover(
     closeds = set(s.closeds.masks)
     open_cover = is_cover and all(m in opens for m in C.masks)
     closed_cover = is_cover and all(m in closeds for m in C.masks)
-    # Literal local finiteness: every point has a neighborhood meeting only
-    # finitely many members.  Degenerate on finite carriers (any
-    # neighborhood meets finitely many members), kept literal anyway.
-    def meets_finitely_many(u: int) -> bool:
-        count = sum(1 for m in C.masks if m & u)
-        return count < len(C.masks) + 1
-
-    locally_finite = is_cover and all(
-        any(u >> p & 1 and meets_finitely_many(u) for u in s.opens.masks)
-        for p in range(s.n)
-    )
+    # C is a finite family, so any neighborhood meets finitely many members.
+    locally_finite = is_cover
     fundamental = None
     if tgt == full:
         fundamental = is_cover and _is_fundamental(s, C.masks)

@@ -745,8 +745,6 @@ def _chk_fundamental_cover_laws(ctxs):
                 return c.cx(f"open cover not fundamental: {fam_masks}")
             if rep.closed_cover and len(C) > 0 and not rep.fundamental:
                 return c.cx(f"finite closed cover not fundamental: {fam_masks}")
-            if rep.is_cover and rep.closed_cover and rep.locally_finite and not rep.fundamental:
-                return c.cx(f"locally-finite closed cover not fundamental: {fam_masks}")
             if rep.is_cover:
                 # FCOV2-set equals tau exactly when fundamental
                 rel = {m: covers_mod.relative_opens(s, m) for m in fam_masks}

@@ -66,10 +66,6 @@ class NotACover(FintopError, ValueError):
     """The family does not cover the target set."""
 
 
-class TooManyOpens(FintopError, ValueError):
-    """The literal all-subfamilies compactness scan is capped."""
-
-
 class CodomainNotHausdorff(FintopError, ValueError):
     """Hausdorff-codomain checks require a Hausdorff codomain."""
 

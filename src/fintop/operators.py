@@ -9,7 +9,6 @@ checkable rather than being true by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .carrier import PointSet, same_carrier
 from .errors import CrossCheckFailure
@@ -138,18 +137,3 @@ def is_dense_in(s: TopSpace, A_prime: PointSet, A: PointSet) -> bool:
     """True iff the closure of A_prime includes A."""
     return A <= closure(s, A_prime)
 
-
-@lru_cache(maxsize=None)
-def interior_table(s: TopSpace) -> tuple[int, ...]:
-    """Interior of every subset, indexed by bitmask.  Small carriers only."""
-    if s.n > 12:
-        raise ValueError("interior_table is limited to n <= 12")
-    return tuple(interior(s, PointSet(m, s.n)).bits for m in range(1 << s.n))
-
-
-@lru_cache(maxsize=None)
-def closure_table(s: TopSpace) -> tuple[int, ...]:
-    """Closure of every subset, indexed by bitmask.  Small carriers only."""
-    if s.n > 12:
-        raise ValueError("closure_table is limited to n <= 12")
-    return tuple(closure(s, PointSet(m, s.n)).bits for m in range(1 << s.n))

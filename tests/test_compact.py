@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import time
 
 import pytest
 
@@ -27,10 +29,28 @@ from fintop.enumeration import all_spaces
 
 class TestCompactness:
     def test_all_finite_spaces_compact(self):
-        for n in range(4):
-            for s in all_spaces(n):
-                assert is_compact(s)
-                assert is_locally_compact(s)
+        # Chains on 18-23 points have 19-24 opens: no per-call cost may grow
+        # with 2**|opens|.
+        chains = [space(n, [(1 << k) - 1 for k in range(n + 1)]) for n in range(18, 24)]
+        for s in [*(s for n in range(4) for s in all_spaces(n)), *chains]:
+            for pred in (is_compact, is_locally_compact):
+                start = time.perf_counter()
+                assert pred(s)
+                assert time.perf_counter() - start < 0.05
+
+    def test_corrupted_min_open_is_not_compact(self, sierpinski, three_point):
+        # U_2 = {0,1} is open but omits 2; U_0 = {0} holds 0 but is not open.
+        bad_tables = [
+            (three_point, 2, PointSet(0b011, 3)),
+            (sierpinski, 0, PointSet(0b01, 2)),
+        ]
+        for s, p, u in bad_tables:
+            table = list(s.min_open)
+            table[p] = u
+            bad = dataclasses.replace(s, min_open=tuple(table))
+            assert not is_compact(bad)
+            assert not is_compact_set(bad, PointSet(1 << p, s.n))
+            assert not is_locally_compact(bad)
 
     def test_empty_set_compact(self, sierpinski):
         assert is_compact_set(sierpinski, PointSet.empty(2))
@@ -44,7 +64,7 @@ class TestCompactness:
 
     def test_report(self, sierpinski):
         r = compactness_report(sierpinski)
-        assert r.compact and r.locally_compact and r.exhaustive_scan
+        assert r.compact and r.locally_compact
         assert r.witness_cover_stats["all_opens_minimal_subcover"] == 1
 
     def test_closed_subset_of_compact_is_compact(self):

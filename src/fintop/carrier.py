@@ -8,7 +8,7 @@ which makes family equality plain sequence equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -116,6 +116,9 @@ class Family:
 
     members: tuple[PointSet, ...]
     n: int
+    # Derived from members once; excluded from equality, hashing and repr.
+    _masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _mask_set: frozenset[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         check_carrier(self.n)
@@ -128,6 +131,9 @@ class Family:
             if m.bits <= prev:
                 raise ValueError("family members must be strictly increasing by bitmask")
             prev = m.bits
+        masks = tuple(m.bits for m in self.members)
+        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_mask_set", frozenset(masks))
 
     @classmethod
     def of(cls, n: int, members: Iterable[PointSet | int | Iterable[int]]) -> "Family":
@@ -146,7 +152,7 @@ class Family:
 
     @property
     def masks(self) -> tuple[int, ...]:
-        return tuple(m.bits for m in self.members)
+        return self._masks
 
     def __iter__(self) -> Iterator[PointSet]:
         return iter(self.members)
@@ -156,7 +162,7 @@ class Family:
 
     def __contains__(self, item: PointSet | int) -> bool:
         bits = item.bits if isinstance(item, PointSet) else item
-        return any(m.bits == bits for m in self.members)
+        return bits in self._mask_set
 
     def __repr__(self) -> str:
         inner = ",".join("{%s}" % ",".join(map(str, m.points())) for m in self.members)

@@ -33,9 +33,8 @@ from .space import (
     minimal_open,
     neighborhoods,
     one_point_extension,
-    validate_topology,
 )
-from .errors import FintopError
+from .errors import FintopError, InvalidTopology
 from .maps import FiniteMap
 from .space import TopSpace
 
@@ -293,32 +292,20 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_validate(args):
-    obj = json.loads(_read(args.file))
-    if not isinstance(obj, dict):
-        raise docio.DocumentError("document must be a JSON object")
-    n = obj.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise docio.DocumentError("field 'n' must be a non-negative integer")
-    raw_opens = obj.get("opens")
-    if not isinstance(raw_opens, list):
-        raise docio.DocumentError("field 'opens' must be a list")
-    masks = [
-        docio._parse_point_list(n, member, f"opens[{i}]")
-        for i, member in enumerate(raw_opens)
-    ]
-    result = validate_topology(n, masks)
-    if isinstance(result, TopSpace):
-        out = {"valid": True, "canonical": json.loads(docio.emit_space(result))}
-        code = EXIT_TRUE
-        if args.compare:
-            other = _load_space(args.compare)
-            out["comparison"] = compare(result, other)
-            out["finer"] = is_finer(result, other)
-        return out, code
-    violations = [
-        {"kind": v.kind, "witness": [_pl(w) for w in v.witness]} for v in result
-    ]
-    return {"valid": False, "violations": violations}, EXIT_FALSE
+    try:
+        result = docio.parse_space(_read(args.file))
+    except InvalidTopology as exc:
+        violations = [
+            {"kind": v.kind, "witness": [_pl(w) for w in v.witness]}
+            for v in exc.violations
+        ]
+        return {"valid": False, "violations": violations}, EXIT_FALSE
+    out = {"valid": True, "canonical": json.loads(docio.emit_space(result))}
+    if args.compare:
+        other = _load_space(args.compare)
+        out["comparison"] = compare(result, other)
+        out["finer"] = is_finer(result, other)
+    return out, EXIT_TRUE
 
 
 def _cmd_ops(args):

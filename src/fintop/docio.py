@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .carrier import Family, PointSet
+from .carrier import Family, PointSet, check_carrier
 from .errors import InvalidTopology
 from .maps import FiniteMap
 from .space import TopSpace, space, validate_topology
@@ -51,6 +51,7 @@ def _parse_point_list(n: int, raw, what: str) -> int:
 def _parse_n(obj: dict) -> int:
     n = obj.get("n")
     _require(isinstance(n, int) and not isinstance(n, bool) and n >= 0, "field 'n' must be a non-negative integer")
+    check_carrier(n)  # before any point list is parsed or 1 << p is built
     return n
 
 

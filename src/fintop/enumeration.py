@@ -5,6 +5,15 @@ Two independent generators cross-validate each other: a minimal-open-set
 (specialization preorder) enumerator used for production, and a naive
 filter over every subset of the power set.  Enumeration correctness
 anchors the entire regression suite, so both are kept.
+
+The production generator backtracks over the points, choosing the minimal
+open U_p of each point in turn and keeping a choice only if it agrees with
+every U_q chosen before it (q in U_p implies U_q <= U_p, and p in U_q
+implies U_p <= U_q); each complete assignment yields the family of its
+up-sets.  Homeomorphism classes are the relabeling orbits: a table with
+one row per permutation of the carrier holds the image of every mask, the
+canonical form is the least sorted image over all rows, and the class
+filter keeps an opens tuple unless some row sorts it below itself.
 """
 
 from __future__ import annotations
@@ -81,32 +90,40 @@ def topologies_naive(n: int) -> tuple[tuple[int, ...], ...]:
 
 def _minopen_scan(n: int, first: Optional[int] = None) -> Iterator[tuple[int, ...]]:
     """Opens tuples from minimal-open assignments, optionally with the
-    minimal open of point 0 fixed (the parallel partitioning key)."""
+    minimal open of point 0 fixed (the parallel partitioning key).
+
+    Backtracks as the module docstring describes, visiting assignments in
+    ascending lexicographic order of (U_0, ..., U_{n-1}).
+    """
     if n == 0:
         yield (0,)
         return
-    per_point = [
-        [m for m in range(1 << n) if m >> p & 1] for p in range(n)
-    ]
+    N = 1 << n
+    cands = [[m for m in range(N) if m >> p & 1] for p in range(n)]
     if first is not None:
-        per_point[0] = [first]
-    for assign in itertools.product(*per_point):
-        ok = True
-        for p in range(n):
-            up = assign[p]
-            for q in range(n):
-                if up >> q & 1 and assign[q] & ~up:
-                    ok = False
+        cands[0] = [first]
+    assign = [0] * n
+    lows = [(m & -m).bit_length() - 1 for m in range(N)]
+    up = [0] * N
+
+    def extend(p: int) -> Iterator[tuple[int, ...]]:
+        for u in cands[p]:
+            for q in range(p):
+                uq = assign[q]
+                if (u >> q & 1 and uq & ~u) or (uq >> p & 1 and u & ~uq):
                     break
-            if not ok:
-                break
-        if not ok:
-            continue
-        yield tuple(
-            m
-            for m in range(1 << n)
-            if all(assign[p] & ~m == 0 for p in range(n) if m >> p & 1)
-        )
+            else:
+                assign[p] = u
+                if p + 1 < n:
+                    yield from extend(p + 1)
+                    continue
+                # The opens are the up-sets: the sets equal to the union of
+                # the minimal opens of their points.
+                for m in range(1, N):
+                    up[m] = up[m & (m - 1)] | assign[lows[m]]
+                yield tuple(m for m in range(N) if up[m] == m)
+
+    yield from extend(0)
 
 
 @lru_cache(maxsize=None)
@@ -134,14 +151,30 @@ def _perm_image(perm, mask: int) -> int:
     return bits
 
 
+@lru_cache(maxsize=None)
+def _perm_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """One row per permutation of the carrier (identity first), holding the
+    image of every mask under that permutation."""
+    return tuple(
+        tuple(_perm_image(perm, m) for m in range(1 << n))
+        for perm in itertools.permutations(range(n))
+    )
+
+
 def canonical_form(n: int, opens: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically least relabeling of the opens family."""
-    best = None
-    for perm in itertools.permutations(range(n)):
-        cand = tuple(sorted(_perm_image(perm, m) for m in opens))
-        if best is None or cand < best:
-            best = cand
-    return best if best is not None else tuple(sorted(opens))
+    if not 0 <= n <= CLASS_CAP:
+        raise CarrierTooLarge(f"canonical form capped at n <= {CLASS_CAP}")
+    return min(tuple(sorted(row[m] for m in opens)) for row in _perm_table(n))
+
+
+def _is_canonical(n: int, opens: tuple[int, ...]) -> bool:
+    """``canonical_form(n, opens) == opens`` for a sorted opens tuple,
+    stopping at the first relabeling that sorts below it."""
+    for row in _perm_table(n):
+        if tuple(sorted(row[m] for m in opens)) < opens:
+            return False
+    return True
 
 
 PREDICATES: dict[str, Callable[[TopSpace], bool]] = {
@@ -181,9 +214,7 @@ def enumerate_topologies(cfg: EnumConfig) -> Iterator[TopSpace]:
     pred = _resolve_predicate(cfg.predicate)
     all_opens = topologies_minopen(cfg.n)
     if cfg.mode == "up_to_homeomorphism":
-        all_opens = tuple(
-            o for o in all_opens if canonical_form(cfg.n, o) == o
-        )
+        all_opens = tuple(o for o in all_opens if _is_canonical(cfg.n, o))
     for opens in all_opens:
         s = space(cfg.n, opens)
         if pred is None or pred(s):

@@ -62,6 +62,21 @@ class TestFamily:
         assert PointSet(0b01, 2) in fam
         assert 0b11 in fam
 
+    def test_cached_masks_and_membership(self):
+        fam = Family.of(3, [0b111, 0b001, 0b000])
+        assert fam.masks is fam.masks
+        assert fam.masks == (0b000, 0b001, 0b111)
+        assert 0b001 in fam and PointSet(0b111, 3) in fam
+        assert 0b010 not in fam and PointSet(0b010, 3) not in fam
+        assert 0b1000 not in fam and -1 not in fam
+        # The cached fields take no part in equality, hashing or repr.
+        same = Family(tuple(PointSet(m, 3) for m in (0b000, 0b001, 0b111)), 3)
+        assert same == fam and hash(same) == hash(fam)
+        object.__setattr__(same, "_masks", ())
+        object.__setattr__(same, "_mask_set", frozenset())
+        assert same == fam and hash(same) == hash(fam)
+        assert repr(same) == repr(fam) == "Family([{},{0},{0,1,2}], n=3)"
+
     def test_accepts_point_iterables(self):
         fam = Family.of(3, [[0, 1], [2]])
         assert fam.masks == (0b011, 0b100)

@@ -112,6 +112,16 @@ class TestExitCodes:
         out, code = run(capsys, ["validate", "junk.json"])
         assert code == 2 and "error" in json.loads(out)
 
+    def test_input_error_carrier_too_large(self, docs, capsys):
+        # The cap is checked before the point lists: the bad point after it
+        # would otherwise be reported as a DocumentError.
+        (docs / "huge.json").write_text(
+            '{"n":%d,"opens":[[],[%d],[true]]}' % (10**8, 10**8 - 1)
+        )
+        out, code = run(capsys, ["validate", "huge.json"])
+        assert code == 2
+        assert json.loads(out)["error"].startswith("CarrierTooLarge:")
+
     def test_input_error_missing_file(self, docs, capsys):
         out, code = run(capsys, ["check", "nothere.json", "--t0"])
         assert code == 2

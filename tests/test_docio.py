@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fintop import (
+    CarrierTooLarge,
     DocumentError,
     Family,
     FiniteMap,
@@ -18,6 +19,7 @@ from fintop import (
     parse_space,
     space,
 )
+from fintop import docio
 from fintop.enumeration import all_spaces
 
 
@@ -59,6 +61,19 @@ class TestSpaceDocuments:
         with pytest.raises(InvalidTopology) as err:
             parse_space('{"n":1,"opens":[[0]]}')
         assert {v.kind for v in err.value.violations} == {"MissingEmpty"}
+
+    def test_carrier_cap_before_parsing_points(self, monkeypatch):
+        def no_parse(*args):
+            raise AssertionError("point list parsed before the carrier cap")
+
+        monkeypatch.setattr(docio, "_parse_point_list", no_parse)
+        huge = '{"n":%d,"opens":[[],[%d]]}' % (10**8, 10**8 - 1)
+        with pytest.raises(CarrierTooLarge):
+            parse_space(huge)
+        with pytest.raises(CarrierTooLarge):
+            parse_space('{"n":25,"opens":[[]]}')
+        with pytest.raises(CarrierTooLarge):
+            parse_family('{"n":%d,"members":[[%d]]}' % (10**8, 10**8 - 1))
 
 
 class TestMapDocuments:

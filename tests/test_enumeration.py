@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from fintop import (
@@ -12,7 +14,11 @@ from fintop import (
     sweep_theorems,
 )
 from fintop.enumeration import (
+    CLASS_CAP,
     PREDICATES,
+    _is_canonical,
+    _minopen_scan,
+    _perm_table,
     all_spaces,
     canonical_form,
     topologies_minopen,
@@ -42,6 +48,12 @@ class TestGenerators:
         with pytest.raises(CarrierTooLarge):
             count_topologies_parallel(6)
 
+    def test_scan_partitions_by_first_open(self):
+        for n in (4, 5):
+            parts = [list(_minopen_scan(n, first)) for first in range(1 << n) if first & 1]
+            assert sum(map(len, parts)) == count_topologies(n)
+            assert sorted(o for part in parts for o in part) == list(topologies_minopen(n))
+
 
 class TestCanonicalForm:
     def test_idempotent_and_least(self):
@@ -50,6 +62,32 @@ class TestCanonicalForm:
                 c = canonical_form(n, s.opens.masks)
                 assert canonical_form(n, c) == c
                 assert c <= s.opens.masks
+
+    def test_matches_brute_force(self):
+        def reference(n, opens):
+            best = None
+            for perm in itertools.permutations(range(n)):
+                image = tuple(
+                    sorted(sum(1 << perm[p] for p in range(n) if m >> p & 1) for m in opens)
+                )
+                best = image if best is None else min(best, image)
+            return best
+
+        for n in range(5):
+            for opens in topologies_minopen(n):
+                assert canonical_form(n, opens) == reference(n, opens)
+
+    def test_early_exit_filter(self):
+        for n in range(6):
+            for opens in topologies_minopen(n):
+                assert _is_canonical(n, opens) == (canonical_form(n, opens) == opens)
+
+    def test_cap_before_table(self):
+        misses = _perm_table.cache_info().misses
+        for n in (CLASS_CAP + 1, 8, -1):
+            with pytest.raises(CarrierTooLarge):
+                canonical_form(n, (0, (1 << max(n, 0)) - 1))
+        assert _perm_table.cache_info().misses == misses
 
     def test_class_counts(self):
         reps2 = list(enumerate_topologies(EnumConfig(2, mode="up_to_homeomorphism")))

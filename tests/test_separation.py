@@ -17,7 +17,9 @@ from fintop import (
     subspace,
     t1_minimum,
 )
+from fintop import separation
 from fintop.enumeration import all_spaces
+from fintop.errors import CrossCheckFailure
 
 
 class TestClassifyPair:
@@ -89,6 +91,20 @@ class TestSeparationReport:
                     assert r.t0
                 assert r.regular == (r.t2 and r.t3)
                 assert r.normal == (r.t2 and r.t4)
+
+    def test_identity_closure_breaks_cross_checks(self, monkeypatch):
+        # With Cl(V) = V the T3/T4 equivalents hold on every space, so the
+        # literal criteria must disagree with them somewhere.
+        monkeypatch.setattr(separation, "closure", lambda s, A: A)
+        failures = []
+        for n in range(4):
+            for s in all_spaces(n):
+                try:
+                    separation_report(s)
+                except CrossCheckFailure as exc:
+                    failures.append(str(exc))
+        assert failures
+        assert all(f.startswith(("T3:", "T4:")) for f in failures)
 
     def test_t0_iff_closure_injective(self):
         for s in all_spaces(3):

@@ -154,6 +154,11 @@ class Family:
     def masks(self) -> tuple[int, ...]:
         return self._masks
 
+    @property
+    def mask_set(self) -> frozenset[int]:
+        """The members' masks as a read-only set, built once."""
+        return self._mask_set
+
     def __iter__(self) -> Iterator[PointSet]:
         return iter(self.members)
 

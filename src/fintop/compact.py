@@ -29,7 +29,7 @@ def is_compact_set(s: TopSpace, A: PointSet) -> bool:
     """Every relative open covering of A (by opens of the space) includes a
     finite subcover, witnessed by the minimal opens {U_p : p in A}."""
     same_carrier(s.n, A.n)
-    opens = set(s.opens.masks)
+    opens = s.opens.mask_set
     return all(
         s.min_open[p].bits >> p & 1 and s.min_open[p].bits in opens
         for p in A.points()

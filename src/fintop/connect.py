@@ -13,7 +13,7 @@ from .space import TopSpace, clopen_sets
 def is_connected(s: TopSpace) -> bool:
     """The only clopen sets are the empty set and the carrier."""
     full = (1 << s.n) - 1
-    return set(clopen_sets(s).masks) == {0, full}
+    return clopen_sets(s).mask_set == {0, full}
 
 
 def is_connected_set(s: TopSpace, A: PointSet) -> bool:

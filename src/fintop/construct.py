@@ -3,7 +3,6 @@ metric topologies, and the Alexandroff (one-point) extension."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -15,7 +14,7 @@ from .errors import (
     InvalidMetric,
     SubbaseDoesNotCover,
 )
-from .maps import FiniteMap
+from .maps import FiniteMap, preimage_bits
 from .space import TopSpace, space
 
 
@@ -95,7 +94,7 @@ def topology_from_base(n: int, B: Family) -> TopSpace:
 def is_base_for(s: TopSpace, B: Family) -> bool:
     """True iff B consists of opens and every open is a union of members."""
     same_carrier(s.n, B.n)
-    opens = set(s.opens.masks)
+    opens = s.opens.mask_set
     if any(m not in opens for m in B.masks):
         return False
     for u in s.opens.masks:
@@ -128,8 +127,8 @@ def base_generates_same(n: int, B1: Family, B2: Family) -> str:
                     return False
         return True
 
-    one_sub_two = set(t1.opens.masks) <= set(t2.opens.masks)
-    two_sub_one = set(t2.opens.masks) <= set(t1.opens.masks)
+    one_sub_two = t1.opens.mask_set <= t2.opens.mask_set
+    two_sub_one = t2.opens.mask_set <= t1.opens.mask_set
     if one_sub_two != pointwise_coarser(B1, B2) or two_sub_one != pointwise_coarser(
         B2, B1
     ):
@@ -169,30 +168,17 @@ def topology_from_subbase(n: int, S: Family) -> TopSpace:
                     new.add(i)
         base |= new
         frontier = new
-    B = Family.of(n, base)
-    problem = check_base_conditions(n, B)
-    if problem is not None:  # pragma: no cover - guaranteed by construction
-        raise InvalidBase(problem)
-    return topology_from_base(n, B)
+    return topology_from_base(n, Family.of(n, base))
 
 
 def subspace(s: TopSpace, Y: PointSet) -> tuple[TopSpace, FiniteMap]:
     """The induced topology on Y, with points re-indexed 0..|Y|-1 in
-    ascending original order; also returns the inclusion map."""
+    ascending original order: the preimages of the opens under the
+    inclusion map, which is also returned."""
     same_carrier(s.n, Y.n)
     points = Y.points()
-    k = len(points)
-    reindex = {p: i for i, p in enumerate(points)}
-    opens = set()
-    for m in s.opens.masks:
-        bits = 0
-        for p in points:
-            if m >> p & 1:
-                bits |= 1 << reindex[p]
-        opens.add(bits)
-    sub = space(k, opens)
-    inclusion = FiniteMap(k, s.n, points)
-    return sub, inclusion
+    sub = space(len(points), {preimage_bits(points, m) for m in s.opens.masks})
+    return sub, FiniteMap(len(points), s.n, points)
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,39 +211,25 @@ def product(s1: TopSpace, s2: TopSpace) -> tuple[TopSpace, PairEncoding]:
     if n > 24:
         raise CarrierTooLarge(f"product carrier {s1.n}*{s2.n} exceeds 24")
     enc = PairEncoding(s1.n, s2.n)
-    base = set()
-    for u in s1.opens.masks:
-        for v in s2.opens.masks:
-            bits = 0
-            for i in range(s1.n):
-                if not u >> i & 1:
-                    continue
-                for j in range(s2.n):
-                    if v >> j & 1:
-                        bits |= 1 << enc.encode(i, j)
-            base.add(bits)
+    # U x V is the intersection of the preimages of U and V under the projections.
+    proj1, proj2 = enc.projection1().table, enc.projection2().table
+    pre1 = [preimage_bits(proj1, u) for u in s1.opens.masks]
+    base = {a & preimage_bits(proj2, v) for a in pre1 for v in s2.opens.masks}
     if n == 0:
         return space(0, {0}), enc
     return topology_from_base(n, Family.of(n, base)), enc
 
 
 def quotient(s: TopSpace, P: Partition) -> tuple[TopSpace, FiniteMap]:
-    """Quotient by a partition: a set of blocks is open iff the union of its
-    blocks is open; blocks are indexed by smallest member."""
+    """Quotient by a partition: a set of blocks is open iff its preimage
+    under the projection (the union of its blocks) is open; blocks are
+    indexed by smallest member."""
     same_carrier(s.n, P.n)
     k = len(P.blocks)
-    opens = set()
-    open_masks = set(s.opens.masks)
-    for q in range(1 << k):
-        bits = 0
-        for i in range(k):
-            if q >> i & 1:
-                bits |= P.blocks[i].bits
-        if bits in open_masks:
-            opens.add(q)
-    quot = space(k, opens)
-    projection = FiniteMap(s.n, k, P.block_index())
-    return quot, projection
+    index = P.block_index()
+    opens = s.opens.mask_set
+    quot = space(k, {q for q in range(1 << k) if preimage_bits(index, q) in opens})
+    return quot, FiniteMap(s.n, k, index)
 
 
 @dataclass(frozen=True, slots=True)
@@ -327,7 +299,7 @@ def alexandroff(s: TopSpace) -> TopSpace:
     n = s.n
     check_carrier(n + 1)
     inf = 1 << n
-    closed = set(s.closeds.masks)
+    closed = s.closeds.mask_set
     masks = set(s.opens.masks)
     for u in s.opens.masks:
         k = (1 << n) - 1 & ~u

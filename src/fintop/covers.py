@@ -37,7 +37,7 @@ def relative_opens(s: TopSpace, S: int) -> frozenset[int]:
 
 def _is_fundamental(s: TopSpace, members) -> bool:
     rel = {S: relative_opens(s, S) for S in members}
-    opens = set(s.opens.masks)
+    opens = s.opens.mask_set
     for u in range(1 << s.n):
         if all(S & u in rel[S] for S in members) and u not in opens:
             return False
@@ -54,8 +54,8 @@ def classify_cover(
     if target is not None:
         same_carrier(target.n, s.n)
     is_cover = tgt & ~family_union(C).bits == 0
-    opens = set(s.opens.masks)
-    closeds = set(s.closeds.masks)
+    opens = s.opens.mask_set
+    closeds = s.closeds.mask_set
     open_cover = is_cover and all(m in opens for m in C.masks)
     closed_cover = is_cover and all(m in closeds for m in C.masks)
     # C is a finite family, so any neighborhood meets finitely many members.
@@ -69,7 +69,7 @@ def classify_cover(
 def is_subcover(C_sub: Family, C: Family, target: PointSet, s: TopSpace) -> bool:
     """C_sub is a subfamily of C that still covers the target."""
     same_carrier(C_sub.n, C.n, target.n, s.n)
-    pool = set(C.masks)
+    pool = C.mask_set
     if any(m not in pool for m in C_sub.masks):
         return False
     union = 0

@@ -33,7 +33,10 @@ def _require(cond: bool, message: str) -> None:
 def _load(text: Union[str, dict]) -> dict:
     if isinstance(text, dict):
         return text
-    obj = json.loads(text)  # json.JSONDecodeError carries line/column
+    try:
+        obj = json.loads(text)  # json.JSONDecodeError carries line/column
+    except RecursionError:
+        raise DocumentError("document nests too deeply") from None
     _require(isinstance(obj, dict), "document must be a JSON object")
     return obj
 

@@ -34,7 +34,7 @@ from . import operators as operators_mod
 from . import separation as separation_mod
 from .carrier import Family, Partition, PointSet, subsets_iter
 from .errors import CarrierTooLarge
-from .maps import FiniteMap
+from .maps import FiniteMap, image_bits, preimage_bits
 from .space import TopSpace, discrete, neighborhoods, space, validate_topology
 
 #: Hard caps: labeled enumeration is exact up to 4 and best-effort at 5.
@@ -140,23 +140,12 @@ def topologies_minopen(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(_minopen_scan(n)))
 
 
-def _perm_image(perm, mask: int) -> int:
-    bits = 0
-    p = 0
-    while mask:
-        if mask & 1:
-            bits |= 1 << perm[p]
-        mask >>= 1
-        p += 1
-    return bits
-
-
 @lru_cache(maxsize=None)
 def _perm_table(n: int) -> tuple[tuple[int, ...], ...]:
     """One row per permutation of the carrier (identity first), holding the
     image of every mask under that permutation."""
     return tuple(
-        tuple(_perm_image(perm, m) for m in range(1 << n))
+        tuple(image_bits(perm, m) for m in range(1 << n))
         for perm in itertools.permutations(range(n))
     )
 
@@ -280,8 +269,8 @@ class _Ctx:
         self.full = self.N - 1
         self.cl = [ops["closure"](s, PointSet(m, s.n)).bits for m in range(self.N)]
         self.it = [ops["interior"](s, PointSet(m, s.n)).bits for m in range(self.N)]
-        self.opens = set(s.opens.masks)
-        self.closeds = set(s.closeds.masks)
+        self.opens = s.opens.mask_set
+        self.closeds = s.closeds.mask_set
 
     def ext(self, m: int) -> int:
         return self.it[self.full & ~m]
@@ -984,30 +973,10 @@ MAP_SWEEP_CHECKS = [
 
 def _map_tables(n: int) -> tuple[list, list, list]:
     """All function tables n -> n with per-table image/preimage arrays."""
-    N = 1 << n
     tables = list(itertools.product(range(n), repeat=n))
-    imgs, pres = [], []
-    for t in tables:
-        img = [0] * N
-        for m in range(N):
-            b = 0
-            mm = m
-            p = 0
-            while mm:
-                if mm & 1:
-                    b |= 1 << t[p]
-                mm >>= 1
-                p += 1
-            img[m] = b
-        pre = [0] * N
-        for m in range(N):
-            b = 0
-            for p in range(n):
-                if m >> t[p] & 1:
-                    b |= 1 << p
-            pre[m] = b
-        imgs.append(img)
-        pres.append(pre)
+    masks = range(1 << n)
+    imgs = [[image_bits(t, m) for m in masks] for t in tables]
+    pres = [[preimage_bits(t, m) for m in masks] for t in tables]
     return tables, imgs, pres
 
 

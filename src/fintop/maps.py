@@ -1,5 +1,10 @@
 """Total maps between finite carriers and their topological analysis:
-continuity, open/closed maps, homeomorphisms, embeddings, and limits."""
+continuity, open/closed maps, homeomorphisms, embeddings, and limits.
+
+:func:`image_bits` and :func:`preimage_bits` are the single place where a
+subset mask moves along a function table: maps, the subspace, product and
+quotient constructors, and the enumeration's permutation and map tables all
+call them."""
 
 from __future__ import annotations
 
@@ -9,6 +14,27 @@ from typing import Optional
 from .carrier import PointSet, same_carrier
 from .errors import NotALimitPoint
 from .space import TopSpace
+
+
+def image_bits(table, mask: int) -> int:
+    """Mask of {table[p] : p in mask}."""
+    bits = 0
+    p = 0
+    while mask:
+        if mask & 1:
+            bits |= 1 << table[p]
+        mask >>= 1
+        p += 1
+    return bits
+
+
+def preimage_bits(table, mask: int) -> int:
+    """Mask of {p : table[p] in mask}."""
+    bits = 0
+    for p, v in enumerate(table):
+        if mask >> v & 1:
+            bits |= 1 << p
+    return bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,19 +71,11 @@ class FiniteMap:
 
     def image(self, A: PointSet) -> PointSet:
         same_carrier(A.n, self.dom_n)
-        bits = 0
-        for p in range(self.dom_n):
-            if A.bits >> p & 1:
-                bits |= 1 << self.table[p]
-        return PointSet(bits, self.cod_n)
+        return PointSet(image_bits(self.table, A.bits), self.cod_n)
 
     def preimage(self, B: PointSet) -> PointSet:
         same_carrier(B.n, self.cod_n)
-        bits = 0
-        for p in range(self.dom_n):
-            if B.bits >> self.table[p] & 1:
-                bits |= 1 << p
-        return PointSet(bits, self.dom_n)
+        return PointSet(preimage_bits(self.table, B.bits), self.dom_n)
 
     def compose(self, inner: "FiniteMap") -> "FiniteMap":
         """self after inner."""
@@ -95,25 +113,6 @@ def _check_compat(f: FiniteMap, s1: TopSpace, s2: TopSpace) -> None:
     same_carrier(f.cod_n, s2.n)
 
 
-def _img(table, mask: int) -> int:
-    bits = 0
-    p = 0
-    while mask:
-        if mask & 1:
-            bits |= 1 << table[p]
-        mask >>= 1
-        p += 1
-    return bits
-
-
-def _pre(table, mask: int) -> int:
-    bits = 0
-    for p, v in enumerate(table):
-        if mask >> v & 1:
-            bits |= 1 << p
-    return bits
-
-
 def check_map(f: FiniteMap, s1: TopSpace, s2: TopSpace) -> MapReport:
     """Classify f between two spaces.
 
@@ -121,13 +120,13 @@ def check_map(f: FiniteMap, s1: TopSpace, s2: TopSpace) -> MapReport:
     subspace and checking the corestriction for homeomorphism.
     """
     _check_compat(f, s1, s2)
-    opens1 = set(s1.opens.masks)
-    opens2 = set(s2.opens.masks)
-    closeds1 = set(s1.closeds.masks)
-    closeds2 = set(s2.closeds.masks)
-    continuous = all(_pre(f.table, w) in opens1 for w in opens2)
-    open_map = all(_img(f.table, u) in opens2 for u in opens1)
-    closed_map = all(_img(f.table, c) in closeds2 for c in closeds1)
+    opens1 = s1.opens.mask_set
+    opens2 = s2.opens.mask_set
+    closeds1 = s1.closeds.mask_set
+    closeds2 = s2.closeds.mask_set
+    continuous = all(preimage_bits(f.table, w) in opens1 for w in opens2)
+    open_map = all(image_bits(f.table, u) in opens2 for u in opens1)
+    closed_map = all(image_bits(f.table, c) in closeds2 for c in closeds1)
     injective = f.is_injective()
     surjective = f.is_surjective()
     homeomorphism = injective and surjective and continuous and open_map
@@ -146,10 +145,10 @@ def _is_embedding(f: FiniteMap, s1: TopSpace, s2: TopSpace, injective: bool) -> 
     sub, inclusion = subspace(s2, img)
     reindex = {orig: i for i, orig in enumerate(inclusion.table)}
     corestricted = FiniteMap(s1.n, sub.n, tuple(reindex[v] for v in f.table))
-    opens1 = set(s1.opens.masks)
-    opens_sub = set(sub.opens.masks)
-    continuous = all(_pre(corestricted.table, w) in opens1 for w in opens_sub)
-    open_onto = all(_img(corestricted.table, u) in opens_sub for u in opens1)
+    opens1 = s1.opens.mask_set
+    opens_sub = sub.opens.mask_set
+    continuous = all(preimage_bits(corestricted.table, w) in opens1 for w in opens_sub)
+    open_onto = all(image_bits(corestricted.table, u) in opens_sub for u in opens1)
     return continuous and open_onto
 
 
@@ -164,7 +163,7 @@ def is_continuous_at(f: FiniteMap, s1: TopSpace, s2: TopSpace, p: int) -> bool:
         if not w >> fp & 1:
             continue
         if not any(
-            u >> p & 1 and _img(f.table, u) & ~w == 0 for u in s1.opens.masks
+            u >> p & 1 and image_bits(f.table, u) & ~w == 0 for u in s1.opens.masks
         ):
             return False
     return True
@@ -197,15 +196,11 @@ def limits_at(
         raise NotALimitPoint(f"{p} is not a limit point of the set")
     pbit = 1 << p
     # Image in s2 of (U & A) - {p}, per candidate neighborhood U of p.
-    images = []
-    for u in s1.opens.masks:
-        if not u & pbit:
-            continue
-        bits = 0
-        for i, q in enumerate(points):
-            if u >> q & 1 and q != p:
-                bits |= 1 << f.table[i]
-        images.append(bits)
+    images = [
+        image_bits(f.table, preimage_bits(points, u & ~pbit))
+        for u in s1.opens.masks
+        if u & pbit
+    ]
     out = 0
     for y in range(s2.n):
         ybit = 1 << y
@@ -241,7 +236,7 @@ def find_homeomorphism(s1: TopSpace, s2: TopSpace) -> Optional[FiniteMap]:
     sig2 = [_point_signature(s2, p) for p in range(n)]
     if sorted(sig1) != sorted(sig2):
         return None
-    opens2 = set(s2.opens.masks)
+    opens2 = s2.opens.mask_set
     assignment: list[int] = []
     used = [False] * n
 
@@ -259,7 +254,7 @@ def find_homeomorphism(s1: TopSpace, s2: TopSpace) -> Optional[FiniteMap]:
         return True
 
     def transported_ok(table) -> bool:
-        return {_img(table, u) for u in s1.opens.masks} == opens2
+        return {image_bits(table, u) for u in s1.opens.masks} == opens2
 
     def search(p: int) -> Optional[tuple[int, ...]]:
         if p == n:
@@ -296,17 +291,17 @@ def embeddings_equivalent(
 
     _check_compat(e1, s1, s2)
     _check_compat(e2, s1, s2)
-    opens1 = set(s1.opens.masks)
-    opens2 = set(s2.opens.masks)
+    opens1 = s1.opens.mask_set
+    opens2 = s2.opens.mask_set
     autos1 = [
         perm
         for perm in itertools.permutations(range(s1.n))
-        if {_img(perm, u) for u in opens1} == opens1
+        if {image_bits(perm, u) for u in opens1} == opens1
     ]
     autos2 = [
         perm
         for perm in itertools.permutations(range(s2.n))
-        if {_img(perm, u) for u in opens2} == opens2
+        if {image_bits(perm, u) for u in opens2} == opens2
     ]
     for h1 in autos1:
         lhs = tuple(e1.table[h1[p]] for p in range(s1.n))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .carrier import PointSet
 from .errors import CarrierTooLarge, CrossCheckFailure
 from .operators import closure
-from .space import TopSpace, discrete, meet_topologies
+from .space import TopSpace, meet_topologies
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,6 +173,4 @@ def t1_minimum(n: int) -> TopSpace:
     t1_spaces = [
         s for s in enumerate_topologies(EnumConfig(n)) if separation_report(s).t1
     ]
-    if not t1_spaces:  # pragma: no cover - discrete is always T1
-        return discrete(n)
     return meet_topologies(t1_spaces)

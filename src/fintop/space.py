@@ -171,7 +171,7 @@ def closed_sets(s: TopSpace) -> Family:
 
 def clopen_sets(s: TopSpace) -> Family:
     """Sets that are simultaneously open and closed."""
-    closed = set(s.closeds.masks)
+    closed = s.closeds.mask_set
     return Family.of(s.n, (m for m in s.opens.masks if m in closed))
 
 
@@ -204,7 +204,7 @@ INCOMPARABLE = "incomparable"
 def is_finer(t1: TopSpace, t2: TopSpace) -> bool:
     """True iff every open of t2 is an open of t1 (t1 at least as fine)."""
     same_carrier(t1.n, t2.n)
-    return set(t1.opens.masks) >= set(t2.opens.masks)
+    return t1.opens.mask_set >= t2.opens.mask_set
 
 
 def compare(t1: TopSpace, t2: TopSpace) -> str:
@@ -228,7 +228,7 @@ def meet_topologies(spaces: Sequence[TopSpace]) -> TopSpace:
     n = same_carrier(*(s.n for s in spaces))
     common = set(spaces[0].opens.masks)
     for s in spaces[1:]:
-        common &= set(s.opens.masks)
+        common &= s.opens.mask_set
     return space(n, common)
 
 

@@ -66,6 +66,8 @@ class TestFamily:
         fam = Family.of(3, [0b111, 0b001, 0b000])
         assert fam.masks is fam.masks
         assert fam.masks == (0b000, 0b001, 0b111)
+        assert fam.mask_set is fam.mask_set
+        assert fam.mask_set == frozenset(fam.masks)
         assert 0b001 in fam and PointSet(0b111, 3) in fam
         assert 0b010 not in fam and PointSet(0b010, 3) not in fam
         assert 0b1000 not in fam and -1 not in fam

@@ -1,6 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fintop
 from fintop.cli import COVERAGE, cli_dispatch
@@ -121,6 +128,13 @@ class TestExitCodes:
         out, code = run(capsys, ["validate", "huge.json"])
         assert code == 2
         assert json.loads(out)["error"].startswith("CarrierTooLarge:")
+
+    def test_input_error_deep_nesting(self, docs, capsys):
+        # Nesting past the JSON decoder's recursion limit is an input error.
+        (docs / "deep.json").write_text("[" * 100_000)
+        out, code = run(capsys, ["validate", "deep.json"])
+        assert code == 2
+        assert json.loads(out)["error"].startswith("DocumentError:")
 
     def test_input_error_missing_file(self, docs, capsys):
         out, code = run(capsys, ["check", "nothere.json", "--t0"])
@@ -278,3 +292,60 @@ class TestCoverage:
         assert not missing, f"operations without a subcommand: {sorted(missing)}"
         for name in covered:
             assert hasattr(fintop, name), name
+
+
+# Arbitrary JSON values, plus space-shaped objects whose "n" and point lists
+# straddle the carrier cap and the point range.
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "opens", "name", "x"]), inner, max_size=4),
+    max_leaves=20,
+)
+_points = st.integers(-2, 26) | _json_values
+_space_like = st.fixed_dictionaries(
+    {
+        "n": st.integers(-2, 30) | _json_values,
+        "opens": st.lists(st.lists(_points, max_size=6), max_size=8) | _json_values,
+    }
+)
+# Families that hold the empty set and the carrier, so that some are valid.
+_near_valid = st.integers(0, 24).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(0, max(n - 1, 0)), max_size=n), max_size=6
+    ).map(lambda opens: {"n": n, "opens": [[], list(range(n)), *opens]})
+)
+_documents = st.binary(max_size=300) | st.one_of(
+    _json_values, _space_like, _near_valid
+).map(lambda doc: json.dumps(doc).encode())
+
+FUZZED_COMMANDS = [
+    ["validate"],
+    ["check", "--t0"],
+    ["ops", "--set", "0", "--closure"],
+]
+PER_EXAMPLE_SECONDS = 2.0
+
+
+@pytest.mark.parametrize("command", FUZZED_COMMANDS, ids=lambda c: " ".join(c))
+# Only the command's own time is bounded, not the time spent drawing inputs.
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(document=_documents)
+def test_exit_code_contract_on_any_input(command, document):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "wb") as fh:
+            fh.write(document)
+        argv = [command[0], path, *command[1:]]
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = cli_dispatch(argv)
+        elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2, 64)
+    json.loads(out.getvalue())  # one JSON document on stdout, whatever the input
+    assert elapsed < PER_EXAMPLE_SECONDS, f"{argv} took {elapsed:.2f} s"

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -36,6 +37,21 @@ from fintop.enumeration import all_spaces
 
 def fam(n, *point_lists):
     return Family.of(n, point_lists)
+
+
+def opens_as_point_sets(s):
+    return {frozenset(m.points()) for m in s.opens}
+
+
+def all_partitions(n):
+    seen = set()
+    for labels in itertools.product(range(n), repeat=n):
+        blocks = frozenset(
+            frozenset(p for p in range(n) if labels[p] == label) for label in labels
+        )
+        if blocks not in seen:
+            seen.add(blocks)
+            yield Partition.of(n, [sorted(b) for b in blocks])
 
 
 class TestBaseConditions:
@@ -155,6 +171,20 @@ class TestSubspace:
                     assert sub2 == direct
                     assert tuple(inc1.table[p] for p in inc2.table) == inc3.table
 
+    def test_matches_pointwise_reference(self):
+        # The opens of Y are the sets U & Y, renumbered by rank in Y.
+        for n in range(4):
+            for s in all_spaces(n):
+                for y in range(1 << n):
+                    points = PointSet(y, n).points()
+                    sub, inc = subspace(s, PointSet(y, n))
+                    expected = {
+                        frozenset(i for i, p in enumerate(points) if p in U)
+                        for U in s.opens
+                    }
+                    assert opens_as_point_sets(sub) == expected
+                    assert inc.table == points
+
     def test_subspace_base(self, three_point):
         # {Y ∩ B} is a base for the subspace whenever B is a base for s
         B = three_point.opens
@@ -202,6 +232,26 @@ class TestProduct:
             if check_map(pr1, other, s1).continuous and check_map(pr2, other, s2).continuous:
                 assert is_finer(other, p)
 
+    def test_matches_pointwise_reference(self):
+        # W is open iff each of its pairs lies in some U x V inside W.
+        spaces = [s for n in range(3) for s in all_spaces(n)]
+        for s1 in spaces:
+            for s2 in spaces:
+                p, enc = product(s1, s2)
+                for w in range(1 << p.n):
+                    W = {enc.decode(k) for k in range(p.n) if w >> k & 1}
+                    is_open = all(
+                        any(
+                            i in U
+                            and j in V
+                            and all((a, b) in W for a in U.points() for b in V.points())
+                            for U in s1.opens
+                            for V in s2.opens
+                        )
+                        for i, j in W
+                    )
+                    assert (w in p.opens) == is_open
+
     def test_too_large(self):
         with pytest.raises(CarrierTooLarge):
             product(discrete(5), discrete(5))
@@ -221,6 +271,22 @@ class TestQuotient:
     def test_collapse(self, sierpinski):
         q, proj = quotient(sierpinski, Partition.of(2, [[0, 1]]))
         assert q == space(1, [0, 1])
+
+    def test_matches_pointwise_reference(self):
+        # A set of blocks is open iff the points of those blocks form an open.
+        for n in range(4):
+            for s in all_spaces(n):
+                for P in all_partitions(n):
+                    q, proj = quotient(s, P)
+                    blocks = [b.points() for b in P.blocks]
+                    expected = set()
+                    for r in range(len(blocks) + 1):
+                        for Q in itertools.combinations(range(len(blocks)), r):
+                            union = [p for i in Q for p in blocks[i]]
+                            if PointSet.of(n, union) in s.opens:
+                                expected.add(frozenset(Q))
+                    assert opens_as_point_sets(q) == expected
+                    assert all(p in P.blocks[proj.table[p]] for p in range(n))
 
     def test_finest_making_projection_continuous(self):
         from fintop import check_map

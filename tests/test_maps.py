@@ -22,6 +22,7 @@ from fintop import (
     subspace,
 )
 from fintop.enumeration import all_spaces
+from fintop.maps import image_bits, preimage_bits
 
 
 def all_maps(n1, n2):
@@ -146,6 +147,34 @@ class TestLimits:
                         for f in all_maps(len(A), 2):
                             assert len(limits_at(s1, A, f, s2, p)) <= 1
 
+    def test_matches_pointwise_reference(self):
+        # y is a limit iff each open W around y holds f((U & A) - {p}) for
+        # some open U around p; p itself may belong to A.
+        for s1 in all_spaces(2) + all_spaces(3):
+            for s2 in all_spaces(2):
+                for a in range(1 << s1.n):
+                    A = PointSet(a, s1.n)
+                    points = A.points()
+                    for p in range(s1.n):
+                        if not point_roles(s1, A, p).limit:
+                            continue
+                        for f in all_maps(len(points), 2):
+                            images = [
+                                {f(i) for i, q in enumerate(points) if q in U and q != p}
+                                for U in s1.opens
+                                if p in U
+                            ]
+                            expected = [
+                                y
+                                for y in range(2)
+                                if all(
+                                    any(img <= set(W.points()) for img in images)
+                                    for W in s2.opens
+                                    if y in W
+                                )
+                            ]
+                            assert limits_at(s1, A, f, s2, p).points() == tuple(expected)
+
 
 class TestFindHomeomorphism:
     def test_self_identity(self, sierpinski, three_point):
@@ -243,3 +272,20 @@ class TestDenseImage:
                         A = PointSet(m, 2)
                         if density_report(s1, A).dense:
                             assert density_report(s2, f.image(A)).dense
+
+
+class TestImagePreimageKernels:
+    def test_pointwise_and_galois_laws(self):
+        for n1 in range(4):
+            for n2 in range(4):
+                for table in itertools.product(range(n2), repeat=n1):
+                    for a in range(1 << n1):
+                        img = image_bits(table, a)
+                        points = PointSet(a, n1).points()
+                        assert img == PointSet.of(n2, {table[p] for p in points}).bits
+                        assert a & ~preimage_bits(table, img) == 0
+                    for b in range(1 << n2):
+                        pre = preimage_bits(table, b)
+                        points = [p for p in range(n1) if table[p] in PointSet(b, n2)]
+                        assert pre == PointSet.of(n1, points).bits
+                        assert image_bits(table, pre) & ~b == 0

@@ -9,6 +9,7 @@ error, 64 = usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -176,7 +177,10 @@ def _load_space(path: str) -> TopSpace:
     return docio.parse_space(_read(path))
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built on the first dispatch and then reused:
+    ``parse_args`` returns a fresh namespace each time and keeps no state."""
     parser = _Parser(prog="fintop", description=__doc__)
     parser.add_argument("--pretty", action="store_true", help="indented output")
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")

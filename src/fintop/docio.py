@@ -44,9 +44,12 @@ def _load(text: Union[str, dict]) -> dict:
 def _parse_point_list(n: int, raw, what: str) -> int:
     _require(isinstance(raw, list), f"{what} must be a list of point indices")
     bits = 0
+    top = max(n, 1)
     for p in raw:
-        _require(isinstance(p, int) and not isinstance(p, bool), f"{what}: bad point {p!r}")
-        _require(0 <= p < max(n, 1), f"{what}: point {p} outside carrier of size {n}")
+        if type(p) is not int:  # bool and float fail here; int subclasses pass
+            _require(isinstance(p, int) and not isinstance(p, bool), f"{what}: bad point {p!r}")
+        if not 0 <= p < top:
+            raise DocumentError(f"{what}: point {p} outside carrier of size {n}")
         bits |= 1 << p
     return bits
 

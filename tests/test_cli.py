@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fintop
+from fintop import cli as cli_module
 from fintop.cli import COVERAGE, cli_dispatch
 
 SIERP = '{"n":2,"opens":[[],[1],[0,1]]}'
@@ -148,6 +149,32 @@ class TestExitCodes:
         out, code = run(capsys, ["check", "sierp.json", "--t0", "--connected"])
         assert code == 0
         assert json.loads(out) == {"t0": True, "connected": True}
+
+
+def test_parser_reuse_keeps_no_state(docs, capsys):
+    # One parser serves every request in a process; replaying the same argv
+    # sequence must give the same bytes and codes, and no flag may leak
+    # from one request into the next.
+    assert cli_module._build_parser() is cli_module._build_parser()
+    (docs / "junk.json").write_text("{nope")
+    sequence = [
+        ["ops", "sierp.json"],
+        ["validate", "junk.json"],
+        ["validate", "bad.json"],
+        ["--pretty", "check", "sierp.json", "--t0"],
+        ["check", "sierp.json", "--t0"],
+        ["generate", "--discrete", "2"],
+        ["generate"],
+        ["generate", "--discrete", "2", "--indiscrete", "2"],
+        ["generate", "--indiscrete", "2"],
+    ]
+    first = [run(capsys, argv) for argv in sequence]
+    second = [run(capsys, argv) for argv in sequence]
+    assert first == second
+    assert [code for _, code in first] == [64, 2, 1, 0, 0, 0, 64, 64, 0]
+    assert first[3][0] == '{\n  "t0": true\n}'
+    assert first[4][0] == '{"t0":true}'
+    assert json.loads(first[8][0])["space"]["opens"] == [[], [0, 1]]
 
 
 class TestMoreSubcommands:

@@ -57,6 +57,20 @@ class TestSpaceDocuments:
         with pytest.raises(DocumentError):
             parse_space('{"n":-1,"opens":[]}')
 
+    @pytest.mark.parametrize(
+        "point,message",
+        [
+            ("true", "opens[1]: bad point True"),
+            ("1.5", "opens[1]: bad point 1.5"),
+            ("-1", "opens[1]: point -1 outside carrier of size 2"),
+            ("2", "opens[1]: point 2 outside carrier of size 2"),
+        ],
+    )
+    def test_bad_point_messages(self, point, message):
+        with pytest.raises(DocumentError) as err:
+            parse_space('{"n":2,"opens":[[],[0,%s],[0,1]]}' % point)
+        assert str(err.value) == message
+
     def test_invalid_topology(self):
         with pytest.raises(InvalidTopology) as err:
             parse_space('{"n":1,"opens":[[0]]}')

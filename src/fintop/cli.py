@@ -122,7 +122,6 @@ COVERAGE = {
     "enumerate": (
         "enumerate_topologies",
         "count_topologies",
-        "count_topologies_parallel",
         "subsets_iter",
     ),
     "sweep": ("sweep_theorems", "hausdorff_compact_checks", "is_locally_connected_at"),
@@ -286,7 +285,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--count", action="store_true")
     p.add_argument("--mode", choices=["labeled", "classes"], default="labeled")
     p.add_argument("--predicate", default=None, choices=sorted(enum_mod.PREDICATES))
-    p.add_argument("--parallel", action="store_true", help="parallel counting")
 
     p = sub.add_parser("sweep", help="theorem-regression sweep")
     p.add_argument("--n", type=int, required=True)
@@ -388,17 +386,18 @@ def _cmd_ops(args):
     return out, EXIT_TRUE
 
 
+_SEPARATION_FLAGS = ("t0", "t1", "t2", "t3", "t4", "regular", "normal")
+
+
 def _cmd_check(args):
     s = _load_space(args.file)
-    rep = separation_mod.separation_report(s)
+    wanted = [name for name in _SEPARATION_FLAGS if getattr(args, name)]
+    sep = {}
+    if wanted or args.full:
+        rep = separation_mod.separation_report(s)
+        sep = {name: getattr(rep, name) for name in _SEPARATION_FLAGS}
+    out = {name: sep[name] for name in wanted}
     preds = {
-        "t0": rep.t0,
-        "t1": rep.t1,
-        "t2": rep.t2,
-        "t3": rep.t3,
-        "t4": rep.t4,
-        "regular": rep.regular,
-        "normal": rep.normal,
         "connected": connect_mod.is_connected,
         "compact": compact_mod.is_compact,
         "metrizable": construct_mod.is_metrizable,
@@ -406,21 +405,12 @@ def _cmd_check(args):
         "totally_disconnected": connect_mod.is_totally_disconnected,
         "locally_compact": compact_mod.is_locally_compact,
     }
-    out = {}
-    for name, value in preds.items():
+    for name, pred in preds.items():
         if getattr(args, name):
-            out[name] = value(s) if callable(value) else value
+            out[name] = pred(s)
     if args.full:
         crep = compact_mod.compactness_report(s)
-        out["separation"] = {
-            "t0": rep.t0,
-            "t1": rep.t1,
-            "t2": rep.t2,
-            "t3": rep.t3,
-            "t4": rep.t4,
-            "regular": rep.regular,
-            "normal": rep.normal,
-        }
+        out["separation"] = sep
         out["compactness"] = {
             "compact": crep.compact,
             "locally_compact": crep.locally_compact,
@@ -586,15 +576,12 @@ def _cmd_cover(args):
 def _cmd_enumerate(args):
     mode = "labeled" if args.mode == "labeled" else "up_to_homeomorphism"
     if args.count:
-        if args.parallel and mode == "labeled":
-            count = enum_mod.count_topologies_parallel(args.n, args.predicate)
-        else:
-            count = sum(
-                1
-                for _ in enum_mod.enumerate_topologies(
-                    enum_mod.EnumConfig(args.n, mode, args.predicate)
-                )
+        count = sum(
+            1
+            for _ in enum_mod.enumerate_topologies(
+                enum_mod.EnumConfig(args.n, mode, args.predicate)
             )
+        )
         return {"count": count}, EXIT_TRUE
     spaces = [
         _space_obj(s)

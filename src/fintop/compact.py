@@ -69,9 +69,9 @@ def hausdorff_compact_checks(s1: TopSpace, s2: TopSpace, f: FiniteMap) -> dict:
     Returns the truth values of: continuous => closed map, continuous
     bijection => homeomorphism, continuous injection => embedding.
     """
-    from .separation import separation_report
+    from .separation import is_t2
 
-    if not separation_report(s2).t2:
+    if not is_t2(s2):
         raise CodomainNotHausdorff("codomain must be Hausdorff")
     rep = check_map(f, s1, s2)
     return {

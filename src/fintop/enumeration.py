@@ -10,8 +10,10 @@ The production generator backtracks over the points, choosing the minimal
 open U_p of each point in turn and keeping a choice only if it agrees with
 every U_q chosen before it (q in U_p implies U_q <= U_p, and p in U_q
 implies U_p <= U_q); each complete assignment yields the family of its
-up-sets.  Homeomorphism classes are the relabeling orbits: a table with
-one row per permutation of the carrier holds the image of every mask, the
+up-sets.  A finite topology is exactly its minimal-open assignment (Stong
+1966), so the generated families become spaces without being validated
+again.  Homeomorphism classes are the relabeling orbits: a table with one
+row per permutation of the carrier holds the image of every mask, the
 canonical form is the least sorted image over all rows, and the class
 filter keeps an opens tuple unless some row sorts it below itself.
 """
@@ -35,7 +37,7 @@ from . import separation as separation_mod
 from .carrier import Family, Partition, PointSet, subsets_iter
 from .errors import CarrierTooLarge
 from .maps import FiniteMap, image_bits, preimage_bits
-from .space import TopSpace, discrete, neighborhoods, space, validate_topology
+from .space import TopSpace, _trusted_space, space
 
 #: Hard caps: labeled enumeration is exact up to 4 and best-effort at 5.
 LABELED_CAP = 5
@@ -88,9 +90,8 @@ def topologies_naive(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(found))
 
 
-def _minopen_scan(n: int, first: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """Opens tuples from minimal-open assignments, optionally with the
-    minimal open of point 0 fixed (the parallel partitioning key).
+def _minopen_scan(n: int) -> Iterator[tuple[int, ...]]:
+    """Opens tuples from minimal-open assignments.
 
     Backtracks as the module docstring describes, visiting assignments in
     ascending lexicographic order of (U_0, ..., U_{n-1}).
@@ -100,8 +101,6 @@ def _minopen_scan(n: int, first: Optional[int] = None) -> Iterator[tuple[int, ..
         return
     N = 1 << n
     cands = [[m for m in range(N) if m >> p & 1] for p in range(n)]
-    if first is not None:
-        cands[0] = [first]
     assign = [0] * n
     lows = [(m & -m).bit_length() - 1 for m in range(N)]
     up = [0] * N
@@ -167,13 +166,13 @@ def _is_canonical(n: int, opens: tuple[int, ...]) -> bool:
 
 
 PREDICATES: dict[str, Callable[[TopSpace], bool]] = {
-    "t0": lambda s: separation_mod.separation_report(s).t0,
-    "t1": lambda s: separation_mod.separation_report(s).t1,
-    "t2": lambda s: separation_mod.separation_report(s).t2,
-    "t3": lambda s: separation_mod.separation_report(s).t3,
-    "t4": lambda s: separation_mod.separation_report(s).t4,
-    "regular": lambda s: separation_mod.separation_report(s).regular,
-    "normal": lambda s: separation_mod.separation_report(s).normal,
+    "t0": separation_mod.is_t0,
+    "t1": separation_mod.is_t1,
+    "t2": separation_mod.is_t2,
+    "t3": separation_mod.is_t3,
+    "t4": separation_mod.is_t4,
+    "regular": separation_mod.is_regular,
+    "normal": separation_mod.is_normal,
     "connected": connect_mod.is_connected,
     "totally_disconnected": connect_mod.is_totally_disconnected,
     "locally_connected": connect_mod.is_locally_connected,
@@ -205,40 +204,18 @@ def enumerate_topologies(cfg: EnumConfig) -> Iterator[TopSpace]:
     if cfg.mode == "up_to_homeomorphism":
         all_opens = tuple(o for o in all_opens if _is_canonical(cfg.n, o))
     for opens in all_opens:
-        s = space(cfg.n, opens)
+        s = _trusted_space(cfg.n, opens)
         if pred is None or pred(s):
             yield s
 
 
 def count_topologies(n: int, predicate: Predicate = None) -> int:
-    return sum(1 for _ in enumerate_topologies(EnumConfig(n, predicate=predicate)))
-
-
-def _count_prefix(args: tuple[int, int, Optional[str]]) -> int:
-    n, first, predicate = args
-    pred = _resolve_predicate(predicate)
-    count = 0
-    for opens in _minopen_scan(n, first):
-        if pred is None or pred(space(n, opens)):
-            count += 1
-    return count
-
-
-def count_topologies_parallel(
-    n: int, predicate: Optional[str] = None, processes: Optional[int] = None
-) -> int:
-    """Labeled count, partitioned across worker processes by the minimal
-    open set of point 0.  Yield order is not defined here, the count is."""
-    if not 0 <= n <= LABELED_CAP:
-        raise CarrierTooLarge(f"enumeration capped at n <= {LABELED_CAP}")
-    if n == 0:
-        return count_topologies(0, predicate)
-    import multiprocessing
-
-    firsts = [m for m in range(1 << n) if m & 1]
-    jobs = [(n, first, predicate) for first in firsts]
-    with multiprocessing.Pool(processes) as pool:
-        return sum(pool.map(_count_prefix, jobs))
+    """Labeled count; with no predicate, the generator's opens tuples are
+    counted and no space is built."""
+    cfg = EnumConfig(n, predicate=predicate)
+    if predicate is None:
+        return len(topologies_minopen(n))
+    return sum(1 for _ in enumerate_topologies(cfg))
 
 
 @lru_cache(maxsize=None)
@@ -499,8 +476,7 @@ def _chk_neighborhood_intersection(ctxs):
                 return c.cx("A not inside intersection of its neighborhoods", m)
             if inter != m:
                 eq_everywhere = False
-        t1 = separation_mod.separation_report(s).t1
-        if eq_everywhere != t1:
+        if eq_everywhere != separation_mod.is_t1(s):
             return c.cx("nei-intersection equality iff T1 broken")
     return None
 
@@ -647,7 +623,7 @@ def _chk_indistinguishability_equivalences(ctxs):
 
 def _chk_t0_closure_injective(ctxs):
     for c in ctxs:
-        t0 = separation_mod.separation_report(c.s).t0
+        t0 = separation_mod.is_t0(c.s)
         closures = [c.cl[1 << p] for p in range(c.n)]
         inj = len(set(closures)) == c.n
         if t0 != inj:
@@ -1015,7 +991,7 @@ def _map_sweep(n: int, ctxs) -> dict:
                     if compact_mod.is_compact_set(c.s, PointSet(m, n))
                 ),
                 "rel": {S: covers_mod.relative_opens(c.s, S) for S in range(N)},
-                "t1": separation_mod.separation_report(c.s).t1,
+                "t1": separation_mod.is_t1(c.s),
                 "minbase": tuple(mo.bits for mo in c.s.min_open),
                 "covers": _fundamental_covers(c),
             }

@@ -108,21 +108,27 @@ def _canonical_masks(n: int, fam) -> tuple[list[int], list[AxiomViolation]]:
     return sorted(set(raw)), violations
 
 
+def _point_meets(n: int, masks: Sequence[int]) -> list[int]:
+    """U_p for every point p: the intersection of the members containing p."""
+    mins = []
+    for p in range(n):
+        bit = 1 << p
+        u = (1 << n) - 1
+        for m in masks:
+            if m & bit:
+                u &= m
+        mins.append(u)
+    return mins
+
+
 def _minimal_opens(n: int, masks: list[int], mask_set: set[int]) -> list[int] | None:
     """The per-point minimal opens U_p of a family that holds ∅ and the
     carrier, or None unless every ``m | U_p`` is a member (see the module
     docstring: then and only then is the family a topology)."""
-    full = (1 << n) - 1
-    mins = []
-    for p in range(n):
-        bit = 1 << p
-        u = full
-        for m in masks:
-            if m & bit:
-                u &= m
+    mins = _point_meets(n, masks)
+    for u in mins:
         if not mask_set.issuperset([m | u for m in masks]):
             return None
-        mins.append(u)
     return mins
 
 
@@ -182,9 +188,23 @@ def validate_topology(
     mins = None if violations else _minimal_opens(n, masks, mask_set)
     if mins is None:
         return violations + _pairwise_violations(n, masks, mask_set)
+    return _build(n, masks, mins)
+
+
+def _build(n: int, masks: Sequence[int], mins: Sequence[int]) -> TopSpace:
+    """The space of a sorted, deduplicated topology ``masks`` with minimal
+    opens ``mins``; neither is checked."""
+    full = (1 << n) - 1
     opens = Family(tuple(PointSet(m, n) for m in masks), n)
     closeds = Family(tuple(PointSet(full ^ m, n) for m in reversed(masks)), n)
     return TopSpace(n, opens, closeds, tuple(PointSet(u, n) for u in mins))
+
+
+def _trusted_space(n: int, opens: tuple[int, ...]) -> TopSpace:
+    """The space of an ascending opens tuple already known to be a topology,
+    such as one the minimal-open generator yields, built without
+    :func:`validate_topology`'s ``m | U_p`` membership pass."""
+    return _build(n, opens, _point_meets(n, opens))
 
 
 def space(n: int, fam: Union[Family, Iterable]) -> TopSpace:

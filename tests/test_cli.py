@@ -222,6 +222,17 @@ class TestMoreSubcommands:
         assert obj["compactness"]["compact"] is True
         assert obj["t1_minimum"]["opens"] == [[], [0], [1], [0, 1]]
 
+    def test_check_builds_separation_report_only_when_asked(
+        self, docs, capsys, monkeypatch
+    ):
+        def refuse(s):
+            raise AssertionError("separation_report built")
+
+        monkeypatch.setattr(cli_module.separation_mod, "separation_report", refuse)
+        out, code = run(capsys, ["check", "sierp.json", "--connected", "--compact"])
+        assert json.loads(out) == {"compact": True, "connected": True}
+        assert code == 0
+
     def test_generate_variants(self, docs, capsys):
         out, code = run(capsys, ["generate", "--discrete", "2"])
         assert json.loads(out)["space"]["opens"] == [[], [0], [1], [0, 1]]
@@ -290,8 +301,6 @@ class TestMoreSubcommands:
             ["enumerate", "--n", "3", "--count", "--predicate", "t1"],
         )
         assert json.loads(out) == {"count": 1}
-        out, _ = run(capsys, ["enumerate", "--n", "2", "--count", "--parallel"])
-        assert json.loads(out) == {"count": 4}
 
     def test_enumerate_listing(self, docs, capsys):
         out, _ = run(capsys, ["enumerate", "--n", "1"])

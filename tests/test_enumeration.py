@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -7,23 +8,25 @@ from fintop import (
     EnumConfig,
     PointSet,
     count_topologies,
-    count_topologies_parallel,
     discrete,
     enumerate_topologies,
     indiscrete,
+    separation_report,
+    space,
     sweep_theorems,
 )
 from fintop.enumeration import (
     CLASS_CAP,
     PREDICATES,
     _is_canonical,
-    _minopen_scan,
     _perm_table,
     all_spaces,
     canonical_form,
     topologies_minopen,
     topologies_naive,
 )
+from fintop.errors import CrossCheckFailure
+from fintop.space import _trusted_space
 
 KNOWN_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355}
 
@@ -45,14 +48,21 @@ class TestGenerators:
     def test_caps(self):
         with pytest.raises(CarrierTooLarge):
             EnumConfig(6)
-        with pytest.raises(CarrierTooLarge):
-            count_topologies_parallel(6)
+        for n in (6, -1):
+            with pytest.raises(CarrierTooLarge):
+                count_topologies(n)
 
-    def test_scan_partitions_by_first_open(self):
-        for n in (4, 5):
-            parts = [list(_minopen_scan(n, first)) for first in range(1 << n) if first & 1]
-            assert sum(map(len, parts)) == count_topologies(n)
-            assert sorted(o for part in parts for o in part) == list(topologies_minopen(n))
+    def test_trusted_build_matches_validation(self):
+        # Every topology with n <= 5 (6942 at n = 5), built from the
+        # generator's opens tuple without validation and through space().
+        for n in range(6):
+            for opens in topologies_minopen(n):
+                trusted = _trusted_space(n, opens)
+                checked = space(n, opens)
+                assert trusted == checked
+                assert hash(trusted) == hash(checked)
+                assert trusted.closeds == checked.closeds
+                assert trusted.min_open == checked.min_open
 
 
 class TestCanonicalForm:
@@ -114,14 +124,30 @@ class TestPredicates:
         with pytest.raises(ValueError):
             count_topologies(2, "no_such_predicate")
 
+    def test_separation_entries_match_report(self):
+        # All 390 spaces with n <= 4.
+        names = ("t0", "t1", "t2", "t3", "t4", "regular", "normal")
+        for n in range(5):
+            for s in all_spaces(n):
+                rep = separation_report(s)
+                for name in names:
+                    assert PREDICATES[name](s) == getattr(rep, name), (name, s)
 
-class TestParallel:
-    def test_matches_serial(self):
-        for n in (1, 2, 3):
-            assert count_topologies_parallel(n, processes=2) == KNOWN_COUNTS[n]
-
-    def test_with_predicate(self):
-        assert count_topologies_parallel(3, "t1", processes=2) == 1
+    def test_t0_entry_cross_checks_min_open(self):
+        # Give a second point the minimal open of point 0: the literal T0
+        # criterion still holds, the minimal-open criterion fails.
+        corrupted = 0
+        for n in (2, 3):
+            for s in all_spaces(n):
+                if not separation_report(s).t0:
+                    continue
+                bad = dataclasses.replace(
+                    s, min_open=(s.min_open[0],) * 2 + s.min_open[2:]
+                )
+                with pytest.raises(CrossCheckFailure, match="^T0:"):
+                    PREDICATES["t0"](bad)
+                corrupted += 1
+        assert corrupted == 3 + 19
 
 
 class TestSweep:

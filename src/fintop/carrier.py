@@ -9,7 +9,7 @@ which makes family equality plain sequence equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CarrierMismatch,
@@ -190,6 +190,22 @@ def family_intersection(fam: Family) -> PointSet:
     for m in fam.members:
         bits &= m.bits
     return PointSet(bits, fam.n)
+
+
+def reach_bits(step: Sequence[int], seed: int, within: int) -> int:
+    """Mask of the points that paths inside `within` join to `seed`, where
+    one step leads from point p to the points of ``step[p]``; `seed` is
+    included (breadth-first, each point expanded once)."""
+    seen = frontier = seed
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= step[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
 
 
 def subsets_iter(n: int) -> Iterator[PointSet]:

@@ -575,20 +575,12 @@ def _cmd_cover(args):
 
 def _cmd_enumerate(args):
     mode = "labeled" if args.mode == "labeled" else "up_to_homeomorphism"
+    cfg = enum_mod.EnumConfig(args.n, mode, args.predicate)
+    if args.count and mode == "labeled":
+        return {"count": enum_mod.count_topologies(args.n, args.predicate)}, EXIT_TRUE
     if args.count:
-        count = sum(
-            1
-            for _ in enum_mod.enumerate_topologies(
-                enum_mod.EnumConfig(args.n, mode, args.predicate)
-            )
-        )
-        return {"count": count}, EXIT_TRUE
-    spaces = [
-        _space_obj(s)
-        for s in enum_mod.enumerate_topologies(
-            enum_mod.EnumConfig(args.n, mode, args.predicate)
-        )
-    ]
+        return {"count": sum(1 for _ in enum_mod.enumerate_topologies(cfg))}, EXIT_TRUE
+    spaces = [_space_obj(s) for s in enum_mod.enumerate_topologies(cfg)]
     return {"count": len(spaces), "spaces": spaces}, EXIT_TRUE
 
 

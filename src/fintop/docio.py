@@ -14,7 +14,7 @@ from typing import Optional, Union
 from .carrier import Family, PointSet, check_carrier
 from .errors import InvalidTopology
 from .maps import FiniteMap
-from .space import TopSpace, space, validate_topology
+from .space import TopSpace, validate_topology
 
 
 class DocumentError(ValueError):

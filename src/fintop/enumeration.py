@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Union
 
@@ -524,6 +524,11 @@ def _chk_connected_set_laws(ctxs):
     for c in ctxs:
         s = c.s
         conn = connect_mod.connected_set_masks(s)
+        # the literal definition: A is connected iff its subspace is
+        for m in range(c.N):
+            sub, _ = construct_mod.subspace(s, PointSet(m, c.n))
+            if (m in conn) != connect_mod.is_connected(sub):
+                return c.cx("connected set differs from connected subspace", m)
         if 0 not in conn:
             return c.cx("empty set not connected")
         for p in range(c.n):
@@ -958,7 +963,7 @@ def _map_tables(n: int) -> tuple[list, list, list]:
 
 def _fundamental_covers(c: _Ctx) -> tuple[list, list]:
     """Fundamental covers of the carrier: open-member families of size <= 3
-    and closed-member families of size <= 2, filtered by the literal scan."""
+    and closed-member families of size <= 2."""
     open_covers, closed_covers = [], []
     for pool, sizes, out in (
         (sorted(c.opens), (1, 2, 3), open_covers),

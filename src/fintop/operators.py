@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .carrier import PointSet, same_carrier
 from .errors import CrossCheckFailure
-from .space import TopSpace, neighborhoods
+from .space import TopSpace
 
 
 def interior(s: TopSpace, A: PointSet) -> PointSet:

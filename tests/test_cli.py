@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import fintop
 from fintop import cli as cli_module
+from fintop import enumeration as enum_mod
 from fintop.cli import COVERAGE, cli_dispatch
 
 SIERP = '{"n":2,"opens":[[],[1],[0,1]]}'
@@ -318,6 +319,88 @@ class TestMoreSubcommands:
     def test_pretty(self, docs, capsys):
         out, _ = run(capsys, ["--pretty", "check", "sierp.json", "--t0"])
         assert out == '{\n  "t0": true\n}'
+
+
+class TestEnumerateCount:
+    @pytest.mark.parametrize("n", range(6))
+    def test_count_matches_enumeration(self, docs, capsys, n):
+        for mode, enum_mode in (("labeled", "labeled"), ("classes", "up_to_homeomorphism")):
+            for predicate in (None, "connected"):
+                argv = ["enumerate", "--n", str(n), "--count", "--mode", mode]
+                if predicate is not None:
+                    argv += ["--predicate", predicate]
+                cfg = enum_mod.EnumConfig(n, enum_mode, predicate)
+                expected = '{"count":%d}' % sum(1 for _ in enum_mod.enumerate_topologies(cfg))
+                assert run(capsys, argv) == (expected, 0)
+
+    def test_labeled_count_builds_no_space(self, docs, capsys, monkeypatch):
+        def refuse(n, opens):
+            raise AssertionError("a space was built")
+
+        monkeypatch.setattr(enum_mod, "_trusted_space", refuse)
+        assert run(capsys, ["enumerate", "--n", "5", "--count"]) == ('{"count":6942}', 0)
+
+
+def _doc24(opens):
+    return json.dumps({"n": 24, "opens": opens})
+
+
+def _members(*blocks):
+    return ";".join(",".join(map(str, block)) for block in blocks)
+
+
+LOW, HIGH, ALL = list(range(12)), list(range(12, 24)), list(range(24))
+CAP_DOCS = {
+    "chain24.json": _doc24([list(range(k)) for k in range(25)]),
+    "indiscrete24.json": _doc24([[], ALL]),
+    "blocks24.json": _doc24([[], LOW, HIGH, ALL]),
+}
+# (document, components, 2-member cover, its is_cover/open/closed/fundamental);
+# the chain's halves overlap in point 12, which joins them transitively.
+CAP_CASES = [
+    ("chain24.json", [ALL], _members(range(13), HIGH), (True, False, False, True)),
+    ("chain24.json", [ALL], _members(LOW, HIGH), (True, False, False, False)),
+    ("indiscrete24.json", [ALL], _members(LOW, HIGH), (True, False, False, False)),
+    ("blocks24.json", [LOW, HIGH], _members(LOW, HIGH), (True, True, True, True)),
+]
+CAP_SECONDS = 1.0
+
+
+class TestCarrierCapBudgets:
+    """Connectivity and cover requests on 24-point documents finish in
+    bounded time: none of them may scan the 2**24 subsets."""
+
+    @pytest.fixture
+    def cap_docs(self, docs):
+        for name, text in CAP_DOCS.items():
+            (docs / name).write_text(text)
+        return docs
+
+    def timed(self, capsys, argv):
+        start = time.perf_counter()
+        out, code = run(capsys, argv)
+        elapsed = time.perf_counter() - start
+        assert elapsed < CAP_SECONDS, f"{argv} took {elapsed:.2f} s"
+        return json.loads(out), code
+
+    @pytest.mark.parametrize(
+        "name,blocks,members,cover",
+        CAP_CASES,
+        ids=["chain-overlapping", "chain-halves", "indiscrete-halves", "blocks-halves"],
+    )
+    def test_connectivity_and_cover(self, cap_docs, capsys, name, blocks, members, cover):
+        assert self.timed(capsys, ["components", name]) == ({"components": blocks}, 0)
+        assert self.timed(capsys, ["check", name, "--locally-connected"]) == (
+            {"locally_connected": True},
+            0,
+        )
+        assert self.timed(capsys, ["check", name, "--totally-disconnected"]) == (
+            {"totally_disconnected": False},
+            1,
+        )
+        obj, code = self.timed(capsys, ["cover", name, "--members", members])
+        got = (obj["is_cover"], obj["open_cover"], obj["closed_cover"], obj["fundamental"])
+        assert (got, code) == (cover, 0)
 
 
 class TestCoverage:

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 
 from fintop import (
     Partition,
     PointSet,
     boundary,
+    connected_set_masks,
     check_map,
     closure,
     component_partition,
@@ -50,11 +52,35 @@ class TestConnectedSets:
                 assert is_connected_set(s, PointSet.of(3, [p]))
 
     def test_matches_subspace(self):
-        for s in all_spaces(3):
-            for m in range(8):
-                A = PointSet(m, 3)
-                sub, _ = subspace(s, A)
-                assert is_connected_set(s, A) == is_connected(sub)
+        # Every subset of every space with n <= 4 against the definition:
+        # A is connected iff its subspace is a connected space.
+        for n in range(5):
+            for s in all_spaces(n):
+                literal = {
+                    m
+                    for m in range(1 << n)
+                    if is_connected(subspace(s, PointSet(m, n))[0])
+                }
+                assert connected_set_masks(s) == literal
+                for m in range(1 << n):
+                    A = PointSet(m, n)
+                    assert is_connected_set(s, A) == (m in literal)
+                    union = 0
+                    for c in literal:
+                        if m & ~c == 0:
+                            union |= c
+                    assert mcp(s, A).bits == union
+                maximal = [
+                    c
+                    for c in literal
+                    if c and not any(c != d and c & ~d == 0 for d in literal)
+                ]
+                maximal.sort(key=lambda c: c & -c)
+                d = components(s)
+                assert [b.bits for b in d.blocks] == maximal
+                assert d.index == tuple(
+                    next(i for i, c in enumerate(maximal) if c >> p & 1) for p in range(n)
+                )
 
     def test_union_laws(self):
         for s in all_spaces(3):
@@ -170,6 +196,40 @@ class TestLocallyConnected:
             assert is_locally_connected(s) == all(
                 is_locally_connected_at(s, p) for p in range(3)
             )
+
+
+def _corrupt(s, p, u):
+    """s with its minimal open U_p replaced by the mask u."""
+    mins = list(s.min_open)
+    mins[p] = PointSet(u, s.n)
+    return dataclasses.replace(s, min_open=tuple(mins))
+
+
+class TestMinimalOpenWitnesses:
+    """The answers read min_open, so corrupting it must show."""
+
+    def test_facts_on_every_small_space(self):
+        for n in range(5):
+            for s in all_spaces(n):
+                assert is_locally_connected(s)
+                assert is_totally_disconnected(s) == (len(s.opens) == 1 << n)
+
+    def test_dropped_comparability_is_seen(self, sierpinski):
+        # U_0 = {0, 1} holds the only comparability 0 <= 1.
+        bad = _corrupt(sierpinski, 0, 0b01)
+        assert len(components(bad)) == 2 != len(components(sierpinski))
+        assert not is_locally_connected(bad)
+        for n in range(4):
+            for s in all_spaces(n):
+                for p, u in enumerate(s.min_open):
+                    for q in u:
+                        if q != p:
+                            bad = _corrupt(s, p, u.bits & ~(1 << q))
+                            assert not is_locally_connected_at(bad, p)
+
+    def test_corrupted_minimal_open_breaks_discreteness_test(self, sierpinski):
+        assert not is_totally_disconnected(_corrupt(discrete(3), 0, 0b011))
+        assert is_totally_disconnected(_corrupt(sierpinski, 0, 0b01))
 
 
 class TestTransport:

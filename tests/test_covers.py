@@ -14,9 +14,11 @@ from fintop import (
     is_refinement,
     is_subcover,
     minimal_subcover,
+    relative_opens,
     space,
     verify_pasting,
 )
+from fintop.covers import _is_fundamental
 from fintop.enumeration import all_spaces
 
 
@@ -98,6 +100,48 @@ class TestSubcoverRefinement:
                 for C, r in covers:
                     if r.is_cover and is_refinement(C_ref, C, s):
                         assert r.fundamental
+
+
+def _literal_fundamental(s, members, coherent):
+    """The definition: every set U with U ∩ S open in each subspace S is
+    open.  ``coherent[S]`` has bit u set iff u ∩ S is open in S."""
+    opens = 0
+    for m in s.opens.masks:
+        opens |= 1 << m
+    both = (1 << (1 << s.n)) - 1
+    for S in members:
+        both &= coherent[S]
+    return both == opens
+
+
+class TestFundamentalPreorderCriterion:
+    def test_matches_literal_scan(self):
+        # Every cover of size <= 3 of every space with n <= 4.
+        checked = 0
+        for n in range(5):
+            N = 1 << n
+            for s in all_spaces(n):
+                coherent = []
+                for S in range(N):
+                    rel = relative_opens(s, S)
+                    coherent.append(sum(1 << u for u in range(N) if u & S in rel))
+                for size in (1, 2, 3):
+                    for members in itertools.combinations(range(N), size):
+                        union = 0
+                        for S in members:
+                            union |= S
+                        if union != N - 1:
+                            continue
+                        expected = _literal_fundamental(s, members, coherent)
+                        assert _is_fundamental(s, members) == expected, (s, members)
+                        checked += 1
+        assert checked == 144076
+
+    def test_transitive_closure_is_needed(self, three_point):
+        # U_2 = {0,1,2}, U_1 = {0,1}: the members {0,1} and {1,2} relate 2 to
+        # 0 only through 1, and the cover is fundamental only by transitivity.
+        assert _is_fundamental(three_point, (0b011, 0b110))
+        assert not _is_fundamental(three_point, (0b011, 0b100))
 
 
 class TestVerifyPasting:

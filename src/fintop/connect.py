@@ -31,10 +31,15 @@ def is_connected(s: TopSpace) -> bool:
 
 def _adjacency(s: TopSpace) -> list[int]:
     """Per point p, the mask of the points comparable to p (p included)."""
-    adj = [u.bits for u in s.min_open]
-    for p, u in enumerate(s.min_open):
-        for q in u:
-            adj[q] |= 1 << p
+    return _adjacency_bits(tuple(u.bits for u in s.min_open))
+
+
+def _adjacency_bits(mins: tuple[int, ...]) -> list[int]:
+    adj = list(mins)
+    for p, u in enumerate(mins):
+        for q in range(len(mins)):
+            if u >> q & 1:
+                adj[q] |= 1 << p
     return adj
 
 
@@ -44,11 +49,22 @@ def is_connected_set(s: TopSpace, A: PointSet) -> bool:
     return reach_bits(_adjacency(s), A.bits & -A.bits, A.bits) == A.bits
 
 
-@lru_cache(maxsize=None)
 def connected_set_masks(s: TopSpace) -> frozenset[int]:
-    """Bitmasks of all connected subsets of the space (memoized)."""
-    adj = _adjacency(s)
-    return frozenset(m for m in range(1 << s.n) if reach_bits(adj, m & -m, m) == m)
+    """Bitmasks of all connected subsets of the space, memoized on the
+    minimal opens they are decided from (``TopSpace`` equality compares the
+    opens only)."""
+    return _connected_masks(s.n, tuple(u.bits for u in s.min_open))
+
+
+@lru_cache(maxsize=None)
+def _connected_masks(n: int, mins: tuple[int, ...]) -> frozenset[int]:
+    adj = _adjacency_bits(mins)
+    return frozenset(m for m in range(1 << n) if reach_bits(adj, m & -m, m) == m)
+
+
+# The memo's statistics and reset, under the public name.
+connected_set_masks.cache_info = _connected_masks.cache_info
+connected_set_masks.cache_clear = _connected_masks.cache_clear
 
 
 def mcp(s: TopSpace, A: PointSet) -> PointSet:

@@ -14,7 +14,7 @@ from .errors import (
     InvalidMetric,
     SubbaseDoesNotCover,
 )
-from .maps import FiniteMap, preimage_bits
+from .maps import FiniteMap, image_bits, preimage_bits
 from .space import TopSpace, space
 
 
@@ -223,13 +223,21 @@ def product(s1: TopSpace, s2: TopSpace) -> tuple[TopSpace, PairEncoding]:
 def quotient(s: TopSpace, P: Partition) -> tuple[TopSpace, FiniteMap]:
     """Quotient by a partition: a set of blocks is open iff its preimage
     under the projection (the union of its blocks) is open; blocks are
-    indexed by smallest member."""
+    indexed by smallest member.
+
+    Such a set is the image of its preimage, an open that is a union of
+    blocks; so the quotient opens are the images of the opens u with
+    Pre(Img(u)) = u, found in O(|opens|·n) without the 2**k sets of blocks.
+    """
     same_carrier(s.n, P.n)
     k = len(P.blocks)
     index = P.block_index()
-    opens = s.opens.mask_set
-    quot = space(k, {q for q in range(1 << k) if preimage_bits(index, q) in opens})
-    return quot, FiniteMap(s.n, k, index)
+    opens = set()
+    for u in s.opens.masks:
+        q = image_bits(index, u)
+        if preimage_bits(index, q) == u:  # u is a union of blocks
+            opens.add(q)
+    return space(k, opens), FiniteMap(s.n, k, index)
 
 
 @dataclass(frozen=True, slots=True)

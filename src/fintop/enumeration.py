@@ -16,6 +16,9 @@ again.  Homeomorphism classes are the relabeling orbits: a table with one
 row per permutation of the carrier holds the image of every mask, the
 canonical form is the least sorted image over all rows, and the class
 filter keeps an opens tuple unless some row sorts it below itself.
+
+The map-level theorems are swept by :mod:`fintop.mapsweep`, over the same
+per-space contexts.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from . import operators as operators_mod
 from . import separation as separation_mod
 from .carrier import Family, Partition, PointSet, subsets_iter
 from .errors import CarrierTooLarge
-from .maps import FiniteMap, image_bits, preimage_bits
+from .maps import image_bits
+from .mapsweep import _map_sweep
 from .space import TopSpace, _trusted_space, space
 
 #: Hard caps: labeled enumeration is exact up to 4 and best-effort at 5.
@@ -237,10 +241,11 @@ def _ser_space(s: TopSpace) -> str:
 class _Ctx:
     """Per-space operator tables for one sweep run."""
 
-    __slots__ = ("s", "n", "N", "full", "cl", "it", "opens", "closeds")
+    __slots__ = ("s", "ser", "n", "N", "full", "cl", "it", "opens", "closeds")
 
     def __init__(self, s: TopSpace, ops: dict) -> None:
         self.s = s
+        self.ser = _ser_space(s)
         self.n = s.n
         self.N = 1 << s.n
         self.full = self.N - 1
@@ -257,7 +262,7 @@ class _Ctx:
 
     def cx(self, detail: str, *masks: int) -> str:
         sets = " ".join(str(_ser(self.n, m)) for m in masks)
-        return f"{_ser_space(self.s)} sets {sets}: {detail}"
+        return f"{self.ser} sets {sets}: {detail}"
 
 
 def _default_ops(overrides: Optional[dict]) -> dict:
@@ -707,12 +712,21 @@ def _chk_metric_topology_discrete(ctxs):
 def _chk_locally_connected_equiv(ctxs):
     for c in ctxs:
         s = c.s
-        space_level = connect_mod.is_locally_connected(s)
-        pointwise = all(
-            connect_mod.is_locally_connected_at(s, p) for p in range(c.n)
+        # The literal definition: every open w holding p contains an open v
+        # holding p that is connected as a subspace.
+        connected_opens = [
+            v
+            for v in c.opens
+            if connect_mod.is_connected(construct_mod.subspace(s, PointSet(v, c.n))[0])
+        ]
+        literal = all(
+            any(v >> p & 1 and v & ~w == 0 for v in connected_opens)
+            for p in range(c.n)
+            for w in c.opens
+            if w >> p & 1
         )
-        if space_level != pointwise:
-            return c.cx("locally-connected space/pointwise equivalence broken")
+        if connect_mod.is_locally_connected(s) != literal:
+            return c.cx("locally connected differs from the open-neighborhood definition")
     return None
 
 
@@ -933,266 +947,6 @@ OPERATOR_IDENTITY_CHECKS = [
     "interior_of_frontier",
     "open_meets_closure",
 ]
-
-
-MAP_SWEEP_CHECKS = [
-    "continuity_equivalences",
-    "local_vs_global_continuity",
-    "base_continuity_criterion",
-    "open_closed_map_characterizations",
-    "pasting_open_covers",
-    "pasting_closed_covers",
-    "image_of_connected",
-    "image_of_compact",
-    "image_of_dense",
-    "homeomorphism_transport",
-    "hausdorff_limit_uniqueness",
-    "t1_pullback_and_indiscrete_maps",
-    "hausdorff_codomain_implications",
-]
-
-
-def _map_tables(n: int) -> tuple[list, list, list]:
-    """All function tables n -> n with per-table image/preimage arrays."""
-    tables = list(itertools.product(range(n), repeat=n))
-    masks = range(1 << n)
-    imgs = [[image_bits(t, m) for m in masks] for t in tables]
-    pres = [[preimage_bits(t, m) for m in masks] for t in tables]
-    return tables, imgs, pres
-
-
-def _fundamental_covers(c: _Ctx) -> tuple[list, list]:
-    """Fundamental covers of the carrier: open-member families of size <= 3
-    and closed-member families of size <= 2."""
-    open_covers, closed_covers = [], []
-    for pool, sizes, out in (
-        (sorted(c.opens), (1, 2, 3), open_covers),
-        (sorted(c.closeds), (1, 2), closed_covers),
-    ):
-        for size in sizes:
-            for fam in itertools.combinations(pool, size):
-                union = 0
-                for m in fam:
-                    union |= m
-                if union == c.full and covers_mod._is_fundamental(c.s, fam):
-                    out.append(fam)
-    return open_covers, closed_covers
-
-
-def _map_sweep(n: int, ctxs) -> dict:
-    """Quantify the map-level theorems over all ordered pairs of spaces on n
-    points and all n**n function tables between them."""
-    results: dict[str, Optional[str]] = {k: None for k in MAP_SWEEP_CHECKS}
-    N = 1 << n
-    tables, imgs, pres = _map_tables(n)
-    extras = []
-    for c in ctxs:
-        extras.append(
-            {
-                "conn": connect_mod.connected_set_masks(c.s),
-                "compact": frozenset(
-                    m
-                    for m in range(N)
-                    if compact_mod.is_compact_set(c.s, PointSet(m, n))
-                ),
-                "rel": {S: covers_mod.relative_opens(c.s, S) for S in range(N)},
-                "t1": separation_mod.is_t1(c.s),
-                "minbase": tuple(mo.bits for mo in c.s.min_open),
-                "covers": _fundamental_covers(c),
-            }
-        )
-
-    def fail(c1, c2, t, detail):
-        return f"s1={_ser_space(c1.s)} s2={_ser_space(c2.s)} f={list(t)}: {detail}"
-
-    for i1, c1 in enumerate(ctxs):
-        e1 = extras[i1]
-        rel1 = e1["rel"]
-        open_covers, closed_covers = e1["covers"]
-        indiscrete1 = c1.opens == {0, c1.full} and n >= 1
-        for i2, c2 in enumerate(ctxs):
-            e2 = extras[i2]
-            for ti, t in enumerate(tables):
-                img, pre = imgs[ti], pres[ti]
-                cont = all(pre[u] in c1.opens for u in c2.opens)
-
-                if results["continuity_equivalences"] is None:
-                    c_closed = all(pre[m] in c1.closeds for m in c2.closeds)
-                    c_cl = all(
-                        c1.cl[pre[m]] & ~pre[c2.cl[m]] == 0 for m in range(N)
-                    )
-                    c_img = all(
-                        img[c1.cl[m]] & ~c2.cl[img[m]] == 0 for m in range(N)
-                    )
-                    c_it = all(
-                        pre[c2.it[m]] & ~c1.it[pre[m]] == 0 for m in range(N)
-                    )
-                    if not cont == c_closed == c_cl == c_img == c_it:
-                        results["continuity_equivalences"] = fail(
-                            c1,
-                            c2,
-                            t,
-                            f"equivalences diverge: {cont},{c_closed},{c_cl},{c_img},{c_it}",
-                        )
-
-                if results["local_vs_global_continuity"] is None:
-                    loc = all(
-                        all(
-                            any(
-                                u >> p & 1 and img[u] & ~w == 0
-                                for u in c1.opens
-                            )
-                            for w in c2.opens
-                            if w >> t[p] & 1
-                        )
-                        for p in range(n)
-                    )
-                    if loc != cont:
-                        results["local_vs_global_continuity"] = fail(
-                            c1, c2, t, f"pointwise={loc} global={cont}"
-                        )
-
-                if results["base_continuity_criterion"] is None:
-                    base_cont = all(pre[b] in c1.opens for b in e2["minbase"])
-                    if base_cont != cont:
-                        results["base_continuity_criterion"] = fail(
-                            c1, c2, t, "minimal-open-base criterion mismatch"
-                        )
-
-                if results["open_closed_map_characterizations"] is None:
-                    omap = all(img[u] in c2.opens for u in c1.opens)
-                    ochar = all(
-                        img[c1.it[m]] & ~c2.it[img[m]] == 0 for m in range(N)
-                    )
-                    cmap = all(img[m] in c2.closeds for m in c1.closeds)
-                    cchar = all(
-                        c2.cl[img[m]] & ~img[c1.cl[m]] == 0 for m in range(N)
-                    )
-                    if omap != ochar or cmap != cchar:
-                        results["open_closed_map_characterizations"] = fail(
-                            c1,
-                            c2,
-                            t,
-                            f"open {omap}/{ochar} closed {cmap}/{cchar}",
-                        )
-
-                if (
-                    results["pasting_open_covers"] is None
-                    or results["pasting_closed_covers"] is None
-                ):
-                    good_cache: dict[int, bool] = {}
-
-                    def good(S):
-                        v = good_cache.get(S)
-                        if v is None:
-                            v = all(S & pre[u] in rel1[S] for u in c2.opens)
-                            good_cache[S] = v
-                        return v
-
-                    for key, cov_list in (
-                        ("pasting_open_covers", open_covers),
-                        ("pasting_closed_covers", closed_covers),
-                    ):
-                        if results[key] is not None:
-                            continue
-                        for fam in cov_list:
-                            if all(good(S) for S in fam) and not cont:
-                                results[key] = fail(
-                                    c1, c2, t, f"pasting failed for cover {fam}"
-                                )
-                                break
-
-                if cont:
-                    if results["image_of_connected"] is None:
-                        for a in e1["conn"]:
-                            if img[a] not in e2["conn"]:
-                                results["image_of_connected"] = fail(
-                                    c1, c2, t, f"image of connected {a:#x} disconnected"
-                                )
-                                break
-                    if results["image_of_compact"] is None:
-                        for a in e1["compact"]:
-                            if img[a] not in e2["compact"]:
-                                results["image_of_compact"] = fail(
-                                    c1, c2, t, f"image of compact {a:#x} not compact"
-                                )
-                                break
-                    if results["image_of_dense"] is None and img[c1.full] == c2.full:
-                        for a in range(N):
-                            if c1.cl[a] == c1.full and c2.cl[img[a]] != c2.full:
-                                results["image_of_dense"] = fail(
-                                    c1, c2, t, f"image of dense {a:#x} not dense"
-                                )
-                                break
-                    bij = len(set(t)) == n
-                    if (
-                        bij
-                        and all(img[u] in c2.opens for u in c1.opens)
-                        and results["homeomorphism_transport"] is None
-                    ):
-                        if {img[u] for u in c1.opens} != c2.opens:
-                            results["homeomorphism_transport"] = fail(
-                                c1, c2, t, "opens not transported"
-                            )
-                        else:
-                            for m in range(N):
-                                if (
-                                    img[c1.cl[m]] != c2.cl[img[m]]
-                                    or img[c1.it[m]] != c2.it[img[m]]
-                                ):
-                                    results["homeomorphism_transport"] = fail(
-                                        c1, c2, t, f"operators not transported at {m:#x}"
-                                    )
-                                    break
-
-                if e2["t1"] and results["hausdorff_limit_uniqueness"] is None:
-                    for a in range(N):
-                        for p in range(n):
-                            pb = 1 << p
-                            if not c1.cl[a & ~pb] >> p & 1:
-                                continue  # p is not a limit point of A
-                            count = 0
-                            for y in range(n):
-                                yb = 1 << y
-                                ok = True
-                                for w in c2.opens:
-                                    if not w & yb:
-                                        continue
-                                    if not any(
-                                        u & pb and img[u & a & ~pb] & ~w == 0
-                                        for u in c1.opens
-                                    ):
-                                        ok = False
-                                        break
-                                if ok:
-                                    count += 1
-                                    if count > 1:
-                                        break
-                            if count > 1:
-                                results["hausdorff_limit_uniqueness"] = fail(
-                                    c1, c2, t, f"multiple limits along {a:#x} at p={p}"
-                                )
-
-                if results["t1_pullback_and_indiscrete_maps"] is None and e2["t1"]:
-                    inj = len(set(t)) == n
-                    if cont and inj and not e1["t1"]:
-                        results["t1_pullback_and_indiscrete_maps"] = fail(
-                            c1, c2, t, "injective continuous map into T1, domain not T1"
-                        )
-                    if cont and indiscrete1 and len(set(t)) > 1:
-                        results["t1_pullback_and_indiscrete_maps"] = fail(
-                            c1, c2, t, "non-constant continuous map from indiscrete to T1"
-                        )
-
-                if e2["t1"] and results["hausdorff_codomain_implications"] is None:
-                    checks = compact_mod.hausdorff_compact_checks(
-                        c1.s, c2.s, FiniteMap.of(n, n, t)
-                    )
-                    if not all(checks.values()):
-                        results["hausdorff_codomain_implications"] = fail(
-                            c1, c2, t, f"implications: {checks}"
-                        )
-    return results
 
 
 #: Theorem ids forming the timed single-space regression core.

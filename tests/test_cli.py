@@ -402,6 +402,17 @@ class TestCarrierCapBudgets:
         got = (obj["is_cover"], obj["open_cover"], obj["closed_cover"], obj["fundamental"])
         assert (got, code) == (cover, 0)
 
+    def test_quotient_by_singletons(self, cap_docs, capsys):
+        # The 2**24 sets of blocks are not scanned: the quotient opens are
+        # the images of the 25 saturated opens.
+        singletons = ";".join(str(p) for p in ALL)
+        obj, code = self.timed(capsys, ["quotient", "chain24.json", "--blocks", singletons])
+        assert code == 0
+        assert obj == {
+            "projection": ALL,
+            "space": {"n": 24, "opens": [list(range(k)) for k in range(25)]},
+        }
+
 
 class TestCoverage:
     def test_every_operation_reachable(self):

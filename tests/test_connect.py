@@ -227,6 +227,15 @@ class TestMinimalOpenWitnesses:
                             bad = _corrupt(s, p, u.bits & ~(1 << q))
                             assert not is_locally_connected_at(bad, p)
 
+    def test_connected_set_memo_keyed_on_minimal_opens(self, sierpinski):
+        # The corrupted copy compares equal to the clean space, so a memo
+        # keyed on the space would hand it the clean answer.
+        assert connected_set_masks(sierpinski) == {0b00, 0b01, 0b10, 0b11}
+        bad = _corrupt(sierpinski, 0, 0b01)
+        assert bad == sierpinski and hash(bad) == hash(sierpinski)
+        assert connected_set_masks(bad) == {0b00, 0b01, 0b10}
+        assert connected_set_masks(sierpinski) == {0b00, 0b01, 0b10, 0b11}
+
     def test_corrupted_minimal_open_breaks_discreteness_test(self, sierpinski):
         assert not is_totally_disconnected(_corrupt(discrete(3), 0, 0b011))
         assert is_totally_disconnected(_corrupt(sierpinski, 0, 0b01))

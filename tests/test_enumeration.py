@@ -160,6 +160,20 @@ class TestSweep:
         with pytest.raises(CarrierTooLarge):
             sweep_theorems(5)
 
+    def test_locally_connected_mutant_fails_sweep(self, monkeypatch):
+        from fintop import connect
+
+        def mutant(s, p):
+            # a witness U_p is also required to be a singleton
+            u = s.min_open[p]
+            return p in u and u.bits in s.opens and len(u) == 1
+
+        monkeypatch.setattr(connect, "is_locally_connected_at", mutant)
+        out = sweep_theorems(
+            2, theorems=["locally_connected_equivalence"], include_maps=False
+        )
+        assert not out["locally_connected_equivalence"]["ok"]
+
     def test_fault_injection_names_theorem(self):
         def bad_closure(s, A):
             from fintop import closure

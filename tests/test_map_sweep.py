@@ -1,0 +1,140 @@
+"""The map-level sweep under injected faults.
+
+`map_sweep_golden.json` holds the 13 map-theorem reports of
+``sweep_theorems(n, overrides=..., theorems=[])`` for n = 3 and n = 2,
+clean and under each fault below, as the literal per-triple loops produced
+them.  The table-driven sweep must reproduce them byte for byte:
+verdicts, and the first counterexample string of every failed theorem.
+The operator faults go through ``overrides``; the others replace a
+function the sweep reads for its per-space families.
+"""
+
+import json
+from pathlib import Path
+
+from fintop import PointSet, closure, interior, sweep_theorems
+from fintop import compact as compact_mod
+from fintop import connect as connect_mod
+from fintop import covers as covers_mod
+
+GOLDEN = Path(__file__).with_name("map_sweep_golden.json")
+
+
+def _bump(op):
+    """op with its answer incremented as a mask (the carrier left as is)."""
+
+    def bad(s, A):
+        good = op(s, A).bits
+        full = (1 << s.n) - 1
+        return PointSet((good + 1) & full if good != full else good, s.n)
+
+    return bad
+
+
+def _up_closure(s, A):
+    # The union of the minimal opens: the specialization order reversed.
+    bits = 0
+    for p in A.points():
+        bits |= s.min_open[p].bits
+    return PointSet(bits, s.n)
+
+
+def _down_interior(s, A):
+    # The points whose closure lies in A: the specialization order reversed.
+    bits = 0
+    for p in range(s.n):
+        if closure(s, PointSet(1 << p, s.n)).bits & ~A.bits == 0:
+            bits |= 1 << p
+    return PointSet(bits, s.n)
+
+
+def _interior_drops_last(s, A):
+    return PointSet(interior(s, A).bits & ~(1 << s.n >> 1), s.n)
+
+
+def _closure_of_empty_is_full(s, A):
+    return PointSet.full(s.n) if not A.bits else closure(s, A)
+
+
+FAULTS = {
+    "clean": None,
+    "closure_plus_one": {"closure": _bump(closure)},
+    "interior_plus_one": {"interior": _bump(interior)},
+    "closure_is_identity": {"closure": lambda s, A: A},
+    "interior_is_identity": {"interior": lambda s, A: A},
+    "closure_up_set": {"closure": _up_closure},
+    "interior_down_set": {"interior": _down_interior},
+    "interior_drops_last_point": {"interior": _interior_drops_last},
+    "closure_of_empty_is_full": {"closure": _closure_of_empty_is_full},
+}
+
+
+def _discrete_sets_all_connected(orig):
+    def fake(s):
+        return frozenset(range(1 << s.n)) if len(s.opens) == 1 << s.n else orig(s)
+
+    return fake
+
+
+def _indiscrete_carrier_not_compact(orig):
+    def fake(s, A):
+        if s.n > 1 and len(s.opens) == 2 and A.bits == (1 << s.n) - 1:
+            return False
+        return orig(s, A)
+
+    return fake
+
+
+def _relative_opens_extra_member(orig):
+    # S minus its lowest point is added as a relative open of S.
+    def fake(s, S):
+        return orig(s, S) | {S & (S - 1)}
+
+    return fake
+
+
+PATCHES = {
+    "discrete_sets_all_connected": (
+        connect_mod, "connected_set_masks", _discrete_sets_all_connected
+    ),
+    "indiscrete_carrier_not_compact": (
+        compact_mod, "is_compact_set", _indiscrete_carrier_not_compact
+    ),
+    "relative_opens_extra_member": (
+        covers_mod, "relative_opens", _relative_opens_extra_member
+    ),
+}
+
+
+def _reports(overrides) -> dict:
+    return {
+        f"n{n}": sweep_theorems(n, overrides=overrides, theorems=[]) for n in (3, 2)
+    }
+
+
+def map_reports() -> dict:
+    out = {name: _reports(overrides) for name, overrides in FAULTS.items()}
+    for name, (module, attr, corrupt) in PATCHES.items():
+        orig = getattr(module, attr)
+        setattr(module, attr, corrupt(orig))
+        try:
+            out[name] = _reports(None)
+        finally:
+            setattr(module, attr, orig)
+    return out
+
+
+def render(reports: dict) -> str:
+    return json.dumps(reports, indent=1) + "\n"
+
+
+class TestMapSweepGolden:
+    def test_reports_are_byte_identical(self):
+        assert render(map_reports()) == GOLDEN.read_text()
+
+    def test_clean_run_passes_and_every_fault_is_caught(self):
+        golden = json.loads(GOLDEN.read_text())
+        for name, by_n in golden.items():
+            failed = [k for k, rec in by_n["n3"].items() if not rec["ok"]]
+            assert bool(failed) == (name != "clean"), name
+            assert len(by_n["n3"]) == 13

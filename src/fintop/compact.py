@@ -12,9 +12,9 @@ corrupted table makes it fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .carrier import Family, PointSet, same_carrier
+from .carrier import PointSet, same_carrier
 from .errors import CodomainNotHausdorff
 from .maps import FiniteMap, check_map
 from .space import TopSpace
@@ -40,18 +40,11 @@ def is_compact_set(s: TopSpace, A: PointSet) -> bool:
 class CompactnessReport:
     compact: bool
     locally_compact: bool
-    witness_cover_stats: dict = field(default_factory=dict, compare=False)
 
 
 def compactness_report(s: TopSpace) -> CompactnessReport:
-    """Flags plus minimal-subcover diagnostics for the full opens cover."""
-    from .covers import minimal_subcover
-
-    stats = {}
-    if s.n > 0:
-        all_opens = Family.of(s.n, s.opens.masks)
-        stats["all_opens_minimal_subcover"] = len(minimal_subcover(s, all_opens))
-    return CompactnessReport(is_compact(s), is_locally_compact(s), stats)
+    """The compactness and local compactness flags."""
+    return CompactnessReport(is_compact(s), is_locally_compact(s))
 
 
 def is_locally_compact(s: TopSpace) -> bool:

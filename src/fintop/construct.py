@@ -1,12 +1,38 @@
 """Constructors: bases, sub-bases, subspaces, binary products, quotients,
-metric topologies, and the Alexandroff (one-point) extension."""
+metric topologies, and the Alexandroff (one-point) extension.
+
+A finite topology is the family of unions of its minimal opens U_p, the
+intersection of the opens holding p (Alexandroff 1937, "Diskrete Räume";
+Stong 1966, "Finite topological spaces").  One kernel, :func:`_unions`,
+builds every generated topology from its U_p.  With M_p the intersection
+of the generator's members holding p:
+
+- *Base.*  A covering family B is a base iff every M_p is a member.  If
+  so, members a, b holding p give p ∈ M_p ⊆ a ∩ b.  Conversely, applying
+  the base condition to one member holding p at a time gives a member c
+  with p ∈ c ⊆ M_p, and M_p ⊆ c as c holds p.  Every member b is the union
+  of the M_p with p ∈ b, so B and {M_p} have the same unions: U_p = M_p.
+- *Sub-base.*  The base it generates is the intersections of its nonempty
+  finite subfamilies, and the least of them holding p is M_p: U_p = M_p,
+  with no intersection closure and no base check.
+- *Product.*  The rectangles U × V of opens are a base, and the least one
+  holding (i, j) is U_i × U_j, the meet of the preimages of U_i and U_j
+  under the two projections.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .carrier import Family, Partition, PointSet, check_carrier, same_carrier
+from .carrier import (
+    Family,
+    Partition,
+    PointSet,
+    check_carrier,
+    family_union,
+    same_carrier,
+)
 from .errors import (
     CarrierTooLarge,
     CrossCheckFailure,
@@ -15,7 +41,7 @@ from .errors import (
     SubbaseDoesNotCover,
 )
 from .maps import FiniteMap, image_bits, preimage_bits
-from .space import TopSpace, space
+from .space import MAX_OPENS_LOG2, TopSpace, _point_meets, space
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,17 +55,20 @@ class BaseProblem:
 
 def check_base_conditions(n: int, B: Family) -> Optional[BaseProblem]:
     """None iff B covers the carrier and every pairwise intersection is a
-    union of members (checked pointwise: each point of B1 & B2 lies in some
-    member between it and the intersection)."""
+    union of members.
+
+    A covering B is accepted when the meet of the members holding p is a
+    member for every point p (the module docstring proves this equivalent).
+    Only a rejected B is scanned pair by pair, point by point, for the
+    least pair whose intersection some point cannot be resolved in.
+    """
     check_carrier(n)
     same_carrier(B.n, n)
-    full = (1 << n) - 1
-    union = 0
-    for m in B.masks:
-        union |= m
-    if union != full:
+    if family_union(B).bits != (1 << n) - 1:
         return BaseProblem("NotCovering")
     masks = B.masks
+    if B.mask_set.issuperset(_point_meets(n, masks)):
+        return None
     for i, a in enumerate(masks):
         for b in masks[i:]:
             inter = a & b
@@ -53,34 +82,21 @@ def check_base_conditions(n: int, B: Family) -> Optional[BaseProblem]:
     return None
 
 
-def _union_closure(n: int, masks) -> set[int]:
-    """Closure of a set of masks (plus the empty set) under pairwise union."""
-    if n <= 13:
-        # A mask belongs to the closure iff it is the union of the members
-        # it contains; a direct scan beats the fixpoint for small carriers.
-        members = list(masks)
-        out = {0}
-        for w in range(1 << n):
-            bits = 0
-            for m in members:
-                if m & ~w == 0:
-                    bits |= m
-            if bits == w:
-                out.add(w)
-        return out
-    result = set(masks)
-    result.add(0)
-    frontier = set(result)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in result:
-                u = a | b
-                if u not in result and u not in new:
-                    new.add(u)
-        result |= new
-        frontier = new
-    return result
+def _unions(n: int, mins: Iterable[int]) -> TopSpace:
+    """The space whose opens are the unions of subfamilies of ``mins``,
+    the minimal opens of a generated topology: O(n·|opens|).
+
+    Raises :class:`CarrierTooLarge` as soon as more than 2**MAX_OPENS_LOG2
+    opens are found, the bound ``discrete`` keeps.
+    """
+    opens = {0}
+    for u in set(mins):
+        opens.update([m | u for m in opens])
+        if len(opens) > 1 << MAX_OPENS_LOG2:
+            raise CarrierTooLarge(
+                f"generated topology on {n} points has over 2**{MAX_OPENS_LOG2} opens"
+            )
+    return space(n, opens)
 
 
 def topology_from_base(n: int, B: Family) -> TopSpace:
@@ -88,7 +104,7 @@ def topology_from_base(n: int, B: Family) -> TopSpace:
     problem = check_base_conditions(n, B)
     if problem is not None:
         raise InvalidBase(problem)
-    return space(n, _union_closure(n, B.masks))
+    return _unions(n, _point_meets(n, B.masks))
 
 
 def is_base_for(s: TopSpace, B: Family) -> bool:
@@ -151,24 +167,10 @@ def topology_from_subbase(n: int, S: Family) -> TopSpace:
     check_carrier(n)
     same_carrier(S.n, n)
     full = (1 << n) - 1
-    union = 0
-    for m in S.masks:
-        union |= m
+    union = family_union(S).bits
     if union != full:
         raise SubbaseDoesNotCover(f"sub-base covers {union:#x}, carrier is {full:#x}")
-    # Closure under pairwise intersection = all nonempty-subfamily intersections.
-    base = set(S.masks)
-    frontier = set(base)
-    while frontier:
-        new = set()
-        for a in frontier:
-            for b in base:
-                i = a & b
-                if i not in base and i not in new:
-                    new.add(i)
-        base |= new
-        frontier = new
-    return topology_from_base(n, Family.of(n, base))
+    return _unions(n, _point_meets(n, S.masks))
 
 
 def subspace(s: TopSpace, Y: PointSet) -> tuple[TopSpace, FiniteMap]:
@@ -206,18 +208,16 @@ class PairEncoding:
 
 
 def product(s1: TopSpace, s2: TopSpace) -> tuple[TopSpace, PairEncoding]:
-    """Binary product: the topology generated by the base {U x V}."""
+    """Binary product: the topology generated by the base {U x V}, from
+    its minimal opens U_i x U_j (see the module docstring)."""
     n = s1.n * s2.n
     if n > 24:
         raise CarrierTooLarge(f"product carrier {s1.n}*{s2.n} exceeds 24")
     enc = PairEncoding(s1.n, s2.n)
-    # U x V is the intersection of the preimages of U and V under the projections.
     proj1, proj2 = enc.projection1().table, enc.projection2().table
-    pre1 = [preimage_bits(proj1, u) for u in s1.opens.masks]
-    base = {a & preimage_bits(proj2, v) for a in pre1 for v in s2.opens.masks}
-    if n == 0:
-        return space(0, {0}), enc
-    return topology_from_base(n, Family.of(n, base)), enc
+    pre2 = [preimage_bits(proj2, v.bits) for v in s2.min_open]
+    mins = (preimage_bits(proj1, u.bits) & v for u in s1.min_open for v in pre2)
+    return _unions(n, mins), enc
 
 
 def quotient(s: TopSpace, P: Partition) -> tuple[TopSpace, FiniteMap]:
@@ -278,8 +278,6 @@ def metric_topology(m: MetricTable) -> TopSpace:
     are sampled there (plus one value past the maximum).
     """
     n = m.n
-    if n == 0:
-        return space(0, {0})
     values = sorted({v for row in m.d for v in row if v > 0})
     radii = values + [(values[-1] if values else 0) + 1]
     balls = set()

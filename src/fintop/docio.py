@@ -177,7 +177,3 @@ def parse_metric(text: Union[str, dict]) -> list[list[int]]:
             )
         out.append(list(row))
     return out
-
-
-def point_list(A: PointSet) -> list[int]:
-    return list(A.points())

@@ -108,6 +108,8 @@ def _space_families(c: _Ctx) -> dict:
         "compact_bits": _bitset(compact),
         "dense_bits": _bitset(m for m in range(c.N) if c.cl[m] == c.full),
         "t1": separation_mod.is_t1(c.s),
+        # hausdorff_compact_checks raises unless the codomain is T2.
+        "t2": separation_mod.is_t2(c.s),
         "minbase": _bitset(mo.bits for mo in c.s.min_open),
         "covers": covers,
         # The relative opens of each cover member S, as a bitset over masks.
@@ -369,7 +371,7 @@ def _map_sweep(n: int, ctxs) -> dict:
                             c1, c2, t, "non-constant continuous map from indiscrete to T1"
                         )
 
-                if e2["t1"] and results["hausdorff_codomain_implications"] is None:
+                if e2["t2"] and results["hausdorff_codomain_implications"] is None:
                     checks = compact_mod.hausdorff_compact_checks(
                         c1.s, c2.s, FiniteMap.of(n, n, t)
                     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .carrier import PointSet, same_carrier
-from .errors import CrossCheckFailure
 from .space import TopSpace
 
 
@@ -65,11 +64,6 @@ def point_roles(s: TopSpace, A: PointSet, p: int) -> RoleFlags:
     pbit = 1 << p
     neis = [m for m in s.opens.masks if m & pbit]
     interior_pt = any(m & ~A.bits == 0 for m in neis)
-    # The defining formula has a second, provably equal form: p lies in some
-    # open subset of A.  Assert the equality instead of choosing one.
-    alt = any(m & pbit and m & ~A.bits == 0 for m in s.opens.masks)
-    if interior_pt != alt:
-        raise CrossCheckFailure("interior-point formulas disagree")
     exterior_pt = any(m & A.bits == 0 for m in neis)
     boundary_pt = not interior_pt and not exterior_pt
     adherent = all(m & A.bits for m in neis)

@@ -37,6 +37,10 @@ from .carrier import (
 )
 from .errors import CarrierTooLarge, EmptyList, InvalidTopology
 
+#: ``discrete`` is capped at MAX_OPENS_LOG2 points and a generated topology
+#: at 2**MAX_OPENS_LOG2 opens, to bound the opens held in memory.
+MAX_OPENS_LOG2 = 20
+
 # validate_topology reports one violation per kind, with the
 # lexicographically smallest witness masks, so goldens are deterministic.
 VIOLATION_KINDS = (
@@ -216,9 +220,9 @@ def space(n: int, fam: Union[Family, Iterable]) -> TopSpace:
 
 
 def discrete(n: int) -> TopSpace:
-    """The topology of all subsets.  Capped at n <= 20 to bound 2**n opens."""
+    """The topology of all subsets, capped at MAX_OPENS_LOG2 points."""
     check_carrier(n)
-    if n > 20:
+    if n > MAX_OPENS_LOG2:
         raise CarrierTooLarge(f"discrete topology on {n} points has 2**{n} opens")
     return space(n, range(1 << n))
 

@@ -414,6 +414,19 @@ class TestCarrierCapBudgets:
         }
 
 
+def test_check_full_budget(docs, capsys):
+    # The compactness flags come from the minimal opens: no subcover search
+    # over the 512 opens of the 9-point discrete space.
+    opens = [[p for p in range(9) if m >> p & 1] for m in range(1 << 9)]
+    (docs / "discrete9.json").write_text(json.dumps({"n": 9, "opens": opens}))
+    start = time.perf_counter()
+    out, code = run(capsys, ["check", "discrete9.json", "--full"])
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"check --full took {elapsed:.2f} s"
+    assert json.loads(out)["compactness"] == {"compact": True, "locally_compact": True}
+    assert code == 0
+
+
 class TestCoverage:
     def test_every_operation_reachable(self):
         covered = {name for names in COVERAGE.values() for name in names}

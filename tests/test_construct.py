@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -139,6 +140,117 @@ class TestSubbase:
     def test_does_not_cover(self):
         with pytest.raises(SubbaseDoesNotCover):
             topology_from_subbase(2, fam(2, [0]))
+
+
+# Every family of subsets of an n-point carrier, n <= 3.
+SMALL_FAMILIES = [
+    (n, Family.of(n, [m for m in range(1 << n) if f >> m & 1]))
+    for n in range(4)
+    for f in range(1 << (1 << n))
+]
+
+
+def closure_under(op, masks):
+    """The least superset of ``masks`` closed under the binary ``op``."""
+    out = set(masks)
+    while True:
+        new = {op(a, b) for a in out for b in out} - out
+        if not new:
+            return out
+        out |= new
+
+
+def reference_base_problem(n, masks):
+    """The base definition, pair by pair: (kind, witness masks) or None."""
+    union = 0
+    for m in masks:
+        union |= m
+    if union != (1 << n) - 1:
+        return ("NotCovering", ())
+    for i, a in enumerate(masks):
+        for b in masks[i:]:
+            inside = 0
+            for m in masks:
+                if m & ~(a & b) == 0:
+                    inside |= m
+            if inside != a & b:
+                return ("IntersectionNotUnion", (a, b))
+    return None
+
+
+def singletons(n):
+    return Family.of(n, [[p] for p in range(n)])
+
+
+def co_singletons(n):
+    return Family.of(n, [[q for q in range(n) if q != p] for p in range(n)])
+
+
+class TestGenerationKernel:
+    """The minimal-open kernel against the literal definitions, exhaustively
+    at n <= 3, and its time and size bounds."""
+
+    def test_base_conditions_match_pairwise_reference(self):
+        for n, B in SMALL_FAMILIES:
+            got = check_base_conditions(n, B)
+            if got is not None:
+                got = (got.kind, tuple(w.bits for w in got.witness))
+            assert got == reference_base_problem(n, B.masks), B
+
+    def test_base_generates_its_union_closure(self):
+        for n, B in SMALL_FAMILIES:
+            if reference_base_problem(n, B.masks) is not None:
+                with pytest.raises(InvalidBase):
+                    topology_from_base(n, B)
+                continue
+            expected = closure_under(int.__or__, {0, *B.masks})
+            assert set(topology_from_base(n, B).opens.masks) == expected, B
+
+    def test_subbase_generates_unions_of_intersections(self):
+        for n, S in SMALL_FAMILIES:
+            if reference_base_problem(n, S.masks) == ("NotCovering", ()):
+                with pytest.raises(SubbaseDoesNotCover):
+                    topology_from_subbase(n, S)
+                continue
+            base = closure_under(int.__and__, S.masks)
+            expected = closure_under(int.__or__, {0, *base})
+            assert set(topology_from_subbase(n, S).opens.masks) == expected, S
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: topology_from_base(16, singletons(16)),
+            lambda: topology_from_subbase(16, co_singletons(16)),
+            lambda: product(discrete(4), discrete(4))[0],
+        ],
+        ids=["singleton-base-16", "co-singleton-subbase-16", "product-discrete-4x4"],
+    )
+    def test_discrete_16_budget(self, build):
+        start = time.perf_counter()
+        s = build()
+        elapsed = time.perf_counter() - start
+        assert len(s.opens) == 1 << 16
+        assert elapsed < 2.0, f"took {elapsed:.2f} s"
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: topology_from_base(24, singletons(24)),
+            lambda: topology_from_subbase(24, co_singletons(24)),
+            lambda: metric_topology(
+                MetricTable.of([[int(i != j) for j in range(24)] for i in range(24)])
+            ),
+            lambda: product(discrete(4), discrete(6)),
+        ],
+        ids=["singleton-base", "co-singleton-subbase", "unit-metric", "product-4x6"],
+    )
+    def test_opens_cap_on_24_points(self, build):
+        # 2**24 opens would not fit the bound discrete keeps (2**20).
+        start = time.perf_counter()
+        with pytest.raises(CarrierTooLarge):
+            build()
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5.0, f"took {elapsed:.2f} s"
 
 
 class TestSubspace:

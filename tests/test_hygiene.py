@@ -7,11 +7,8 @@ import pytest
 
 import fintop
 
-MODULES = sorted(
-    path
-    for path in Path(fintop.__file__).parent.glob("*.py")
-    if path.name != "__init__.py"
-)
+PACKAGE = sorted(Path(fintop.__file__).parent.glob("*.py"))
+MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +38,39 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level defs and classes whose name no module reads, as a name,
+    an attribute or an imported name (so ``__init__`` imports count)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in read
+    ]
+
+
+def test_scan_flags_an_unread_definition():
+    sources = {
+        "a": "def f(): pass\ndef g(): pass\ndef h(): pass\nclass C: pass\n",
+        "b": "from . import a\nfrom .a import g\na.h()\n",
+        "__init__": "from .a import C\n",
+    }
+    assert unread_definitions(sources) == ["a.f"]
+
+
+def test_every_definition_is_read():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert unread_definitions(sources) == []

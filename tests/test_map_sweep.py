@@ -12,10 +12,21 @@ function the sweep reads for its per-space families.
 import json
 from pathlib import Path
 
-from fintop import PointSet, closure, interior, sweep_theorems
+from fintop import (
+    PointSet,
+    closure,
+    interior,
+    is_connected,
+    subspace,
+    sweep_theorems,
+)
 from fintop import compact as compact_mod
 from fintop import connect as connect_mod
 from fintop import covers as covers_mod
+from fintop import enumeration as enum_mod
+from fintop import mapsweep
+from fintop import separation as separation_mod
+from fintop.maps import image_bits
 
 GOLDEN = Path(__file__).with_name("map_sweep_golden.json")
 
@@ -138,3 +149,43 @@ class TestMapSweepGolden:
             failed = [k for k, rec in by_n["n3"].items() if not rec["ok"]]
             assert bool(failed) == (name != "clean"), name
             assert len(by_n["n3"]) == 13
+
+
+def test_lenient_t1_fault_is_a_failed_theorem(monkeypatch):
+    # The Hausdorff checks are gated on T2, so a T1 predicate that accepts
+    # non-T1 codomains surfaces as a failed theorem rather than as the
+    # CodomainNotHausdorff that hausdorff_compact_checks raises.
+    is_t1 = separation_mod.is_t1
+    monkeypatch.setattr(
+        separation_mod, "is_t1", lambda s, t=None: len(s.opens) >= 3 or is_t1(s, t)
+    )
+    report = sweep_theorems(2, theorems=[])
+    failed = [k for k, rec in report.items() if not rec["ok"]]
+    assert failed == ["hausdorff_limit_uniqueness"]
+
+
+def test_domain_image_families_are_literal_images():
+    # Each image family of _Domain is the bitset of the images of the
+    # literal family, for every domain space and table at n = 3.
+    n, N = 3, 8
+    tables, imgs, pres = mapsweep._map_tables(n)
+    shifts = [n * m for m in range(N)]
+    above = [mapsweep._bitset(w for w in range(N) if x & ~w == 0) for x in range(N)]
+    holds = [mapsweep._bitset(w for w in range(N) if w >> q & 1) for q in range(n)]
+    for s in enum_mod.all_spaces(n):
+        c = enum_mod._Ctx(s, enum_mod._default_ops(None))
+        e = mapsweep._space_families(c)
+        literal = {
+            "img_opens": s.opens.masks,
+            "img_closeds": s.closeds.masks,
+            "img_conn": [
+                a for a in range(N) if is_connected(subspace(s, PointSet(a, n))[0])
+            ],
+            "img_compact": range(N),  # every subset of a finite space is compact
+            "img_dense": [a for a in range(N) if closure(s, PointSet(a, n)).bits == N - 1],
+        }
+        for ti, t in enumerate(tables):
+            d = mapsweep._Domain(c, e, t, imgs[ti], pres[ti], shifts, above, holds)
+            for name, family in literal.items():
+                expected = mapsweep._bitset(image_bits(t, a) for a in family)
+                assert getattr(d, name) == expected, (name, s, t)

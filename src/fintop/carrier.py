@@ -3,7 +3,8 @@
 Subsets are stored as bitmasks (bit i set iff point i is a member), so all
 set operations are single machine-word operations.  Families of subsets are
 canonicalized on construction (sorted ascending by bitmask, deduplicated),
-which makes family equality plain sequence equality.
+which makes family equality plain sequence equality.  A family stores its
+canonical masks; its ``PointSet`` members are a view built on first read.
 """
 
 from __future__ import annotations
@@ -110,45 +111,71 @@ class PointSet:
         return f"PointSet({{{','.join(map(str, self.points()))}}}, n={self.n})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Family:
-    """A canonical (sorted, deduplicated) sequence of subsets of one carrier."""
+    """A canonical (sorted, deduplicated) sequence of subsets of one carrier.
 
-    members: tuple[PointSet, ...]
+    The family is its ascending masks; ``members`` is a view of them as
+    PointSets, built on first read and excluded from equality, hashing and
+    repr.
+    """
+
     n: int
-    # Derived from members once; excluded from equality, hashing and repr.
-    _masks: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _mask_set: frozenset[int] = field(init=False, compare=False, repr=False)
+    _masks: tuple[int, ...] = field(repr=False)
+    _mask_set: frozenset[int] = field(compare=False, repr=False)
+    _members: tuple[PointSet, ...] | None = field(compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        check_carrier(self.n)
+    def __init__(self, members: Iterable[PointSet], n: int) -> None:
+        check_carrier(n)
+        members = tuple(members)
         prev = -1
-        for m in self.members:
-            if m.n != self.n:
-                raise CarrierMismatch(
-                    f"member over carrier {m.n} in family over carrier {self.n}"
-                )
+        for m in members:
+            if m.n != n:
+                raise CarrierMismatch(f"member over carrier {m.n} in family over carrier {n}")
             if m.bits <= prev:
                 raise ValueError("family members must be strictly increasing by bitmask")
             prev = m.bits
-        masks = tuple(m.bits for m in self.members)
+        self._fill(n, tuple(m.bits for m in members), members)
+
+    def _fill(self, n: int, masks: tuple[int, ...], members) -> None:
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_mask_set", frozenset(masks))
+        object.__setattr__(self, "_members", members)
+
+    @classmethod
+    def _from_masks(cls, n: int, masks: Sequence[int]) -> "Family":
+        """The family of strictly ascending masks inside carrier ``n``;
+        neither fact is checked."""
+        fam = object.__new__(cls)
+        fam._fill(n, tuple(masks), None)
+        return fam
 
     @classmethod
     def of(cls, n: int, members: Iterable[PointSet | int | Iterable[int]]) -> "Family":
         """Build a canonical family; members may be PointSets, bitmasks, or
         iterables of point indices."""
+        check_carrier(n)
         masks = set()
         for m in members:
             if isinstance(m, PointSet):
                 same_carrier(m.n, n)
                 masks.add(m.bits)
             elif isinstance(m, int):
-                masks.add(PointSet(m, n).bits)
+                if m < 0 or m >> n:
+                    raise ValueError(f"bits {m:#x} outside carrier of size {n}")
+                masks.add(m)
             else:
                 masks.add(PointSet.of(n, m).bits)
-        return cls(tuple(PointSet(b, n) for b in sorted(masks)), n)
+        return cls._from_masks(n, sorted(masks))
+
+    @property
+    def members(self) -> tuple[PointSet, ...]:
+        members = self._members
+        if members is None:
+            members = tuple(PointSet(m, self.n) for m in self._masks)
+            object.__setattr__(self, "_members", members)
+        return members
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -163,32 +190,35 @@ class Family:
         return iter(self.members)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._masks)
 
     def __contains__(self, item: PointSet | int) -> bool:
         bits = item.bits if isinstance(item, PointSet) else item
         return bits in self._mask_set
 
     def __repr__(self) -> str:
-        inner = ",".join("{%s}" % ",".join(map(str, m.points())) for m in self.members)
+        inner = ",".join(
+            "{%s}" % ",".join(str(p) for p in range(self.n) if m >> p & 1)
+            for m in self._masks
+        )
         return f"Family([{inner}], n={self.n})"
 
 
 def family_union(fam: Family) -> PointSet:
     """Union of all members; the empty family yields the empty set."""
     bits = 0
-    for m in fam.members:
-        bits |= m.bits
+    for m in fam.masks:
+        bits |= m
     return PointSet(bits, fam.n)
 
 
 def family_intersection(fam: Family) -> PointSet:
     """Intersection of all members; undefined (raises) for the empty family."""
-    if not fam.members:
+    if not fam.masks:
         raise EmptyFamilyIntersection("intersection of an empty family is undefined")
     bits = (1 << fam.n) - 1
-    for m in fam.members:
-        bits &= m.bits
+    for m in fam.masks:
+        bits &= m
     return PointSet(bits, fam.n)
 
 

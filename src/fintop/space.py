@@ -20,8 +20,20 @@ iff ``m | U_p`` ∈ F for every member m and every point p:
   up-sets of the specialization preorder), which is closed under union,
   and under intersection because A ∩ B is the union of the U_r, r ∈ A ∩ B.
 
-The pairwise scan over all members runs only for families this check
-rejects, to report the lexicographically least violation witnesses.
+A rejected family is reported with the lexicographically least pair of
+members whose intersection, and whose union, is not a member.  Let G be
+the family with ∅ and X added.  If G fails the check above, the pairs are
+found by a scan over all pairs.  If G is a topology, every a ∩ b and
+a ∪ b lies in G, so the only missing ones are ∅ (when ∅ ∉ F) and X (when
+X ∉ F), and both witnesses take O(|F|·n) with U_p the minimal opens of G:
+
+- the members disjoint from a are the opens inside
+  I_a = ⋃{U_p : U_p ∩ a = ∅}, which is itself a member when I_a > a; so
+  a pair (a, b > a) exists iff I_a > a, and b is the least member after a
+  that misses it;
+- the members a with a ∪ b = X are the opens holding X∖b, the least of
+  which is V_b = ⋃{U_p : p ∉ b}; so the least pair is the least (V_b, b)
+  with V_b < b.
 """
 
 from __future__ import annotations
@@ -136,11 +148,35 @@ def _minimal_opens(n: int, masks: list[int], mask_set: set[int]) -> list[int] | 
     return mins
 
 
-def _pairwise_violations(
-    n: int, masks: list[int], mask_set: set[int]
-) -> list[AxiomViolation]:
+def _pair_violations(n: int, masks: list[int], mask_set: set[int]) -> list[AxiomViolation]:
     """The lexicographically least pair whose intersection, and the least
-    pair whose union, is not a member (quadratic in the family size)."""
+    pair whose union, is not a member: in O(|F|·n) when adding ∅ and the
+    carrier makes the family a topology (see the module docstring), else by
+    the pairwise scan."""
+    full = (1 << n) - 1
+    completed = sorted(mask_set | {0, full})
+    mins = _minimal_opens(n, completed, set(completed))
+    if mins is None:
+        inter_witness, union_witness = _pairwise_witnesses(masks, mask_set)
+    else:
+        inter_witness = None if 0 in mask_set else _disjoint_witness(masks, mins)
+        union_witness = None if full in mask_set else _covering_witness(n, masks, mins)
+    violations = []
+    for kind, witness in (
+        ("NotIntersectionClosed", inter_witness),
+        ("NotUnionClosed", union_witness),
+    ):
+        if witness is not None:
+            a, b = witness
+            violations.append(AxiomViolation(kind, (PointSet(a, n), PointSet(b, n))))
+    return violations
+
+
+def _pairwise_witnesses(
+    masks: list[int], mask_set: set[int]
+) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
+    """The least intersection and union witness pairs, or None, scanning
+    pairs (quadratic in the family size)."""
     inter_witness = None
     union_witness = None
     for i, a in enumerate(masks):
@@ -151,18 +187,34 @@ def _pairwise_violations(
                 union_witness = (a, b)
         if inter_witness is not None and union_witness is not None:
             break
-    violations = []
-    if inter_witness is not None:
-        a, b = inter_witness
-        violations.append(
-            AxiomViolation("NotIntersectionClosed", (PointSet(a, n), PointSet(b, n)))
-        )
-    if union_witness is not None:
-        a, b = union_witness
-        violations.append(
-            AxiomViolation("NotUnionClosed", (PointSet(a, n), PointSet(b, n)))
-        )
-    return violations
+    return inter_witness, union_witness
+
+
+def _disjoint_witness(masks: list[int], mins: list[int]) -> tuple[int, int] | None:
+    """The least disjoint pair a < b of members of a family whose union with
+    {∅, X} is a topology with minimal opens ``mins``."""
+    for i, a in enumerate(masks):
+        inside = 0  # the largest open disjoint from a
+        for u in mins:
+            if not u & a:
+                inside |= u
+        if inside > a:
+            return a, next(b for b in masks[i + 1 :] if not a & b)
+    return None
+
+
+def _covering_witness(n: int, masks: list[int], mins: list[int]) -> tuple[int, int] | None:
+    """The least pair a < b of members with union X, for a family whose
+    union with {∅, X} is a topology with minimal opens ``mins``."""
+    best = None
+    for b in masks:
+        hull = 0  # the least open holding X \ b
+        for p in range(n):
+            if not b >> p & 1:
+                hull |= mins[p]
+        if hull < b and (best is None or hull < best[0]):
+            best = (hull, b)
+    return best
 
 
 def validate_topology(
@@ -178,8 +230,9 @@ def validate_topology(
     accepted in O(|F|·n) when ``m | U_p`` is a member for every member m
     and point p, U_p being the intersection of the members that contain p
     (the module docstring proves this equivalent to the axioms); the U_p
-    become ``min_open``.  Every other family is scanned pair by pair for
-    the least intersection and union witnesses.
+    become ``min_open``.  Every other family gets the least intersection
+    and union witnesses, found pair by pair only when the family with ∅
+    and the carrier added is still not a topology.
     """
     check_carrier(n)
     full = (1 << n) - 1
@@ -191,7 +244,7 @@ def validate_topology(
         violations.append(AxiomViolation("MissingCarrier"))
     mins = None if violations else _minimal_opens(n, masks, mask_set)
     if mins is None:
-        return violations + _pairwise_violations(n, masks, mask_set)
+        return violations + _pair_violations(n, masks, mask_set)
     return _build(n, masks, mins)
 
 
@@ -199,8 +252,8 @@ def _build(n: int, masks: Sequence[int], mins: Sequence[int]) -> TopSpace:
     """The space of a sorted, deduplicated topology ``masks`` with minimal
     opens ``mins``; neither is checked."""
     full = (1 << n) - 1
-    opens = Family(tuple(PointSet(m, n) for m in masks), n)
-    closeds = Family(tuple(PointSet(full ^ m, n) for m in reversed(masks)), n)
+    opens = Family._from_masks(n, masks)
+    closeds = Family._from_masks(n, [full ^ m for m in reversed(masks)])
     return TopSpace(n, opens, closeds, tuple(PointSet(u, n) for u in mins))
 
 

@@ -71,13 +71,30 @@ class TestFamily:
         assert 0b001 in fam and PointSet(0b111, 3) in fam
         assert 0b010 not in fam and PointSet(0b010, 3) not in fam
         assert 0b1000 not in fam and -1 not in fam
-        # The cached fields take no part in equality, hashing or repr.
         same = Family(tuple(PointSet(m, 3) for m in (0b000, 0b001, 0b111)), 3)
         assert same == fam and hash(same) == hash(fam)
-        object.__setattr__(same, "_masks", ())
-        object.__setattr__(same, "_mask_set", frozenset())
+        # The PointSet members are a view of the masks, built once on read.
+        assert fam.members is fam.members
+        assert all(isinstance(m, PointSet) and m.n == 3 for m in fam.members)
+        assert [m.bits for m in fam.members] == [0b000, 0b001, 0b111]
+        # The cached members take no part in equality, hashing or repr.
+        object.__setattr__(same, "_members", ())
         assert same == fam and hash(same) == hash(fam)
         assert repr(same) == repr(fam) == "Family([{},{0},{0,1,2}], n=3)"
+
+    def test_constructor_checks_members(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Family((PointSet(0b01, 2), PointSet(0b00, 2)), 2)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Family((PointSet(0b01, 2), PointSet(0b01, 2)), 2)
+        with pytest.raises(CarrierMismatch):
+            Family((PointSet(0b01, 3),), 2)
+        with pytest.raises(CarrierTooLarge):
+            Family((), 25)
+        with pytest.raises(ValueError, match=r"^bits 0x4 outside carrier of size 2$"):
+            Family.of(2, [0b01, 0b100])
+        with pytest.raises(ValueError, match=r"^bits -0x1 outside carrier of size 2$"):
+            Family.of(2, [-1])
 
     def test_accepts_point_iterables(self):
         fam = Family.of(3, [[0, 1], [2]])

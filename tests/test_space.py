@@ -14,6 +14,7 @@ from fintop import (
     clopen_sets,
     closed_sets,
     compare,
+    count_topologies,
     discrete,
     family_intersection,
     indiscrete,
@@ -133,6 +134,29 @@ class TestValidateTopology:
         assert time.perf_counter() - start < 1.0
         assert len(s.opens) == 1 << 14
         assert [u.bits for u in s.min_open] == [1 << p for p in range(14)]
+
+    @pytest.mark.parametrize(
+        "members, expected",
+        [
+            (lambda n: range(1, 1 << n), [("MissingEmpty", ()), ("NotIntersectionClosed", (1, 2))]),
+            (
+                lambda n: range((1 << n) - 1),
+                [("MissingCarrier", ()), ("NotUnionClosed", (1, (1 << 14) - 2))],
+            ),
+            (lambda n: range(1, 1 << n, 2), [("MissingEmpty", ())]),
+            (lambda n: range(1 << (n - 1)), [("MissingCarrier", ())]),
+        ],
+        ids=["no-empty", "no-carrier", "hold-0-no-empty", "miss-last-no-carrier"],
+    )
+    def test_rejection_witnesses_are_linear_time(self, members, expected):
+        # The power set without the empty set or without the carrier, every
+        # set holding point 0 without the empty set, and every set missing
+        # the last point: the pairwise scan needs 1-3 s at n = 13.
+        n = 14
+        start = time.perf_counter()
+        result = validate_topology(n, members(n))
+        assert time.perf_counter() - start < 0.5
+        assert [(v.kind, tuple(w.bits for w in v.witness)) for v in result] == expected
 
 
 def _pairwise_reference(n, masks):
@@ -277,3 +301,28 @@ class TestOnePointExtension:
                 assert isinstance(ext, TopSpace)
                 assert (1 << ext.n) - 1 in ext.opens
                 assert 1 << s.n in ext.opens  # the new point alone is open
+
+
+class TestMaskPrimary:
+    """Validating or trusting a space builds PointSets only for min_open."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = [0]
+        post_init = PointSet.__post_init__
+
+        def counting(self):
+            count[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(PointSet, "__post_init__", counting)
+        return count
+
+    def test_validation_builds_only_the_minimal_opens(self, built):
+        s = space(12, range(1 << 12))
+        assert built[0] <= 12
+        assert len(s.opens) == len(s.closeds) == 1 << 12
+
+    def test_t0_count_builds_at_most_six_per_labeled_space(self, built):
+        assert count_topologies(5, "t0") == 4231
+        assert built[0] <= 6 * 6942

@@ -38,7 +38,7 @@ from . import maps as maps_mod
 from . import operators as operators_mod
 from . import separation as separation_mod
 from .carrier import Family, Partition, PointSet, subsets_iter
-from .errors import CarrierTooLarge
+from .errors import CarrierTooLarge, CrossCheckFailure
 from .maps import image_bits
 from .mapsweep import _map_sweep
 from .space import TopSpace, _trusted_space, space
@@ -621,12 +621,13 @@ def _chk_indistinguishability_equivalences(ctxs):
         s = c.s
         for p in range(c.n):
             for q in range(c.n):
-                nei_eq = separation_mod.classify_pair(s, p, q).indistinguishable
+                nei_p = frozenset(m for m in c.opens if m >> p & 1)
+                nei_q = frozenset(m for m in c.opens if m >> q & 1)
                 cnei_p = frozenset(m for m in c.closeds if m >> p & 1)
                 cnei_q = frozenset(m for m in c.closeds if m >> q & 1)
                 min_eq = s.min_open[p] == s.min_open[q]
                 cl_eq = c.cl[1 << p] == c.cl[1 << q]
-                if not (nei_eq == (cnei_p == cnei_q) == min_eq == cl_eq):
+                if not ((nei_p == nei_q) == (cnei_p == cnei_q) == min_eq == cl_eq):
                     return c.cx(f"indistinguishability equivalences differ p={p} q={q}")
     return None
 
@@ -653,7 +654,10 @@ def _chk_t1_rigidity(ctxs):
 def _chk_separation_hereditary(ctxs):
     for c in ctxs:
         s = c.s
-        rep = separation_mod.separation_report(s)
+        try:
+            rep = separation_mod._literal_cross_check(s)
+        except CrossCheckFailure as exc:
+            return c.cx(str(exc))
         for y in range(c.N):
             sub, _ = construct_mod.subspace(s, PointSet(y, c.n))
             sub_rep = separation_mod.separation_report(sub)

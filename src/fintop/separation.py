@@ -1,22 +1,46 @@
 """Point-pair distinguishability and the separation ladder T0-T4.
 
-Every axiom is evaluated twice: once from its literal definition and once
-through an equivalent characterization, and the two results are required
-to agree.  This turns the equivalence theorems into permanent cross-checks
-inside the report itself.
+Every question is decided from the specialization preorder: p ≤ q iff
+q ∈ U_p, where U_p is the minimal open of p (``TopSpace.min_open``), and
+cl{p} = {q : p ∈ U_q} is the closure of the point p.  On a finite space
+each axiom is a property of that preorder (Stong 1966, "Finite topological
+spaces", Trans. AMS 123; Barmak 2011, LNM 2032, ch. 1), because the least
+open holding a set A is the union of the U_a, a ∈ A, and the least closed
+set holding p is cl{p}:
 
-Each axiom is its own function (``is_t0`` .. ``is_t4``, ``is_regular``,
-``is_normal``) that reads only the tables its two criteria need: T0 and T1
-compare the open-neighborhood families of points and never build the
-closures or the closed-set neighborhoods.  :func:`separation_report` runs
-all of them over one shared table object.
+- T0 iff ≤ is antisymmetric: U_p ∩ cl{p} = {p}; equivalently the U_p are
+  pairwise distinct.
+- T1 iff every U_p = {p}; equivalently every cl{p} = {p}.
+- T2 iff the U_p are pairwise disjoint; equivalently every U_p = {p}.
+- T3 (a closed set and a point outside it have disjoint neighborhoods) iff
+  ≤ is symmetric: a closed C missing p has ⋃{U_c : c ∈ C} ∩ U_p = ∅ when
+  the U_p are the blocks of a partition, while q ∈ U_p with p ∉ U_q makes
+  C = cl{p} and q a failing pair.  Equivalently U_p = cl{p} for every p.
+- T4 (disjoint closed sets have disjoint neighborhoods) iff points with a
+  common upper bound have a common lower bound: U_p ∩ U_q ≠ ∅ implies
+  cl{p} ∩ cl{q} ≠ ∅ (cl{p} and cl{q} are closed, and any failing pair of
+  closed sets holds such p and q).  Equivalently, for every r, any two
+  points of cl{r} have meeting closures.
+- Points p, q are indistinguishable iff U_p = U_q, distinguishable iff
+  q ∉ U_p and p ∉ U_q, and separated iff U_p ∩ U_q = ∅.
+
+Each axiom is evaluated by its two criteria, which must agree
+(:func:`_cross`); each is O(n²) or O(n³) mask operations and never reads
+the opens family, so every flag answers at the 24-point cap.  The literal
+definitions, which compare neighborhood families and closed-set families
+at a cost that grows with the number of opens, are kept as
+:func:`_literal_report` and :func:`_literal_classify`.  They run only as
+cross-checks (:func:`_literal_cross_check`): the theorem sweep compares
+them with the preorder answers on every space it visits
+(``separation_hereditary``, ``indistinguishability_equivalences``), and the
+tests on every space with n ≤ 5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
+from functools import reduce
+from operator import and_, or_
 
 from .carrier import PointSet
 from .errors import CarrierTooLarge, CrossCheckFailure
@@ -32,27 +56,15 @@ class PairClass:
     separated: bool
 
 
-def _nei_masks(s: TopSpace, p: int) -> frozenset[int]:
-    return frozenset(m for m in s.opens.masks if m >> p & 1)
-
-
-def _disjoint_pair(neis_a, neis_b) -> bool:
-    return any(a & b == 0 for a in neis_a for b in neis_b)
-
-
-def _classify(np_: frozenset[int], nq: frozenset[int]) -> PairClass:
-    indist = np_ == nq
-    partially = not indist
-    dist = not (np_ <= nq) and not (nq <= np_)
-    return PairClass(indist, partially, dist, _disjoint_pair(np_, nq))
-
-
 def classify_pair(s: TopSpace, p: int, q: int) -> PairClass:
-    """Classify an ordered pair of points by their neighborhood families."""
+    """Classify an ordered pair of points by their minimal opens."""
     for x in (p, q):
         if not 0 <= x < s.n:
             raise ValueError(f"point {x} outside carrier of size {s.n}")
-    return _classify(_nei_masks(s, p), _nei_masks(s, q))
+    up, uq = s.min_open[p].bits, s.min_open[q].bits
+    indist = up == uq
+    dist = not up >> q & 1 and not uq >> p & 1
+    return PairClass(indist, not indist, dist, up & uq == 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,140 +78,192 @@ class SeparationReport:
     normal: bool
 
 
-def _cross(name: str, literal: bool, alt: bool) -> bool:
-    if literal != alt:
-        raise CrossCheckFailure(f"{name}: literal={literal} equivalent={alt}")
-    return literal
+def _cross(name: str, first: bool, second: bool) -> bool:
+    if first != second:
+        raise CrossCheckFailure(f"{name}: criteria disagree ({first} vs {second})")
+    return first
 
 
-class _Tables:
-    """What the axioms of one space read, each computed on first use and
-    then shared: the open neighborhoods of every point and of every closed
-    set, and the closure of every open."""
-
-    def __init__(self, s: TopSpace) -> None:
-        self.s = s
-
-    @cached_property
-    def nei(self) -> list[frozenset[int]]:
-        return [_nei_masks(self.s, p) for p in range(self.s.n)]
-
-    @cached_property
-    def over(self) -> dict[int, list[int]]:
-        opens = self.s.opens.masks
-        return {c: [u for u in opens if c & ~u == 0] for c in self.s.closeds.masks}
-
-    @cached_property
-    def cl(self) -> dict[int, int]:
-        s = self.s
-        return {u: closure(s, PointSet(u, s.n)).bits for u in s.opens.masks}
-
-    def pairs(self):
-        """The neighborhood families of each unordered pair of distinct
-        points; every pair-class flag is symmetric in the pair, so these
-        stand for the ordered pairs."""
-        nei, n = self.nei, self.s.n
-        return ((nei[p], nei[q]) for p in range(n) for q in range(p + 1, n))
+def _ups(s: TopSpace) -> list[int]:
+    return [u.bits for u in s.min_open]
 
 
-def is_t0(s: TopSpace, t: Optional[_Tables] = None) -> bool:
+def _downs(ups: list[int]) -> list[int]:
+    """cl{p} for every point p: the mask of the q with p ∈ U_q."""
+    downs = [0] * len(ups)
+    for q, u in enumerate(ups):
+        for p in range(len(ups)):
+            if u >> p & 1:
+                downs[p] |= 1 << q
+    return downs
+
+
+def is_t0(s: TopSpace) -> bool:
     """T0: distinct points are partially distinguishable."""
-    t = t or _Tables(s)
-    literal = all(np_ != nq for np_, nq in t.pairs())
-    # Equivalent: distinct points have distinct minimal open sets.
-    alt = all(
-        s.min_open[p] != s.min_open[q]
-        for p in range(s.n)
-        for q in range(p + 1, s.n)
-    )
-    return _cross("T0", literal, alt)
+    ups = _ups(s)
+    downs = _downs(ups)
+    antisymmetric = all(u & d == 1 << p for p, (u, d) in enumerate(zip(ups, downs)))
+    return _cross("T0", antisymmetric, len(set(ups)) == s.n)
 
 
-def is_t1(s: TopSpace, t: Optional[_Tables] = None) -> bool:
+def is_t1(s: TopSpace) -> bool:
     """T1: distinct points are distinguishable."""
-    t = t or _Tables(s)
-    literal = all(not np_ <= nq and not nq <= np_ for np_, nq in t.pairs())
-    # Equivalent: every singleton is closed.
-    alt = all(1 << p in s.closeds for p in range(s.n))
-    return _cross("T1", literal, alt)
+    ups = _ups(s)
+    points_open = all(u == 1 << p for p, u in enumerate(ups))
+    points_closed = all(d == 1 << p for p, d in enumerate(_downs(ups)))
+    return _cross("T1", points_open, points_closed)
 
 
-def is_t2(s: TopSpace, t: Optional[_Tables] = None) -> bool:
+def is_t2(s: TopSpace) -> bool:
     """T2 (Hausdorff): distinct points are separated."""
-    t = t or _Tables(s)
-    literal = all(_disjoint_pair(np_, nq) for np_, nq in t.pairs())
-    # Equivalent: every singleton is the intersection of its closed
-    # neighborhoods (here: its closed supersets).
-    alt = True
-    for p in range(s.n):
-        meet = (1 << s.n) - 1
-        for m in s.closeds.masks:
-            if m >> p & 1:
-                meet &= m
-        if meet != 1 << p:
-            alt = False
-            break
-    return _cross("T2", literal, alt)
+    ups = _ups(s)
+    disjoint = sum(u.bit_count() for u in ups) == reduce(or_, ups, 0).bit_count()
+    return _cross("T2", disjoint, all(u == 1 << p for p, u in enumerate(ups)))
 
 
-def is_t3(s: TopSpace, t: Optional[_Tables] = None) -> bool:
+def is_t3(s: TopSpace) -> bool:
     """T3: every closed set and outside point have disjoint neighborhoods."""
-    t = t or _Tables(s)
-    literal = all(
-        _disjoint_pair(t.over[c], t.nei[p])
-        for c in s.closeds.masks
-        for p in range(s.n)
-        if not c >> p & 1
+    ups = _ups(s)
+    symmetric = all(
+        ups[q] >> p & 1 for p, u in enumerate(ups) for q in range(s.n) if u >> q & 1
     )
-    # Equivalent: every neighborhood of a point includes the closure of a
-    # smaller neighborhood of that point.
-    alt = all(
-        any(t.cl[v] & ~u == 0 for v in t.nei[p])
-        for p in range(s.n)
-        for u in t.nei[p]
-    )
-    return _cross("T3", literal, alt)
+    return _cross("T3", symmetric, ups == _downs(ups))
 
 
-def is_t4(s: TopSpace, t: Optional[_Tables] = None) -> bool:
+def is_t4(s: TopSpace) -> bool:
     """T4: disjoint closed sets have disjoint neighborhoods."""
-    t = t or _Tables(s)
-    literal = all(
-        _disjoint_pair(t.over[a], t.over[b])
-        for a in s.closeds.masks
-        for b in s.closeds.masks
-        if a & b == 0
+    ups = _ups(s)
+    downs = _downs(ups)
+    n = s.n
+    pairwise = all(
+        downs[p] & downs[q] or not ups[p] & ups[q]
+        for p in range(n)
+        for q in range(p + 1, n)
     )
-    # Equivalent: every neighborhood of a closed set includes the closure of
-    # a smaller neighborhood of that set.
-    alt = all(
-        any(t.cl[v] & ~u == 0 for v in t.over[c])
-        for c in s.closeds.masks
-        for u in t.over[c]
+    per_point = all(
+        downs[p] & downs[q]
+        for d in downs
+        for p in range(n)
+        if d >> p & 1
+        for q in range(p + 1, n)
+        if d >> q & 1
     )
-    return _cross("T4", literal, alt)
+    return _cross("T4", pairwise, per_point)
 
 
-def is_regular(s: TopSpace, t: Optional[_Tables] = None) -> bool:
+def is_regular(s: TopSpace) -> bool:
     """Regular: T2 and T3."""
-    t = t or _Tables(s)
-    return is_t2(s, t) and is_t3(s, t)
+    return is_t2(s) and is_t3(s)
 
 
-def is_normal(s: TopSpace, t: Optional[_Tables] = None) -> bool:
+def is_normal(s: TopSpace) -> bool:
     """Normal: T2 and T4."""
-    t = t or _Tables(s)
-    return is_t2(s, t) and is_t4(s, t)
+    return is_t2(s) and is_t4(s)
 
 
-def separation_report(s: TopSpace) -> SeparationReport:
-    """Every axiom over one shared table object, plus the ladder check."""
-    t = _Tables(s)
-    t0, t1, t2 = is_t0(s, t), is_t1(s, t), is_t2(s, t)
-    t3, t4 = is_t3(s, t), is_t4(s, t)
+def _report(t0: bool, t1: bool, t2: bool, t3: bool, t4: bool) -> SeparationReport:
     if (t2 and not t1) or (t1 and not t0):
         raise CrossCheckFailure("separation ladder T2 => T1 => T0 broken")
     return SeparationReport(t0, t1, t2, t3, t4, t2 and t3, t2 and t4)
+
+
+def separation_report(s: TopSpace) -> SeparationReport:
+    """Every axiom, plus the ladder check."""
+    return _report(is_t0(s), is_t1(s), is_t2(s), is_t3(s), is_t4(s))
+
+
+# -- the literal neighborhood-family criteria, kept as cross-checks -----------
+
+
+def _nei_masks(s: TopSpace, p: int) -> frozenset[int]:
+    return frozenset(m for m in s.opens.masks if m >> p & 1)
+
+
+def _disjoint_pair(neis_a, neis_b) -> bool:
+    return any(a & b == 0 for a in neis_a for b in neis_b)
+
+
+def _literal_classify(np_: frozenset[int], nq: frozenset[int]) -> PairClass:
+    """:func:`classify_pair` from the neighborhood families of the pair."""
+    indist = np_ == nq
+    dist = not (np_ <= nq) and not (nq <= np_)
+    return PairClass(indist, not indist, dist, _disjoint_pair(np_, nq))
+
+
+def _literal_report(s: TopSpace) -> SeparationReport:
+    """:func:`separation_report` from the definitions over neighborhood
+    families, each crossed with a characterization through closed sets or
+    the closure operator; none reads ``min_open``."""
+    n, full = s.n, (1 << s.n) - 1
+    opens, closeds = s.opens.masks, s.closeds.masks
+    nei = [_nei_masks(s, p) for p in range(n)]
+    pairs = [(nei[p], nei[q]) for p in range(n) for q in range(p + 1, n)]
+    over = {c: [u for u in opens if c & ~u == 0] for c in closeds}
+    cl = {u: closure(s, PointSet(u, n)).bits for u in opens}
+    # T0: distinct points have distinct neighborhood intersections.
+    t0 = _cross(
+        "T0", all(a != b for a, b in pairs), len({reduce(and_, nb, full) for nb in nei}) == n
+    )
+    # T1: every singleton is closed.
+    t1 = _cross(
+        "T1",
+        all(not a <= b and not b <= a for a, b in pairs),
+        all(1 << p in s.closeds for p in range(n)),
+    )
+    # T2: every singleton is the intersection of its closed supersets.
+    t2 = _cross(
+        "T2",
+        all(_disjoint_pair(a, b) for a, b in pairs),
+        all(
+            reduce(and_, (m for m in closeds if m >> p & 1), full) == 1 << p
+            for p in range(n)
+        ),
+    )
+    # T3 and T4: every neighborhood of a point, and of a closed set,
+    # includes the closure of a smaller neighborhood.
+    t3 = _cross(
+        "T3",
+        all(
+            _disjoint_pair(over[c], nei[p])
+            for c in closeds
+            for p in range(n)
+            if not c >> p & 1
+        ),
+        all(any(cl[v] & ~u == 0 for v in nei[p]) for p in range(n) for u in nei[p]),
+    )
+    t4 = _cross(
+        "T4",
+        all(
+            _disjoint_pair(over[a], over[b])
+            for a in closeds
+            for b in closeds
+            if a & b == 0
+        ),
+        all(any(cl[v] & ~u == 0 for v in over[c]) for c in closeds for u in over[c]),
+    )
+    return _report(t0, t1, t2, t3, t4)
+
+
+def _literal_cross_check(s: TopSpace) -> SeparationReport:
+    """:func:`separation_report`, after checking it against
+    :func:`_literal_report` and :func:`classify_pair` against
+    :func:`_literal_classify` on every pair of points; raises
+    :class:`CrossCheckFailure` naming each axiom and pair that disagree."""
+    rep, lit = separation_report(s), _literal_report(s)
+    bad = [
+        f"{name.upper()}: preorder={getattr(rep, name)} literal={getattr(lit, name)}"
+        for name in SeparationReport.__slots__
+        if getattr(rep, name) != getattr(lit, name)
+    ]
+    nei = [_nei_masks(s, p) for p in range(s.n)]
+    for p in range(s.n):
+        for q in range(p, s.n):  # every flag is symmetric in the pair
+            got, want = classify_pair(s, p, q), _literal_classify(nei[p], nei[q])
+            if got != want:
+                bad.append(f"pair ({p}, {q}): preorder={got} literal={want}")
+    if bad:
+        raise CrossCheckFailure("; ".join(bad))
+    return rep
 
 
 def t1_minimum(n: int) -> TopSpace:

@@ -23,7 +23,12 @@ iff ``m | U_p`` ∈ F for every member m and every point p:
 A rejected family is reported with the lexicographically least pair of
 members whose intersection, and whose union, is not a member.  Let G be
 the family with ∅ and X added.  If G fails the check above, the pairs are
-found by a scan over all pairs.  If G is a topology, every a ∩ b and
+scanned in order, but once |F|² reaches n·2^n (and n ≤ 20, which bounds
+the 2^n table) the scan for one kind of pair runs only after an
+O(2^n·n) subset-OR transform has shown that such a pair exists: F is
+closed under union iff, for every set S, the union J(S) of the members
+inside S is ∅ or a member, and closed under intersection iff the
+complements are closed under union.  If G is a topology, every a ∩ b and
 a ∪ b lies in G, so the only missing ones are ∅ (when ∅ ∉ F) and X (when
 X ∉ F), and both witnesses take O(|F|·n) with U_p the minimal opens of G:
 
@@ -39,6 +44,7 @@ X ∉ F), and both witnesses take O(|F|·n) with U_p the minimal opens of G:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import and_, or_
 from typing import Iterable, Sequence, Union
 
 from .carrier import (
@@ -152,12 +158,13 @@ def _pair_violations(n: int, masks: list[int], mask_set: set[int]) -> list[Axiom
     """The lexicographically least pair whose intersection, and the least
     pair whose union, is not a member: in O(|F|·n) when adding ∅ and the
     carrier makes the family a topology (see the module docstring), else by
-    the pairwise scan."""
+    :func:`_least_witness`."""
     full = (1 << n) - 1
     completed = sorted(mask_set | {0, full})
     mins = _minimal_opens(n, completed, set(completed))
     if mins is None:
-        inter_witness, union_witness = _pairwise_witnesses(masks, mask_set)
+        inter_witness = _least_witness(n, masks, mask_set, and_, [full ^ m for m in masks])
+        union_witness = _least_witness(n, masks, mask_set, or_, masks)
     else:
         inter_witness = None if 0 in mask_set else _disjoint_witness(masks, mins)
         union_witness = None if full in mask_set else _covering_witness(n, masks, mins)
@@ -172,22 +179,38 @@ def _pair_violations(n: int, masks: list[int], mask_set: set[int]) -> list[Axiom
     return violations
 
 
-def _pairwise_witnesses(
-    masks: list[int], mask_set: set[int]
-) -> tuple[tuple[int, int] | None, tuple[int, int] | None]:
-    """The least intersection and union witness pairs, or None, scanning
-    pairs (quadratic in the family size)."""
-    inter_witness = None
-    union_witness = None
+def _least_witness(
+    n: int, masks: list[int], mask_set: set[int], op, dual: list[int]
+) -> tuple[int, int] | None:
+    """The least pair a < b of members with ``op(a, b)`` not a member, or
+    None.  The pairs are scanned in order, but once |F|² reaches n·2^n
+    that scan runs only after :func:`_union_closed` of `dual` (the members
+    for ∪, their complements for ∩) has shown that some pair fails."""
+    if n <= MAX_OPENS_LOG2 and len(masks) ** 2 >= n << n and _union_closed(n, dual):
+        return None
     for i, a in enumerate(masks):
         for b in masks[i + 1 :]:
-            if inter_witness is None and a & b not in mask_set:
-                inter_witness = (a, b)
-            if union_witness is None and a | b not in mask_set:
-                union_witness = (a, b)
-        if inter_witness is not None and union_witness is not None:
-            break
-    return inter_witness, union_witness
+            if op(a, b) not in mask_set:
+                return a, b
+    return None
+
+
+def _union_closed(n: int, family: list[int]) -> bool:
+    """Whether the union of any two members of `family` is a member, in
+    O(2^n·n): J(S), the union of the members inside S, must be ∅ or a
+    member for every S (S = a ∪ b gives J(S) = a ∪ b, and every J(S) is a
+    union of members), and J is one subset-OR transform."""
+    size = 1 << n
+    joins = [0] * size
+    for m in family:
+        joins[m] = m
+    step = 1
+    while step < size:
+        for lo in range(0, size, 2 * step):
+            hi = lo + step
+            joins[hi : hi + step] = map(or_, joins[hi : hi + step], joins[lo:hi])
+        step <<= 1
+    return set(joins).issubset([0, *family])
 
 
 def _disjoint_witness(masks: list[int], mins: list[int]) -> tuple[int, int] | None:
@@ -231,8 +254,10 @@ def validate_topology(
     and point p, U_p being the intersection of the members that contain p
     (the module docstring proves this equivalent to the axioms); the U_p
     become ``min_open``.  Every other family gets the least intersection
-    and union witnesses, found pair by pair only when the family with ∅
-    and the carrier added is still not a topology.
+    and union witnesses, found by a scan over pairs only when the family
+    with ∅ and the carrier added is still not a topology; for a large
+    family that scan waits until a subset-OR transform has shown that a
+    pair of its kind fails.
     """
     check_carrier(n)
     full = (1 << n) - 1

@@ -364,11 +364,27 @@ CAP_CASES = [
     ("blocks24.json", [LOW, HIGH], _members(LOW, HIGH), (True, True, True, True)),
 ]
 CAP_SECONDS = 1.0
+_SEP_FLAGS = ("t0", "t1", "t2", "t3", "t4", "regular", "normal")
+
+
+def _sep(true_flags):
+    return {flag: flag in true_flags for flag in _SEP_FLAGS}
+
+
+# (document, separation report, ordered pairs indistinguishable / separated)
+CAP_SEPARATION = [
+    ("chain24.json", _sep({"t0", "t4"}), 24, 0),
+    ("indiscrete24.json", _sep({"t3", "t4"}), 576, 0),
+    ("blocks24.json", _sep({"t3", "t4"}), 288, 288),
+    ("discrete16.json", _sep(_SEP_FLAGS), 16, 240),
+]
 
 
 class TestCarrierCapBudgets:
-    """Connectivity and cover requests on 24-point documents finish in
-    bounded time: none of them may scan the 2**24 subsets."""
+    """Connectivity, cover and separation requests on 24-point documents,
+    and separation requests on the discrete space on 16 points, finish in
+    bounded time: none of them may scan the 2**24 subsets or compare
+    neighborhood families."""
 
     @pytest.fixture
     def cap_docs(self, docs):
@@ -401,6 +417,35 @@ class TestCarrierCapBudgets:
         obj, code = self.timed(capsys, ["cover", name, "--members", members])
         got = (obj["is_cover"], obj["open_cover"], obj["closed_cover"], obj["fundamental"])
         assert (got, code) == (cover, 0)
+
+    @pytest.mark.parametrize(
+        "name,report,indistinguishable,separated",
+        CAP_SEPARATION,
+        ids=[case[0].removesuffix(".json") for case in CAP_SEPARATION],
+    )
+    def test_separation(
+        self, cap_docs, capsys, name, report, indistinguishable, separated
+    ):
+        if name == "discrete16.json":
+            # The 65,536-open document is asked all seven flags at once: its
+            # parse alone takes about half the budget.
+            opens = [[p for p in range(16) if m >> p & 1] for m in range(1 << 16)]
+            (cap_docs / name).write_text(json.dumps({"n": 16, "opens": opens}))
+            requests = [list(report)]
+        else:
+            requests = [[flag] for flag in report]
+        for flags in requests:
+            want = {flag: report[flag] for flag in flags}
+            argv = ["check", name, *(f"--{flag}" for flag in flags)]
+            assert self.timed(capsys, argv) == (want, 0 if all(want.values()) else 1)
+        obj, code = self.timed(capsys, ["check", name, "--full"])
+        assert (obj["separation"], code) == (report, 0)
+        s = fintop.parse_space((cap_docs / name).read_text())
+        start = time.perf_counter()
+        classes = [fintop.classify_pair(s, p, q) for p in range(s.n) for q in range(s.n)]
+        assert time.perf_counter() - start < CAP_SECONDS
+        assert sum(c.indistinguishable for c in classes) == indistinguishable
+        assert sum(c.separated for c in classes) == separated
 
     def test_quotient_by_singletons(self, cap_docs, capsys):
         # The 2**24 sets of blocks are not scanned: the quotient opens are

@@ -15,6 +15,7 @@ from fintop import (
     space,
     sweep_theorems,
 )
+from fintop import separation
 from fintop.enumeration import (
     CLASS_CAP,
     PREDICATES,
@@ -135,7 +136,9 @@ class TestPredicates:
 
     def test_t0_entry_cross_checks_min_open(self):
         # Give a second point the minimal open of point 0: the literal T0
-        # criterion still holds, the minimal-open criterion fails.
+        # criterion still holds, so the literal cross-check of the T0 entry
+        # fails, naming T0 first.
+        assert PREDICATES["t0"] is separation.is_t0
         corrupted = 0
         for n in (2, 3):
             for s in all_spaces(n):
@@ -145,7 +148,7 @@ class TestPredicates:
                     s, min_open=(s.min_open[0],) * 2 + s.min_open[2:]
                 )
                 with pytest.raises(CrossCheckFailure, match="^T0:"):
-                    PREDICATES["t0"](bad)
+                    separation._literal_cross_check(bad)
                 corrupted += 1
         assert corrupted == 3 + 19
 

@@ -157,7 +157,7 @@ def test_lenient_t1_fault_is_a_failed_theorem(monkeypatch):
     # CodomainNotHausdorff that hausdorff_compact_checks raises.
     is_t1 = separation_mod.is_t1
     monkeypatch.setattr(
-        separation_mod, "is_t1", lambda s, t=None: len(s.opens) >= 3 or is_t1(s, t)
+        separation_mod, "is_t1", lambda s: len(s.opens) >= 3 or is_t1(s)
     )
     report = sweep_theorems(2, theorems=[])
     failed = [k for k, rec in report.items() if not rec["ok"]]

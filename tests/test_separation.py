@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -14,7 +15,9 @@ from fintop import (
     minimal_open,
     neighborhoods,
     separation_report,
+    space,
     subspace,
+    sweep_theorems,
     t1_minimum,
 )
 from fintop import separation
@@ -100,7 +103,7 @@ class TestSeparationReport:
         for n in range(4):
             for s in all_spaces(n):
                 try:
-                    separation_report(s)
+                    separation._literal_report(s)
                 except CrossCheckFailure as exc:
                     failures.append(str(exc))
         assert failures
@@ -157,6 +160,65 @@ class TestSeparationReport:
                     f = FiniteMap.of(n1, 3, table)
                     if check_map(f, s1, s2).continuous:
                         assert len(set(table)) == 1
+
+
+def _with_min_open(n, opens, ups):
+    """The space of `opens` with its minimal opens replaced by `ups`."""
+    s = space(n, opens)
+    return dataclasses.replace(s, min_open=tuple(PointSet(u, n) for u in ups))
+
+
+# Corrupted minimal opens, each the minimal opens of another space on the
+# same carrier, so the two preorder criteria of every axiom still agree;
+# (opens, corrupted U_p, what the literal cross-check must name).
+MIN_OPEN_MUTANTS = {
+    "t0": ([0, 1, 3, 7], [1, 7, 7], {"T0", "pair"}),
+    "t1": ([0, 1, 2, 3], [1, 3], {"T1", "T2", "T3", "REGULAR", "NORMAL", "pair"}),
+    "t2": ([0, 1, 2, 3], [3, 3], {"T0", "T1", "T2", "REGULAR", "NORMAL", "pair"}),
+    "t3": ([0, 1, 7], [7, 7, 7], {"T3", "pair"}),
+    "t4": ([0, 1, 3, 5, 7], [1, 3, 7], {"T4", "pair"}),
+    "classify_pair": ([0, 1, 6, 7], [7, 7, 7], {"pair"}),
+}
+
+
+class TestLiteralCrossCheck:
+    def test_preorder_agrees_with_literal_up_to_n5(self):
+        # All 7,332 spaces with n <= 5: every axiom and every pair class.
+        for n in range(6):
+            for s in all_spaces(n):
+                assert separation._literal_cross_check(s) == separation_report(s)
+
+    @pytest.mark.parametrize("target", MIN_OPEN_MUTANTS)
+    def test_min_open_mutant_is_killed(self, target):
+        opens, ups, named = MIN_OPEN_MUTANTS[target]
+        bad = _with_min_open(len(ups), opens, ups)
+        separation_report(bad)  # the preorder criteria do not see it
+        with pytest.raises(CrossCheckFailure) as exc:
+            separation._literal_cross_check(bad)
+        got = {part.split(":")[0].split(" (")[0] for part in str(exc.value).split("; ")}
+        assert got == named
+        if target != "classify_pair":
+            assert target.upper() in got
+
+    @pytest.mark.parametrize(
+        "attr, fault, named",
+        [
+            ("is_t4", lambda orig: lambda s: True, "T4: preorder=True literal=False"),
+            (
+                "classify_pair",
+                lambda orig: lambda s, p, q: dataclasses.replace(
+                    orig(s, p, q), separated=False
+                ),
+                "pair (0, 1): preorder=",
+            ),
+        ],
+        ids=["t4-always", "never-separated"],
+    )
+    def test_sweep_fails_on_a_preorder_fault(self, monkeypatch, attr, fault, named):
+        monkeypatch.setattr(separation, attr, fault(getattr(separation, attr)))
+        report = sweep_theorems(3, theorems=["separation_hereditary"], include_maps=False)
+        rec = report["separation_hereditary"]
+        assert not rec["ok"] and named in rec["counterexample"]
 
 
 class TestT1Minimum:

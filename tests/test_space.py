@@ -145,13 +145,38 @@ class TestValidateTopology:
             ),
             (lambda n: range(1, 1 << n, 2), [("MissingEmpty", ())]),
             (lambda n: range(1 << (n - 1)), [("MissingCarrier", ())]),
+            (
+                lambda n: [m for m in range(1 << n) if m != 1],
+                [("NotIntersectionClosed", (3, 5))],
+            ),
+            (
+                lambda n: [m for m in range(1 << n) if m != (1 << n) - 2],
+                [("NotUnionClosed", (2, (1 << 14) - 4))],
+            ),
+            (
+                lambda n: range(2, 1 << n),
+                [("MissingEmpty", ()), ("NotIntersectionClosed", (2, 4))],
+            ),
         ],
-        ids=["no-empty", "no-carrier", "hold-0-no-empty", "miss-last-no-carrier"],
+        ids=[
+            "no-empty",
+            "no-carrier",
+            "hold-0-no-empty",
+            "miss-last-no-carrier",
+            "no-{0}",
+            "no-X-minus-{0}",
+            "no-empty-no-{0}",
+        ],
     )
     def test_rejection_witnesses_are_linear_time(self, members, expected):
         # The power set without the empty set or without the carrier, every
         # set holding point 0 without the empty set, and every set missing
-        # the last point: the pairwise scan needs 1-3 s at n = 13.
+        # the last point: the pairwise scan needs 1-3 s at n = 13.  The
+        # power set without {0}, without X - {0}, or without both the empty
+        # set and {0} is not a topology even with the empty set and the
+        # carrier added, and has a witness of one kind only: the full
+        # pairwise scan for the other kind took about 3 s at n = 13, x4 per
+        # point.
         n = 14
         start = time.perf_counter()
         result = validate_topology(n, members(n))

@@ -748,7 +748,16 @@ def _chk_base_laws(ctxs):
     return None
 
 
+def _below(N: int) -> list[int]:
+    """below[m] has bit u set iff u ⊆ m."""
+    return [sum(1 << u for u in range(N) if u & ~m == 0) for m in range(N)]
+
+
 def _chk_fundamental_cover_laws(ctxs):
+    # Sets of masks are N-bit ints.  coh[m] (cohc[m]) has bit u set iff
+    # u ∩ m is open (closed) in the subspace m, so a family's FCOV2 set is
+    # the AND of coh over its members.  A family refines `coarse` iff its
+    # member bits lie in down[coarse], the OR of below over coarse.
     for c in ctxs:
         s = c.s
         subsets = list(range(1, c.N))
@@ -759,6 +768,16 @@ def _chk_fundamental_cover_laws(ctxs):
         for fam_masks in families:
             C = Family.of(c.n, fam_masks)
             reports[fam_masks] = (C, covers_mod.classify_cover(s, C))
+        opens_bits = sum(1 << u for u in c.opens)
+        closeds_bits = sum(1 << v for v in c.closeds)
+        coh = [0] * c.N
+        cohc = [0] * c.N
+        for m in subsets:
+            rel = covers_mod.relative_opens(s, m)
+            relc = {m & k for k in c.closeds}
+            coh[m] = sum(1 << u for u in range(c.N) if u & m in rel)
+            cohc[m] = sum(1 << v for v in range(c.N) if v & m in relc)
+        all_bits = (1 << c.N) - 1
         for fam_masks, (C, rep) in reports.items():
             if rep.open_cover and not rep.fundamental:
                 return c.cx(f"open cover not fundamental: {fam_masks}")
@@ -766,36 +785,32 @@ def _chk_fundamental_cover_laws(ctxs):
                 return c.cx(f"finite closed cover not fundamental: {fam_masks}")
             if rep.is_cover:
                 # FCOV2-set equals tau exactly when fundamental
-                rel = {m: covers_mod.relative_opens(s, m) for m in fam_masks}
-                u_set = {
-                    u
-                    for u in range(c.N)
-                    if all(u & m in rel[m] for m in fam_masks)
-                }
-                if (u_set == c.opens) != rep.fundamental:
+                u_bits = v_bits = all_bits
+                for m in fam_masks:
+                    u_bits &= coh[m]
+                    v_bits &= cohc[m]
+                if (u_bits == opens_bits) != rep.fundamental:
                     return c.cx(f"FCOV2-set criterion mismatch: {fam_masks}")
-                # closed-set variant
-                relc = {
-                    m: frozenset(m & cl for cl in c.closeds) for m in fam_masks
-                }
-                v_set = {
-                    v
-                    for v in range(c.N)
-                    if all(v & m in relc[m] for m in fam_masks)
-                }
-                if (v_set == c.closeds) != rep.fundamental:
+                if (v_bits == closeds_bits) != rep.fundamental:
                     return c.cx(f"closed FCOV2-set criterion mismatch: {fam_masks}")
-        # refinement theorem over pairs of covering families
-        covering = [fm for fm, (C, rep) in reports.items() if rep.is_cover]
-        for fine in covering:
-            fine_rep = reports[fine][1]
-            if not fine_rep.fundamental:
-                continue
-            for coarse in covering:
-                if covers_mod.is_refinement(
-                    reports[fine][0], reports[coarse][0], s
-                ) and not reports[coarse][1].fundamental:
-                    return c.cx(f"fundamental refinement {fine} of non-fundamental {coarse}")
+        # refinement theorem: no fundamental cover refines a non-fundamental one
+        below = _below(c.N)
+        fundamental, down = [], []
+        for fm, (C, rep) in reports.items():
+            if rep.is_cover and rep.fundamental:
+                fundamental.append(fm)
+            elif rep.is_cover:
+                d = 0
+                for big in fm:
+                    d |= below[big]
+                down.append((fm, d))
+        for fine in fundamental:
+            fine_bits = sum(1 << m for m in fine)
+            for coarse, d in down:
+                if fine_bits & ~d == 0:
+                    if covers_mod.is_refinement(reports[fine][0], reports[coarse][0], s):
+                        return c.cx(f"fundamental refinement {fine} of non-fundamental {coarse}")
+                    return c.cx(f"down-set test disagrees with is_refinement: {fine} {coarse}")
     return None
 
 

@@ -33,6 +33,7 @@ from fintop.cli import cli_dispatch
 from fintop.covers import classify_cover
 from fintop.enumeration import (
     EnumConfig,
+    SINGLE_SPACE_CHECKS,
     SWEEP_CORE,
     all_spaces,
     canonical_form,
@@ -111,6 +112,19 @@ class TestCriterion3SingleSpaceSweep:
         bad = {k: v for k, v in report.items() if not v["ok"]}
         assert not bad, bad
 
+    def test_full_single_space_sweep_n4(self):
+        # All 34 single-space theorems over all 355 topologies on 4 points,
+        # under 30 s.
+        names = [name for name, _ in SINGLE_SPACE_CHECKS]
+        assert len(names) == 34
+        start = time.perf_counter()
+        report = sweep_theorems(4, theorems=names, include_maps=False)
+        elapsed = time.perf_counter() - start
+        assert sorted(report) == sorted(names)
+        bad = {k: v for k, v in report.items() if not v["ok"]}
+        assert not bad, bad
+        assert elapsed < 30.0
+
     def test_spot_sweep_n4_operator_identities(self):
         # all 355 topologies on 4 points, operator identities only
         report = sweep_theorems(4, include_maps=False)
@@ -123,13 +137,13 @@ class TestCriterion4MapSweep:
         # All ordered pairs of 3-point topologies x all 27 map tables:
         # continuity equivalences, open/closed-map characterizations,
         # pasting, image-of-connected/compact/dense, homeomorphism
-        # transport, Hausdorff limit uniqueness.  Under 20 s.
+        # transport, Hausdorff limit uniqueness.  Under 5 s.
         start = time.perf_counter()
         report = sweep_theorems(3)
         elapsed = time.perf_counter() - start
         bad = {k: v for k, v in report.items() if not v["ok"]}
         assert not bad, bad
-        assert elapsed < 20.0
+        assert elapsed < 5.0
 
 
 class TestCriterion5T1Rigidity:

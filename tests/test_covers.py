@@ -18,6 +18,7 @@ from fintop import (
     space,
     verify_pasting,
 )
+from fintop import enumeration
 from fintop.covers import _is_fundamental
 from fintop.enumeration import all_spaces
 
@@ -86,6 +87,38 @@ class TestSubcoverRefinement:
         assert is_refinement(fam(3, [0, 1, 2]), fam(3, [0, 1, 2], [0]), three_point)
         assert is_refinement(fam(3, [0], [1], [2]), fam(3, [0, 1], [2]), three_point)
         assert not is_refinement(fam(3, [0, 2], [1]), fam(3, [0, 1], [2]), three_point)
+
+    def test_down_set_criterion_matches_is_refinement(self):
+        # The sweep's mask test: a covering family refines C iff its member
+        # bits lie in the OR of below[S] over the members S of C.  Every
+        # ordered pair of families of size <= 3 (the empty set allowed as a
+        # member) on every space with n <= 3.
+        checked = 0
+        for n in range(4):
+            N = 1 << n
+            below = enumeration._below(N)
+            families = [
+                members
+                for size in range(4)
+                for members in itertools.combinations(range(N), size)
+            ]
+            cases = []
+            for fine in families:
+                union = fine_bits = 0
+                for m in fine:
+                    union |= m
+                    fine_bits |= 1 << m
+                for coarse in families:
+                    down = 0
+                    for S in coarse:
+                        down |= below[S]
+                    expected = union == N - 1 and fine_bits & ~down == 0
+                    cases.append((Family.of(n, fine), Family.of(n, coarse), expected))
+            for s in all_spaces(n):
+                for C_ref, C, expected in cases:
+                    assert is_refinement(C_ref, C, s) == expected, (s, C_ref, C)
+                    checked += 1
+        assert checked == 2 * 2 + 4 * 4 + 4 * 15 * 15 + 29 * 93 * 93
 
     def test_fundamental_refinement_implies_fundamental(self):
         for s in all_spaces(3):

@@ -193,3 +193,100 @@ class TestSweep:
         assert "closure_idempotent" in failed
         for name in failed:
             assert out[name]["counterexample"]
+
+
+_SIERPINSKI = '{"n": 2, "opens": [[], [0], [0, 1]]} sets : '
+_DISCRETE2 = '{"n": 2, "opens": [[], [0], [1], [0, 1]]} sets : '
+_CHAIN3 = '{"n": 3, "opens": [[], [0], [1], [0, 1], [0, 2], [0, 1, 2]]} sets : '
+_DISCRETE3 = (
+    '{"n": 3, "opens": [[], [0], [1], [0, 1], [2], [0, 2], [1, 2], [0, 1, 2]]} sets : '
+)
+
+#: covers._is_fundamental faults and the fundamental_cover_laws
+#: counterexample each gives at n = 2 and n = 3.
+_FUNDAMENTAL_FAULTS = {
+    "always_true": (
+        lambda real, s, m: True,
+        _SIERPINSKI + "FCOV2-set criterion mismatch: (1, 2)",
+        _CHAIN3 + "FCOV2-set criterion mismatch: (1, 6)",
+    ),
+    "always_false": (
+        lambda real, s, m: False,
+        _DISCRETE2 + "open cover not fundamental: (3,)",
+        _DISCRETE3 + "open cover not fundamental: (7,)",
+    ),
+    "false_for_three": (
+        lambda real, s, m: False if len(m) == 3 else real(s, m),
+        _DISCRETE2 + "open cover not fundamental: (1, 2, 3)",
+        _DISCRETE3 + "open cover not fundamental: (1, 2, 4)",
+    ),
+    "true_for_two": (
+        lambda real, s, m: True if len(m) == 2 else real(s, m),
+        _SIERPINSKI + "FCOV2-set criterion mismatch: (1, 2)",
+        _CHAIN3 + "FCOV2-set criterion mismatch: (1, 6)",
+    ),
+    "false_for_two": (
+        lambda real, s, m: False if len(m) == 2 else real(s, m),
+        _DISCRETE2 + "open cover not fundamental: (1, 2)",
+        _DISCRETE3 + "open cover not fundamental: (1, 6)",
+    ),
+    "negated": (
+        lambda real, s, m: not real(s, m),
+        _DISCRETE2 + "open cover not fundamental: (3,)",
+        _DISCRETE3 + "open cover not fundamental: (7,)",
+    ),
+}
+
+
+def _cover_laws_cx(n):
+    out = sweep_theorems(n, theorems=["fundamental_cover_laws"], include_maps=False)
+    return out["fundamental_cover_laws"]["counterexample"]
+
+
+class TestFundamentalCoverLawFaults:
+    """Each fault must fail `fundamental_cover_laws` with the counterexample
+    the literal (set-based) loops gave: the mask tests visit families and
+    (fine, coarse) pairs in the same order."""
+
+    @pytest.mark.parametrize("name", sorted(_FUNDAMENTAL_FAULTS))
+    def test_is_fundamental_fault(self, monkeypatch, name):
+        from fintop import covers
+
+        fault, cx2, cx3 = _FUNDAMENTAL_FAULTS[name]
+        real = covers._is_fundamental
+        monkeypatch.setattr(covers, "_is_fundamental", lambda s, m: fault(real, s, m))
+        assert _cover_laws_cx(2) == cx2
+        assert _cover_laws_cx(3) == cx3
+
+    def test_relative_opens_fault_reaches_the_sweep(self, monkeypatch):
+        # Closed traces in place of open ones: coherence now ignores the opens.
+        from fintop import covers
+
+        monkeypatch.setattr(
+            covers, "relative_opens", lambda s, S: frozenset(S & m for m in s.closeds.masks)
+        )
+        assert _cover_laws_cx(2) == _SIERPINSKI + "FCOV2-set criterion mismatch: (3,)"
+        assert _cover_laws_cx(3) == _CHAIN3 + "FCOV2-set criterion mismatch: (7,)"
+
+    def test_down_set_fault_is_named(self, monkeypatch):
+        # Every mask below every member: the first mask hit is no refinement.
+        from fintop import enumeration
+
+        monkeypatch.setattr(enumeration, "_below", lambda N: [(1 << N) - 1] * N)
+        disagree = "down-set test disagrees with is_refinement: "
+        assert _cover_laws_cx(2) == _SIERPINSKI + disagree + "(3,) (1, 2)"
+        assert _cover_laws_cx(3) == _CHAIN3 + disagree + "(7,) (1, 6)"
+
+    def test_confirmed_refinement_is_named(self, monkeypatch):
+        from fintop import covers, enumeration
+
+        monkeypatch.setattr(enumeration, "_below", lambda N: [(1 << N) - 1] * N)
+        monkeypatch.setattr(covers, "is_refinement", lambda C_ref, C, s: True)
+        refines = "fundamental refinement (3,) of non-fundamental (1, 2)"
+        assert _cover_laws_cx(2) == _SIERPINSKI + refines
+        refines = "fundamental refinement (7,) of non-fundamental (1, 6)"
+        assert _cover_laws_cx(3) == _CHAIN3 + refines
+
+    def test_clean(self):
+        for n in range(4):
+            assert _cover_laws_cx(n) is None

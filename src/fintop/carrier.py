@@ -37,6 +37,16 @@ def same_carrier(*sizes: int) -> int:
     return first
 
 
+def mask_points(mask: int) -> list[int]:
+    """The points of a mask, ascending, one step per point in the mask."""
+    points = []
+    while mask:
+        low = mask & -mask
+        points.append(low.bit_length() - 1)
+        mask ^= low
+    return points
+
+
 @dataclass(frozen=True, slots=True)
 class PointSet:
     """A subset of the carrier {0..n-1}, stored as a bitmask."""
@@ -67,7 +77,7 @@ class PointSet:
         return cls((1 << n) - 1, n)
 
     def points(self) -> tuple[int, ...]:
-        return tuple(p for p in range(self.n) if self.bits >> p & 1)
+        return tuple(mask_points(self.bits))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.points())

@@ -302,7 +302,7 @@ def _cmd_validate(args):
             for v in exc.violations
         ]
         return {"valid": False, "violations": violations}, EXIT_FALSE
-    out = {"valid": True, "canonical": json.loads(docio.emit_space(result))}
+    out = {"valid": True, "canonical": _space_obj(result)}
     if args.compare:
         other = _load_space(args.compare)
         out["comparison"] = compare(result, other)

@@ -30,10 +30,7 @@ def is_compact_set(s: TopSpace, A: PointSet) -> bool:
     finite subcover, witnessed by the minimal opens {U_p : p in A}."""
     same_carrier(s.n, A.n)
     opens = s.opens.mask_set
-    return all(
-        s.min_open[p].bits >> p & 1 and s.min_open[p].bits in opens
-        for p in A.points()
-    )
+    return all(s.ups[p] >> p & 1 and s.ups[p] in opens for p in A.points())
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,8 +48,7 @@ def is_locally_compact(s: TopSpace) -> bool:
     """Every point p has a compact neighborhood, witnessed by U_p: it must
     contain p, and compactness of U_p then also checks that it is open."""
     return all(
-        s.min_open[p].bits >> p & 1 and is_compact_set(s, s.min_open[p])
-        for p in range(s.n)
+        u >> p & 1 and is_compact_set(s, PointSet(u, s.n)) for p, u in enumerate(s.ups)
     )
 
 

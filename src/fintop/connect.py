@@ -1,6 +1,6 @@
 """Connectedness, components, total disconnectedness, local connectedness.
 
-With p ≤ q iff q ∈ U_p (``TopSpace.min_open``) and comparable points
+With p ≤ q iff q ∈ U_p (``TopSpace.ups``) and comparable points
 adjacent, three facts (Alexandroff 1937, "Diskrete Räume"; Barmak 2011,
 *Algebraic Topology of Finite Topological Spaces*, LNM 2032, ch. 1) settle
 each question in O(n²) mask operations (breadth-first search for sets):
@@ -31,7 +31,7 @@ def is_connected(s: TopSpace) -> bool:
 
 def _adjacency(s: TopSpace) -> list[int]:
     """Per point p, the mask of the points comparable to p (p included)."""
-    return _adjacency_bits(tuple(u.bits for u in s.min_open))
+    return _adjacency_bits(s.ups)
 
 
 def _adjacency_bits(mins: tuple[int, ...]) -> list[int]:
@@ -53,7 +53,7 @@ def connected_set_masks(s: TopSpace) -> frozenset[int]:
     """Bitmasks of all connected subsets of the space, memoized on the
     minimal opens they are decided from (``TopSpace`` equality compares the
     opens only)."""
-    return _connected_masks(s.n, tuple(u.bits for u in s.min_open))
+    return _connected_masks(s.n, s.ups)
 
 
 @lru_cache(maxsize=None)
@@ -107,7 +107,7 @@ def component_partition(s: TopSpace) -> Partition:
 
 def is_totally_disconnected(s: TopSpace) -> bool:
     """The only connected sets are ∅ and the singletons: every U_p is {p}."""
-    return all(u.bits == 1 << p for p, u in enumerate(s.min_open))
+    return all(u == 1 << p for p, u in enumerate(s.ups))
 
 
 def is_locally_connected_at(s: TopSpace, p: int) -> bool:
@@ -115,8 +115,8 @@ def is_locally_connected_at(s: TopSpace, p: int) -> bool:
     the least open set holding p, which must hold p, be open and connected."""
     if not 0 <= p < s.n:
         raise ValueError(f"point {p} outside carrier of size {s.n}")
-    u = s.min_open[p]
-    return p in u and u.bits in s.opens and is_connected_set(s, u)
+    u = s.ups[p]
+    return bool(u >> p & 1) and u in s.opens and is_connected_set(s, PointSet(u, s.n))
 
 
 def is_locally_connected(s: TopSpace) -> bool:

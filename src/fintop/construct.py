@@ -215,8 +215,8 @@ def product(s1: TopSpace, s2: TopSpace) -> tuple[TopSpace, PairEncoding]:
         raise CarrierTooLarge(f"product carrier {s1.n}*{s2.n} exceeds 24")
     enc = PairEncoding(s1.n, s2.n)
     proj1, proj2 = enc.projection1().table, enc.projection2().table
-    pre2 = [preimage_bits(proj2, v.bits) for v in s2.min_open]
-    mins = (preimage_bits(proj1, u.bits) & v for u in s1.min_open for v in pre2)
+    pre2 = [preimage_bits(proj2, v) for v in s2.ups]
+    mins = (preimage_bits(proj1, u) & v for u in s1.ups for v in pre2)
     return _unions(n, mins), enc
 
 

@@ -47,7 +47,7 @@ def _is_fundamental(s: TopSpace, members) -> bool:
     are fundamental iff every p's R*-reach is all of U_p: O(|C|·n + n²) mask
     operations in place of the definition's 2**n candidate sets.
     """
-    mins = [u.bits for u in s.min_open]
+    mins = s.ups
     step = [0] * s.n
     for S in members:
         for p in range(s.n):

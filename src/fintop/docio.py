@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .carrier import Family, PointSet, check_carrier
+from .carrier import Family, check_carrier, mask_points
 from .errors import InvalidTopology
 from .maps import FiniteMap
 from .space import TopSpace, validate_topology
@@ -69,11 +69,7 @@ class SpaceDocument:
 
     @classmethod
     def of(cls, s: TopSpace, name: Optional[str] = None) -> "SpaceDocument":
-        return cls(
-            s.n,
-            tuple(tuple(PointSet(m, s.n).points()) for m in s.opens.masks),
-            name,
-        )
+        return cls(s.n, tuple(tuple(mask_points(m)) for m in s.opens.masks), name)
 
     def to_obj(self) -> dict:
         obj = {"n": self.n, "opens": [list(o) for o in self.opens]}
@@ -155,7 +151,7 @@ def parse_family(text: Union[str, dict]) -> tuple[int, Family]:
 def emit_family(fam: Family) -> str:
     return canonical_json(
         {
-            "members": [list(PointSet(m, fam.n).points()) for m in fam.masks],
+            "members": [mask_points(m) for m in fam.masks],
             "n": fam.n,
         }
     )

@@ -37,7 +37,7 @@ from . import covers as covers_mod
 from . import maps as maps_mod
 from . import operators as operators_mod
 from . import separation as separation_mod
-from .carrier import Family, Partition, PointSet, subsets_iter
+from .carrier import Family, Partition, PointSet, mask_points, subsets_iter
 from .errors import CarrierTooLarge, CrossCheckFailure
 from .maps import image_bits
 from .mapsweep import _map_sweep
@@ -230,12 +230,8 @@ def all_spaces(n: int) -> tuple[TopSpace, ...]:
 # -- theorem sweep ------------------------------------------------------------
 
 
-def _ser(n: int, mask: int) -> list[int]:
-    return [p for p in range(n) if mask >> p & 1]
-
-
 def _ser_space(s: TopSpace) -> str:
-    return json.dumps({"n": s.n, "opens": [_ser(s.n, m) for m in s.opens.masks]})
+    return json.dumps({"n": s.n, "opens": [mask_points(m) for m in s.opens.masks]})
 
 
 class _Ctx:
@@ -261,7 +257,7 @@ class _Ctx:
         return self.cl[m] & ~self.it[m]
 
     def cx(self, detail: str, *masks: int) -> str:
-        sets = " ".join(str(_ser(self.n, m)) for m in masks)
+        sets = " ".join(str(mask_points(m)) for m in masks)
         return f"{self.ser} sets {sets}: {detail}"
 
 
@@ -625,7 +621,7 @@ def _chk_indistinguishability_equivalences(ctxs):
                 nei_q = frozenset(m for m in c.opens if m >> q & 1)
                 cnei_p = frozenset(m for m in c.closeds if m >> p & 1)
                 cnei_q = frozenset(m for m in c.closeds if m >> q & 1)
-                min_eq = s.min_open[p] == s.min_open[q]
+                min_eq = s.ups[p] == s.ups[q]
                 cl_eq = c.cl[1 << p] == c.cl[1 << q]
                 if not ((nei_p == nei_q) == (cnei_p == cnei_q) == min_eq == cl_eq):
                     return c.cx(f"indistinguishability equivalences differ p={p} q={q}")
@@ -742,7 +738,7 @@ def _chk_base_laws(ctxs):
         regen = construct_mod.topology_from_base(c.n, s.opens)
         if regen.opens.masks != s.opens.masks:
             return c.cx("topology regenerated from itself differs")
-        minbase = Family.of(c.n, (mo.bits for mo in s.min_open))
+        minbase = Family.of(c.n, s.ups)
         if c.n and not construct_mod.is_base_for(s, minbase):
             return c.cx("minimal-open family not a base")
     return None

@@ -218,7 +218,7 @@ def limits_at(
 
 def _point_signature(s: TopSpace, p: int) -> tuple[int, int]:
     member_count = sum(1 for m in s.opens.masks if m >> p & 1)
-    return (len(s.min_open[p]), member_count)
+    return (s.ups[p].bit_count(), member_count)
 
 
 def find_homeomorphism(s1: TopSpace, s2: TopSpace) -> Optional[FiniteMap]:
@@ -243,13 +243,13 @@ def find_homeomorphism(s1: TopSpace, s2: TopSpace) -> Optional[FiniteMap]:
     def consistent(p: int, q: int) -> bool:
         if sig1[p] != sig2[q]:
             return False
-        mo1 = s1.min_open[p].bits
-        mo2 = s2.min_open[q].bits
+        mo1 = s1.ups[p]
+        mo2 = s2.ups[q]
         for r, fr in enumerate(assignment):
             # specialization preorder must be carried both ways
             if bool(mo1 >> r & 1) != bool(mo2 >> fr & 1):
                 return False
-            if bool(s1.min_open[r].bits >> p & 1) != bool(s2.min_open[fr].bits >> q & 1):
+            if bool(s1.ups[r] >> p & 1) != bool(s2.ups[fr] >> q & 1):
                 return False
         return True
 

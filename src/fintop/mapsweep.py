@@ -110,7 +110,7 @@ def _space_families(c: _Ctx) -> dict:
         "t1": separation_mod.is_t1(c.s),
         # hausdorff_compact_checks raises unless the codomain is T2.
         "t2": separation_mod.is_t2(c.s),
-        "minbase": _bitset(mo.bits for mo in c.s.min_open),
+        "minbase": _bitset(c.s.ups),
         "covers": covers,
         # The relative opens of each cover member S, as a bitset over masks.
         "rel": {

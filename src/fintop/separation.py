@@ -1,7 +1,7 @@
 """Point-pair distinguishability and the separation ladder T0-T4.
 
 Every question is decided from the specialization preorder: p ≤ q iff
-q ∈ U_p, where U_p is the minimal open of p (``TopSpace.min_open``), and
+q ∈ U_p, where U_p is the minimal open of p (``TopSpace.ups``), and
 cl{p} = {q : p ∈ U_q} is the closure of the point p.  On a finite space
 each axiom is a property of that preorder (Stong 1966, "Finite topological
 spaces", Trans. AMS 123; Barmak 2011, LNM 2032, ch. 1), because the least
@@ -61,7 +61,7 @@ def classify_pair(s: TopSpace, p: int, q: int) -> PairClass:
     for x in (p, q):
         if not 0 <= x < s.n:
             raise ValueError(f"point {x} outside carrier of size {s.n}")
-    up, uq = s.min_open[p].bits, s.min_open[q].bits
+    up, uq = s.ups[p], s.ups[q]
     indist = up == uq
     dist = not up >> q & 1 and not uq >> p & 1
     return PairClass(indist, not indist, dist, up & uq == 0)
@@ -84,11 +84,7 @@ def _cross(name: str, first: bool, second: bool) -> bool:
     return first
 
 
-def _ups(s: TopSpace) -> list[int]:
-    return [u.bits for u in s.min_open]
-
-
-def _downs(ups: list[int]) -> list[int]:
+def _downs(ups: tuple[int, ...]) -> list[int]:
     """cl{p} for every point p: the mask of the q with p ∈ U_q."""
     downs = [0] * len(ups)
     for q, u in enumerate(ups):
@@ -100,7 +96,7 @@ def _downs(ups: list[int]) -> list[int]:
 
 def is_t0(s: TopSpace) -> bool:
     """T0: distinct points are partially distinguishable."""
-    ups = _ups(s)
+    ups = s.ups
     downs = _downs(ups)
     antisymmetric = all(u & d == 1 << p for p, (u, d) in enumerate(zip(ups, downs)))
     return _cross("T0", antisymmetric, len(set(ups)) == s.n)
@@ -108,7 +104,7 @@ def is_t0(s: TopSpace) -> bool:
 
 def is_t1(s: TopSpace) -> bool:
     """T1: distinct points are distinguishable."""
-    ups = _ups(s)
+    ups = s.ups
     points_open = all(u == 1 << p for p, u in enumerate(ups))
     points_closed = all(d == 1 << p for p, d in enumerate(_downs(ups)))
     return _cross("T1", points_open, points_closed)
@@ -116,23 +112,23 @@ def is_t1(s: TopSpace) -> bool:
 
 def is_t2(s: TopSpace) -> bool:
     """T2 (Hausdorff): distinct points are separated."""
-    ups = _ups(s)
+    ups = s.ups
     disjoint = sum(u.bit_count() for u in ups) == reduce(or_, ups, 0).bit_count()
     return _cross("T2", disjoint, all(u == 1 << p for p, u in enumerate(ups)))
 
 
 def is_t3(s: TopSpace) -> bool:
     """T3: every closed set and outside point have disjoint neighborhoods."""
-    ups = _ups(s)
+    ups = s.ups
     symmetric = all(
         ups[q] >> p & 1 for p, u in enumerate(ups) for q in range(s.n) if u >> q & 1
     )
-    return _cross("T3", symmetric, ups == _downs(ups))
+    return _cross("T3", symmetric, list(ups) == _downs(ups))
 
 
 def is_t4(s: TopSpace) -> bool:
     """T4: disjoint closed sets have disjoint neighborhoods."""
-    ups = _ups(s)
+    ups = s.ups
     downs = _downs(ups)
     n = s.n
     pairwise = all(
@@ -193,7 +189,7 @@ def _literal_classify(np_: frozenset[int], nq: frozenset[int]) -> PairClass:
 def _literal_report(s: TopSpace) -> SeparationReport:
     """:func:`separation_report` from the definitions over neighborhood
     families, each crossed with a characterization through closed sets or
-    the closure operator; none reads ``min_open``."""
+    the closure operator; none reads ``ups``."""
     n, full = s.n, (1 << s.n) - 1
     opens, closeds = s.opens.masks, s.closeds.masks
     nei = [_nei_masks(s, p) for p in range(n)]

@@ -3,9 +3,10 @@
 A topology is a canonical family of "open" bitmasks containing the empty
 set and the carrier and closed under pairwise intersection and union
 (pairwise union closure is equivalent to arbitrary-union closure for
-finite families).  Validation populates two caches: the closed-set family
-and the per-point minimal open set, which encodes the specialization
-preorder of the space.
+finite families).  A space stores its opens (a ``Family``) and ``ups``,
+the mask of each point's minimal open U_p, which encodes the
+specialization preorder.  The closed-set family and the ``PointSet`` view
+of the U_p (``min_open``) are built on first read and cached.
 
 Validity is decided in O(|F|·n) from the minimal opens.  Let F hold ∅ and
 the carrier X and no member outside X, and let U_p be the intersection of
@@ -19,6 +20,15 @@ iff ``m | U_p`` ∈ F for every member m and every point p:
   union in F; so F is exactly the family of unions of minimal opens (the
   up-sets of the specialization preorder), which is closed under union,
   and under intersection because A ∩ B is the union of the U_r, r ∈ A ∩ B.
+
+A family already known to be a topology (one the generator yields) gets
+its U_p in one pass over its ascending opens: U_p is the first open that
+holds p.  U_p is open and lies inside every open that holds p, and a
+proper subset has a smaller mask, so U_p is the least such open as an
+integer.  Validation cannot use this: on a family that is not a topology
+the first member holding p need not be the intersection, and the
+``m | U_p`` test can then pass wrongly ({∅, {0,1}, {0,2}, X} passes it
+with the first members, yet {0,1} ∩ {0,2} is missing).
 
 A rejected family is reported with the lexicographically least pair of
 members whose intersection, and whose union, is not a member.  Let G be
@@ -84,14 +94,41 @@ class AxiomViolation:
 class TopSpace:
     """A validated topological space.
 
-    Construct via :func:`validate_topology` or :func:`space`; the closed-set
-    family and minimal-open table are computed once at validation time.
+    Construct via :func:`validate_topology` or :func:`space`.  A space is
+    ``n``, its ``opens`` and ``ups``, the mask of each point's minimal open
+    set U_p.  ``closeds`` and ``min_open`` (the U_p as PointSets) are built
+    on first read and cached; the caches are not constructor arguments, so
+    ``dataclasses.replace`` never carries a stale one over.  Equality,
+    hashing and repr use ``n`` and ``opens`` only.
+
+    In a topology U_p is the first (least) open that holds p, which is how
+    :func:`_trusted_space` finds it in one pass.  Validation intersects the
+    members holding p instead: in a family that is not a topology the first
+    one need not be that intersection (see the module docstring).
     """
 
     n: int
     opens: Family
-    closeds: Family = field(compare=False)
-    min_open: tuple[PointSet, ...] = field(compare=False)
+    ups: tuple[int, ...] = field(compare=False)
+    _closeds: Family | None = field(default=None, init=False, compare=False)
+    _min_open: tuple[PointSet, ...] | None = field(default=None, init=False, compare=False)
+
+    @property
+    def closeds(self) -> Family:
+        closeds = self._closeds
+        if closeds is None:
+            full = (1 << self.n) - 1
+            closeds = Family._from_masks(self.n, [full ^ m for m in reversed(self.opens.masks)])
+            object.__setattr__(self, "_closeds", closeds)
+        return closeds
+
+    @property
+    def min_open(self) -> tuple[PointSet, ...]:
+        min_open = self._min_open
+        if min_open is None:
+            min_open = tuple(PointSet(u, self.n) for u in self.ups)
+            object.__setattr__(self, "_min_open", min_open)
+        return min_open
 
     def __repr__(self) -> str:
         return f"TopSpace(n={self.n}, opens={self.opens!r})"
@@ -253,7 +290,7 @@ def validate_topology(
     accepted in O(|F|·n) when ``m | U_p`` is a member for every member m
     and point p, U_p being the intersection of the members that contain p
     (the module docstring proves this equivalent to the axioms); the U_p
-    become ``min_open``.  Every other family gets the least intersection
+    become ``ups``.  Every other family gets the least intersection
     and union witnesses, found by a scan over pairs only when the family
     with ∅ and the carrier added is still not a topology; for a large
     family that scan waits until a subset-OR transform has shown that a
@@ -276,17 +313,27 @@ def validate_topology(
 def _build(n: int, masks: Sequence[int], mins: Sequence[int]) -> TopSpace:
     """The space of a sorted, deduplicated topology ``masks`` with minimal
     opens ``mins``; neither is checked."""
-    full = (1 << n) - 1
-    opens = Family._from_masks(n, masks)
-    closeds = Family._from_masks(n, [full ^ m for m in reversed(masks)])
-    return TopSpace(n, opens, closeds, tuple(PointSet(u, n) for u in mins))
+    return TopSpace(n, Family._from_masks(n, masks), tuple(mins))
 
 
 def _trusted_space(n: int, opens: tuple[int, ...]) -> TopSpace:
     """The space of an ascending opens tuple already known to be a topology,
     such as one the minimal-open generator yields, built without
-    :func:`validate_topology`'s ``m | U_p`` membership pass."""
-    return _build(n, opens, _point_meets(n, opens))
+    :func:`validate_topology`'s ``m | U_p`` membership pass: U_p is the
+    first open that holds p (see the module docstring)."""
+    ups = [0] * n
+    left = (1 << n) - 1
+    for m in opens:
+        new = m & left
+        if new:
+            left ^= new
+            while new:
+                low = new & -new
+                ups[low.bit_length() - 1] = m
+                new ^= low
+            if not left:
+                break
+    return _build(n, opens, ups)
 
 
 def space(n: int, fam: Union[Family, Iterable]) -> TopSpace:

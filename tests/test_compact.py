@@ -41,13 +41,13 @@ class TestCompactness:
     def test_corrupted_min_open_is_not_compact(self, sierpinski, three_point):
         # U_2 = {0,1} is open but omits 2; U_0 = {0} holds 0 but is not open.
         bad_tables = [
-            (three_point, 2, PointSet(0b011, 3)),
-            (sierpinski, 0, PointSet(0b01, 2)),
+            (three_point, 2, 0b011),
+            (sierpinski, 0, 0b01),
         ]
         for s, p, u in bad_tables:
-            table = list(s.min_open)
+            table = list(s.ups)
             table[p] = u
-            bad = dataclasses.replace(s, min_open=tuple(table))
+            bad = dataclasses.replace(s, ups=tuple(table))
             assert not is_compact(bad)
             assert not is_compact_set(bad, PointSet(1 << p, s.n))
             assert not is_locally_compact(bad)

@@ -200,13 +200,14 @@ class TestLocallyConnected:
 
 def _corrupt(s, p, u):
     """s with its minimal open U_p replaced by the mask u."""
-    mins = list(s.min_open)
-    mins[p] = PointSet(u, s.n)
-    return dataclasses.replace(s, min_open=tuple(mins))
+    mins = list(s.ups)
+    mins[p] = u
+    return dataclasses.replace(s, ups=tuple(mins))
 
 
 class TestMinimalOpenWitnesses:
-    """The answers read min_open, so corrupting it must show."""
+    """The answers read the minimal opens ``ups``, so corrupting them must
+    show."""
 
     def test_facts_on_every_small_space(self):
         for n in range(5):

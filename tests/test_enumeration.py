@@ -12,8 +12,8 @@ from fintop import (
     enumerate_topologies,
     indiscrete,
     separation_report,
-    space,
     sweep_theorems,
+    validate_topology,
 )
 from fintop import separation
 from fintop.enumeration import (
@@ -27,7 +27,7 @@ from fintop.enumeration import (
     topologies_naive,
 )
 from fintop.errors import CrossCheckFailure
-from fintop.space import _trusted_space
+from fintop.space import _build, _trusted_space
 
 KNOWN_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355}
 
@@ -54,16 +54,40 @@ class TestGenerators:
                 count_topologies(n)
 
     def test_trusted_build_matches_validation(self):
-        # Every topology with n <= 5 (6942 at n = 5), built from the
-        # generator's opens tuple without validation and through space().
-        for n in range(6):
-            for opens in topologies_minopen(n):
-                trusted = _trusted_space(n, opens)
-                checked = space(n, opens)
-                assert trusted == checked
-                assert hash(trusted) == hash(checked)
-                assert trusted.closeds == checked.closeds
-                assert trusted.min_open == checked.min_open
+        assert _trusted_mismatch(_trusted_space) is None
+
+    def test_last_open_mutant_is_killed(self):
+        assert _trusted_mismatch(_last_open_space) == (2, (0b00, 0b01, 0b10, 0b11))
+
+    def test_first_open_rule_needs_a_topology(self):
+        # {∅, {0,1}, {0,2}, X} passes the m | U_p test with U_p the first
+        # member holding p, yet {0,1} ∩ {0,2} = {0} is not a member.
+        fam = (0b000, 0b011, 0b101, 0b111)
+        firsts = [next(m for m in fam if m >> p & 1) for p in range(3)]
+        assert all(m | u in fam for m in fam for u in firsts)
+        (violation,) = validate_topology(3, fam)
+        assert violation.kind == "NotIntersectionClosed"
+        assert [w.bits for w in violation.witness] == [0b011, 0b101]
+
+
+def _trusted_mismatch(build):
+    """The first topology with n <= 5 (6942 at n = 5) whose space built by
+    `build` from the generator's opens tuple differs from the validated one
+    in equality, hash, ups, closeds or min_open; None if there is none."""
+    for n in range(6):
+        for opens in topologies_minopen(n):
+            views = []
+            for s in (build(n, opens), validate_topology(n, opens)):
+                views.append((s, hash(s), s.ups, s.closeds, s.min_open))
+            if views[0] != views[1]:
+                return n, opens
+    return None
+
+
+def _last_open_space(n, opens):
+    """A faulty trusted build: U_p taken as the last open holding p."""
+    ups = [next(m for m in reversed(opens) if m >> p & 1) for p in range(n)]
+    return _build(n, opens, ups)
 
 
 class TestCanonicalForm:
@@ -144,9 +168,7 @@ class TestPredicates:
             for s in all_spaces(n):
                 if not separation_report(s).t0:
                     continue
-                bad = dataclasses.replace(
-                    s, min_open=(s.min_open[0],) * 2 + s.min_open[2:]
-                )
+                bad = dataclasses.replace(s, ups=(s.ups[0],) * 2 + s.ups[2:])
                 with pytest.raises(CrossCheckFailure, match="^T0:"):
                     separation._literal_cross_check(bad)
                 corrupted += 1

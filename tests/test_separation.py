@@ -162,10 +162,9 @@ class TestSeparationReport:
                         assert len(set(table)) == 1
 
 
-def _with_min_open(n, opens, ups):
+def _with_ups(n, opens, ups):
     """The space of `opens` with its minimal opens replaced by `ups`."""
-    s = space(n, opens)
-    return dataclasses.replace(s, min_open=tuple(PointSet(u, n) for u in ups))
+    return dataclasses.replace(space(n, opens), ups=tuple(ups))
 
 
 # Corrupted minimal opens, each the minimal opens of another space on the
@@ -191,7 +190,7 @@ class TestLiteralCrossCheck:
     @pytest.mark.parametrize("target", MIN_OPEN_MUTANTS)
     def test_min_open_mutant_is_killed(self, target):
         opens, ups, named = MIN_OPEN_MUTANTS[target]
-        bad = _with_min_open(len(ups), opens, ups)
+        bad = _with_ups(len(ups), opens, ups)
         separation_report(bad)  # the preorder criteria do not see it
         with pytest.raises(CrossCheckFailure) as exc:
             separation._literal_cross_check(bad)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import time
 
@@ -329,7 +330,8 @@ class TestOnePointExtension:
 
 
 class TestMaskPrimary:
-    """Validating or trusting a space builds PointSets only for min_open."""
+    """A space stores masks: validating or trusting one builds no PointSet,
+    and its closeds and min_open are views built on first read."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -343,11 +345,25 @@ class TestMaskPrimary:
         monkeypatch.setattr(PointSet, "__post_init__", counting)
         return count
 
-    def test_validation_builds_only_the_minimal_opens(self, built):
+    def test_validation_builds_no_pointset(self, built):
         s = space(12, range(1 << 12))
-        assert built[0] <= 12
         assert len(s.opens) == len(s.closeds) == 1 << 12
+        assert s.ups == tuple(1 << p for p in range(12))
+        assert built[0] == 0
 
-    def test_t0_count_builds_at_most_six_per_labeled_space(self, built):
+    def test_t0_count_builds_no_pointset(self, built):
         assert count_topologies(5, "t0") == 4231
-        assert built[0] <= 6 * 6942
+        assert built[0] == 0
+
+    def test_views_are_cached(self, sierpinski):
+        assert sierpinski.closeds is sierpinski.closeds
+        assert sierpinski.min_open is sierpinski.min_open
+
+    def test_replaced_ups_reach_min_open(self, sierpinski):
+        assert sierpinski.min_open == (PointSet(0b11, 2), PointSet(0b10, 2))
+        bad = dataclasses.replace(sierpinski, ups=(0b01, 0b10))
+        assert bad == sierpinski and hash(bad) == hash(sierpinski)
+        assert bad.min_open == (PointSet(0b01, 2), PointSet(0b10, 2))
+        assert minimal_open(bad, 0).points() == (0,)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(sierpinski, _min_open=())

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import compact as compact_mod
@@ -44,8 +45,10 @@ EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_USAGE = 64
 
-#: Which library operations each subcommand exercises (directly or through
-#: a documented call chain); tests assert this covers the public API.
+#: Which library operations each subcommand calls, directly or through the
+#: library; tests trace every subcommand's argvs to check each entry.
+#: ``family_intersection`` and ``subsets_iter`` are not listed: no
+#: subcommand computes them.
 COVERAGE = {
     "validate": ("validate_topology", "compare", "is_finer", "parse_space", "emit_space"),
     "ops": (
@@ -66,7 +69,6 @@ COVERAGE = {
     ),
     "check": (
         "separation_report",
-        "classify_pair",
         "is_connected",
         "is_connected_set",
         "is_compact",
@@ -78,7 +80,6 @@ COVERAGE = {
         "is_locally_compact",
         "t1_minimum",
         "meet_topologies",
-        "family_intersection",
     ),
     "generate": (
         "check_base_conditions",
@@ -98,7 +99,7 @@ COVERAGE = {
     "product": ("product",),
     "quotient": ("quotient",),
     "alexandroff": ("alexandroff", "one_point_extension"),
-    "components": ("components", "component_partition", "mcp", "connected_set_masks"),
+    "components": ("components", "component_partition", "mcp"),
     "homeo": (
         "find_homeomorphism",
         "homeomorphic",
@@ -107,24 +108,26 @@ COVERAGE = {
         "restrict",
         "limits_at",
         "embeddings_equivalent",
-        "parse_map",
         "emit_map",
     ),
     "cover": (
         "classify_cover",
-        "relative_opens",
         "is_subcover",
         "is_refinement",
         "verify_pasting",
         "minimal_subcover",
         "family_union",
+        "parse_map",
     ),
-    "enumerate": (
-        "enumerate_topologies",
-        "count_topologies",
-        "subsets_iter",
+    "enumerate": ("enumerate_topologies", "count_topologies"),
+    "sweep": (
+        "sweep_theorems",
+        "hausdorff_compact_checks",
+        "is_locally_connected_at",
+        "classify_pair",
+        "connected_set_masks",
+        "relative_opens",
     ),
-    "sweep": ("sweep_theorems", "hausdorff_compact_checks", "is_locally_connected_at"),
 }
 
 
@@ -168,12 +171,23 @@ def _pl(A: PointSet) -> list[int]:
     return list(A.points())
 
 
-def _space_obj(s: TopSpace) -> dict:
-    return docio.SpaceDocument.of(s).to_obj()
-
-
 def _load_space(path: str) -> TopSpace:
     return docio.parse_space(_read(path))
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+#: The ``ops`` flags that map --set through one operator, by reply key.
+_SET_OPS = {
+    "interior": operators_mod.interior,
+    "closure": operators_mod.closure,
+    "exterior": operators_mod.exterior,
+    "frontier": operators_mod.boundary,
+    "limit_set": operators_mod.limit_set,
+    "isolated_set": operators_mod.isolated_set,
+}
 
 
 @functools.cache
@@ -193,8 +207,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--set", default=None, help="comma list of points (empty = empty set)")
     p.add_argument("--set2", default=None, help="second set for pair operations")
     p.add_argument("--point", type=int, default=None)
-    for flag in ("interior", "closure", "exterior", "frontier", "limit-set", "isolated-set"):
-        p.add_argument(f"--{flag}", action="store_true")
+    for name in _SET_OPS:
+        p.add_argument(_flag(name), action="store_true")
     p.add_argument("--density", action="store_true", help="density report for --set")
     p.add_argument("--roles", action="store_true", help="roles of --point in --set")
     p.add_argument("--relation", action="store_true", help="pair relation of --set and --set2")
@@ -206,22 +220,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="separation / connectivity / compactness predicates")
     p.add_argument("file")
-    for flag in (
-        "t0",
-        "t1",
-        "t2",
-        "t3",
-        "t4",
-        "regular",
-        "normal",
-        "connected",
-        "compact",
-        "metrizable",
-        "locally-connected",
-        "totally-disconnected",
-        "locally-compact",
-    ):
-        p.add_argument(f"--{flag}", action="store_true")
+    for name in enum_mod.PREDICATES:
+        p.add_argument(_flag(name), action="store_true")
     p.add_argument("--full", action="store_true", help="full separation + compactness reports")
     p.add_argument(
         "--t1-minimum",
@@ -302,7 +302,7 @@ def _cmd_validate(args):
             for v in exc.violations
         ]
         return {"valid": False, "violations": violations}, EXIT_FALSE
-    out = {"valid": True, "canonical": _space_obj(result)}
+    out = {"valid": True, "canonical": docio.space_obj(result)}
     if args.compare:
         other = _load_space(args.compare)
         out["comparison"] = compare(result, other)
@@ -314,12 +314,7 @@ def _cmd_ops(args):
     s = _load_space(args.file)
     out = {}
     need_set = (
-        args.interior
-        or args.closure
-        or args.exterior
-        or args.frontier
-        or args.limit_set
-        or args.isolated_set
+        any(getattr(args, name) for name in _SET_OPS)
         or args.density
         or args.roles
         or args.relation
@@ -330,38 +325,15 @@ def _cmd_ops(args):
         raise _UsageError("--set is required for this operation")
     A = _pset(s.n, _points_arg(args.set)) if args.set is not None else None
     B = _pset(s.n, _points_arg(args.set2)) if args.set2 is not None else None
-    if args.interior:
-        out["interior"] = _pl(operators_mod.interior(s, A))
-    if args.closure:
-        out["closure"] = _pl(operators_mod.closure(s, A))
-    if args.exterior:
-        out["exterior"] = _pl(operators_mod.exterior(s, A))
-    if args.frontier:
-        out["frontier"] = _pl(operators_mod.boundary(s, A))
-    if args.limit_set:
-        out["limit_set"] = _pl(operators_mod.limit_set(s, A))
-    if args.isolated_set:
-        out["isolated_set"] = _pl(operators_mod.isolated_set(s, A))
+    for name, op in _SET_OPS.items():
+        if getattr(args, name):
+            out[name] = _pl(op(s, A))
     if args.density:
-        rep = operators_mod.density_report(s, A)
-        out["density"] = {
-            "dense": rep.dense,
-            "nowhere_dense": rep.nowhere_dense,
-            "dense_in_itself": rep.dense_in_itself,
-            "perfect": rep.perfect,
-        }
+        out["density"] = asdict(operators_mod.density_report(s, A))
     if args.roles:
         if args.point is None:
             raise _UsageError("--roles requires --point")
-        r = operators_mod.point_roles(s, A, args.point)
-        out["roles"] = {
-            "interior": r.interior,
-            "exterior": r.exterior,
-            "boundary": r.boundary,
-            "adherent": r.adherent,
-            "limit": r.limit,
-            "isolated": r.isolated,
-        }
+        out["roles"] = asdict(operators_mod.point_roles(s, A, args.point))
     if args.relation:
         if B is None:
             raise _UsageError("--relation requires --set2")
@@ -386,37 +358,23 @@ def _cmd_ops(args):
     return out, EXIT_TRUE
 
 
-_SEPARATION_FLAGS = ("t0", "t1", "t2", "t3", "t4", "regular", "normal")
-
-
 def _cmd_check(args):
+    """Separation flags are read from one ``separation_report``, so its
+    ladder check runs; every other flag calls its predicate."""
     s = _load_space(args.file)
-    wanted = [name for name in _SEPARATION_FLAGS if getattr(args, name)]
+    wanted = [name for name in enum_mod.PREDICATES if getattr(args, name)]
     sep = {}
-    if wanted or args.full:
-        rep = separation_mod.separation_report(s)
-        sep = {name: getattr(rep, name) for name in _SEPARATION_FLAGS}
-    out = {name: sep[name] for name in wanted}
-    preds = {
-        "connected": connect_mod.is_connected,
-        "compact": compact_mod.is_compact,
-        "metrizable": construct_mod.is_metrizable,
-        "locally_connected": connect_mod.is_locally_connected,
-        "totally_disconnected": connect_mod.is_totally_disconnected,
-        "locally_compact": compact_mod.is_locally_compact,
+    if args.full or any(name in separation_mod.SeparationReport.__slots__ for name in wanted):
+        sep = asdict(separation_mod.separation_report(s))
+    out = {
+        name: sep[name] if name in sep else enum_mod.PREDICATES[name](s)
+        for name in wanted
     }
-    for name, pred in preds.items():
-        if getattr(args, name):
-            out[name] = pred(s)
     if args.full:
-        crep = compact_mod.compactness_report(s)
         out["separation"] = sep
-        out["compactness"] = {
-            "compact": crep.compact,
-            "locally_compact": crep.locally_compact,
-        }
+        out["compactness"] = asdict(compact_mod.compactness_report(s))
     if args.t1_minimum:
-        out["t1_minimum"] = _space_obj(separation_mod.t1_minimum(s.n))
+        out["t1_minimum"] = docio.space_obj(separation_mod.t1_minimum(s.n))
     if not out:
         raise _UsageError("no predicate flag given")
     flags = [v for v in out.values() if isinstance(v, bool)]
@@ -425,21 +383,18 @@ def _cmd_check(args):
 
 def _cmd_generate(args):
     if args.discrete is not None:
-        return {"space": _space_obj(discrete(args.discrete))}, EXIT_TRUE
+        return {"space": docio.space_obj(discrete(args.discrete))}, EXIT_TRUE
     if args.indiscrete is not None:
-        return {"space": _space_obj(indiscrete(args.indiscrete))}, EXIT_TRUE
+        return {"space": docio.space_obj(indiscrete(args.indiscrete))}, EXIT_TRUE
     if args.metric:
         rows = docio.parse_metric(_read(args.metric))
         s = construct_mod.metric_topology(construct_mod.MetricTable.of(rows))
-        return {"space": _space_obj(s)}, EXIT_TRUE
+        return {"space": docio.space_obj(s)}, EXIT_TRUE
     n, fam = docio.parse_family(_read(args.base or args.subbase))
+    out = {"family": docio.family_obj(fam)}
     if args.subbase:
-        s = construct_mod.topology_from_subbase(n, fam)
-        return {
-            "family": json.loads(docio.emit_family(fam)),
-            "space": _space_obj(s),
-        }, EXIT_TRUE
-    out = {"family": json.loads(docio.emit_family(fam))}
+        out["space"] = docio.space_obj(construct_mod.topology_from_subbase(n, fam))
+        return out, EXIT_TRUE
     if args.is_base_for:
         target = _load_space(args.is_base_for)
         out["is_base"] = construct_mod.is_base_for(target, fam)
@@ -449,8 +404,7 @@ def _cmd_generate(args):
         if n2 != n:
             raise docio.DocumentError("bases must share a carrier size")
         out["comparison"] = construct_mod.base_generates_same(n, fam, fam2)
-    s = construct_mod.topology_from_base(n, fam)
-    out["space"] = _space_obj(s)
+    out["space"] = docio.space_obj(construct_mod.topology_from_base(n, fam))
     return out, EXIT_TRUE
 
 
@@ -458,7 +412,7 @@ def _cmd_subspace(args):
     s = _load_space(args.file)
     Y = _pset(s.n, _points_arg(args.points))
     sub, inclusion = construct_mod.subspace(s, Y)
-    return {"space": _space_obj(sub), "inclusion": list(inclusion.table)}, EXIT_TRUE
+    return {"space": docio.space_obj(sub), "inclusion": list(inclusion.table)}, EXIT_TRUE
 
 
 def _cmd_product(args):
@@ -466,7 +420,7 @@ def _cmd_product(args):
     s2 = _load_space(args.file2)
     prod, enc = construct_mod.product(s1, s2)
     return {
-        "space": _space_obj(prod),
+        "space": docio.space_obj(prod),
         "projection1": list(enc.projection1().table),
         "projection2": list(enc.projection2().table),
     }, EXIT_TRUE
@@ -476,7 +430,7 @@ def _cmd_quotient(args):
     s = _load_space(args.file)
     P = Partition.of(s.n, _blocks_arg(args.blocks))
     quot, projection = construct_mod.quotient(s, P)
-    return {"space": _space_obj(quot), "projection": list(projection.table)}, EXIT_TRUE
+    return {"space": docio.space_obj(quot), "projection": list(projection.table)}, EXIT_TRUE
 
 
 def _cmd_alexandroff(args):
@@ -484,7 +438,7 @@ def _cmd_alexandroff(args):
     ext = (
         one_point_extension(s) if args.simple else construct_mod.alexandroff(s)
     )
-    return {"space": _space_obj(ext)}, EXIT_TRUE
+    return {"space": docio.space_obj(ext)}, EXIT_TRUE
 
 
 def _cmd_components(args):
@@ -513,21 +467,12 @@ def _cmd_homeo(args):
             return {"homeomorphic": False}, EXIT_FALSE
         return {"homeomorphic": True, "witness": list(witness.table)}, EXIT_TRUE
     f = _parse_table(args.map_, s1.n, s2.n)
-    rep = maps_mod.check_map(f, s1, s2)
-    out = {
-        "map": json.loads(docio.emit_map(s1, s2, f)),
-        "continuous_at": [
-            p for p in range(s1.n) if maps_mod.is_continuous_at(f, s1, s2, p)
-        ],
-        "continuous": rep.continuous,
-        "open_map": rep.open_map,
-        "closed_map": rep.closed_map,
-        "injective": rep.injective,
-        "surjective": rep.surjective,
-        "homeomorphism": rep.homeomorphism,
-        "embedding": rep.embedding,
-    }
-    code = EXIT_TRUE if rep.continuous else EXIT_FALSE
+    out = asdict(maps_mod.check_map(f, s1, s2))
+    out["map"] = docio.map_obj(s1, s2, f)
+    out["continuous_at"] = [
+        p for p in range(s1.n) if maps_mod.is_continuous_at(f, s1, s2, p)
+    ]
+    code = EXIT_TRUE if out["continuous"] else EXIT_FALSE
     if args.map2 is not None:
         g = _parse_table(args.map2, s1.n, s2.n)
         out["embeddings_equivalent"] = maps_mod.embeddings_equivalent(s1, s2, f, g)
@@ -547,14 +492,7 @@ def _cmd_cover(args):
     target = (
         _pset(s.n, _points_arg(args.target)) if args.target is not None else None
     )
-    rep = covers_mod.classify_cover(s, C, target)
-    out = {
-        "is_cover": rep.is_cover,
-        "open_cover": rep.open_cover,
-        "closed_cover": rep.closed_cover,
-        "locally_finite": rep.locally_finite,
-        "fundamental": rep.fundamental,
-    }
+    out = asdict(covers_mod.classify_cover(s, C, target))
     if args.minimal:
         sub = covers_mod.minimal_subcover(s, C, target)
         out["minimal_subcover"] = [_pl(m) for m in sub]
@@ -580,7 +518,7 @@ def _cmd_enumerate(args):
         return {"count": enum_mod.count_topologies(args.n, args.predicate)}, EXIT_TRUE
     if args.count:
         return {"count": sum(1 for _ in enum_mod.enumerate_topologies(cfg))}, EXIT_TRUE
-    spaces = [_space_obj(s) for s in enum_mod.enumerate_topologies(cfg)]
+    spaces = [docio.space_obj(s) for s in enum_mod.enumerate_topologies(cfg)]
     return {"count": len(spaces), "spaces": spaces}, EXIT_TRUE
 
 

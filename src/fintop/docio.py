@@ -8,7 +8,6 @@ byte-identical and round-trips are exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .carrier import Family, check_carrier, mask_points
@@ -61,23 +60,6 @@ def _parse_n(obj: dict) -> int:
     return n
 
 
-@dataclass(frozen=True, slots=True)
-class SpaceDocument:
-    n: int
-    opens: tuple[tuple[int, ...], ...]
-    name: Optional[str] = None
-
-    @classmethod
-    def of(cls, s: TopSpace, name: Optional[str] = None) -> "SpaceDocument":
-        return cls(s.n, tuple(tuple(mask_points(m)) for m in s.opens.masks), name)
-
-    def to_obj(self) -> dict:
-        obj = {"n": self.n, "opens": [list(o) for o in self.opens]}
-        if self.name is not None:
-            obj["name"] = self.name
-        return obj
-
-
 def parse_space(text: Union[str, dict]) -> TopSpace:
     """Parse and validate a space document.
 
@@ -99,22 +81,16 @@ def parse_space(text: Union[str, dict]) -> TopSpace:
     return result
 
 
+def space_obj(s: TopSpace, name: Optional[str] = None) -> dict:
+    """The space document as a JSON object: {"n", "opens"[, "name"]}."""
+    obj = {"n": s.n, "opens": [mask_points(m) for m in s.opens.masks]}
+    if name is not None:
+        obj["name"] = name
+    return obj
+
+
 def emit_space(s: TopSpace, name: Optional[str] = None) -> str:
-    return canonical_json(SpaceDocument.of(s, name).to_obj())
-
-
-@dataclass(frozen=True, slots=True)
-class MapDocument:
-    dom: SpaceDocument
-    cod: SpaceDocument
-    table: tuple[int, ...]
-
-    def to_obj(self) -> dict:
-        return {
-            "dom": self.dom.to_obj(),
-            "cod": self.cod.to_obj(),
-            "table": list(self.table),
-        }
+    return canonical_json(space_obj(s, name))
 
 
 def parse_map(text: Union[str, dict]) -> tuple[TopSpace, TopSpace, FiniteMap]:
@@ -131,9 +107,13 @@ def parse_map(text: Union[str, dict]) -> tuple[TopSpace, TopSpace, FiniteMap]:
     return dom, cod, FiniteMap(dom.n, cod.n, tuple(raw))
 
 
+def map_obj(s1: TopSpace, s2: TopSpace, f: FiniteMap) -> dict:
+    """The map document as a JSON object: {"dom", "cod", "table"}."""
+    return {"dom": space_obj(s1), "cod": space_obj(s2), "table": list(f.table)}
+
+
 def emit_map(s1: TopSpace, s2: TopSpace, f: FiniteMap) -> str:
-    doc = MapDocument(SpaceDocument.of(s1), SpaceDocument.of(s2), f.table)
-    return canonical_json(doc.to_obj())
+    return canonical_json(map_obj(s1, s2, f))
 
 
 def parse_family(text: Union[str, dict]) -> tuple[int, Family]:
@@ -148,13 +128,13 @@ def parse_family(text: Union[str, dict]) -> tuple[int, Family]:
     return n, Family.of(n, masks)
 
 
+def family_obj(fam: Family) -> dict:
+    """The family document as a JSON object: {"n", "members"}."""
+    return {"n": fam.n, "members": [mask_points(m) for m in fam.masks]}
+
+
 def emit_family(fam: Family) -> str:
-    return canonical_json(
-        {
-            "members": [mask_points(m) for m in fam.masks],
-            "n": fam.n,
-        }
-    )
+    return canonical_json(family_obj(fam))
 
 
 def parse_metric(text: Union[str, dict]) -> list[list[int]]:

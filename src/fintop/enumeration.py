@@ -169,6 +169,8 @@ def _is_canonical(n: int, opens: tuple[int, ...]) -> bool:
     return True
 
 
+#: The named predicates: ``enumerate --predicate`` and the ``check`` flags,
+#: which ``fintop check -h`` lists in this order.
 PREDICATES: dict[str, Callable[[TopSpace], bool]] = {
     "t0": separation_mod.is_t0,
     "t1": separation_mod.is_t1,
@@ -178,11 +180,11 @@ PREDICATES: dict[str, Callable[[TopSpace], bool]] = {
     "regular": separation_mod.is_regular,
     "normal": separation_mod.is_normal,
     "connected": connect_mod.is_connected,
-    "totally_disconnected": connect_mod.is_totally_disconnected,
-    "locally_connected": connect_mod.is_locally_connected,
     "compact": compact_mod.is_compact,
-    "locally_compact": compact_mod.is_locally_compact,
     "metrizable": construct_mod.is_metrizable,
+    "locally_connected": connect_mod.is_locally_connected,
+    "totally_disconnected": connect_mod.is_totally_disconnected,
+    "locally_compact": compact_mod.is_locally_compact,
 }
 
 

@@ -9,7 +9,7 @@ call them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .carrier import PointSet, same_carrier
 from .errors import NotALimitPoint
@@ -221,21 +221,20 @@ def _point_signature(s: TopSpace, p: int) -> tuple[int, int]:
     return (s.ups[p].bit_count(), member_count)
 
 
-def find_homeomorphism(s1: TopSpace, s2: TopSpace) -> Optional[FiniteMap]:
-    """Search for a homeomorphism; returns the lexicographically least
-    witness table, or None.
+def _homeomorphisms(s1: TopSpace, s2: TopSpace) -> Iterator[tuple[int, ...]]:
+    """Every homeomorphism table from s1 onto s2, in lexicographic order.
 
     Candidate bijections are pruned by cheap invariants first (open-set
     count, per-point minimal-open/membership signatures), then built by
     backtracking with partial minimal-open consistency.
     """
     if s1.n != s2.n or len(s1.opens) != len(s2.opens):
-        return None
+        return
     n = s1.n
     sig1 = [_point_signature(s1, p) for p in range(n)]
     sig2 = [_point_signature(s2, p) for p in range(n)]
     if sorted(sig1) != sorted(sig2):
-        return None
+        return
     opens2 = s2.opens.mask_set
     assignment: list[int] = []
     used = [False] * n
@@ -253,29 +252,33 @@ def find_homeomorphism(s1: TopSpace, s2: TopSpace) -> Optional[FiniteMap]:
                 return False
         return True
 
-    def transported_ok(table) -> bool:
-        return {image_bits(table, u) for u in s1.opens.masks} == opens2
-
-    def search(p: int) -> Optional[tuple[int, ...]]:
+    q = 0  # the next candidate image of point len(assignment)
+    while True:
+        p = len(assignment)
         if p == n:
             table = tuple(assignment)
-            return table if transported_ok(table) else None
-        for q in range(n):
-            if used[q] or not consistent(p, q):
+            if {image_bits(table, u) for u in s1.opens.masks} == opens2:
+                yield table
+        else:
+            while q < n and (used[q] or not consistent(p, q)):
+                q += 1
+            if q < n:
+                used[q] = True
+                assignment.append(q)
+                q = 0
                 continue
-            used[q] = True
-            assignment.append(q)
-            found = search(p + 1)
-            assignment.pop()
-            used[q] = False
-            if found is not None:
-                return found
-        return None
+        if not assignment:
+            return
+        q = assignment.pop()
+        used[q] = False
+        q += 1
 
-    table = search(0)
-    if table is None:
-        return None
-    return FiniteMap(n, n, table)
+
+def find_homeomorphism(s1: TopSpace, s2: TopSpace) -> Optional[FiniteMap]:
+    """Search for a homeomorphism; returns the lexicographically least
+    witness table, or None."""
+    table = next(_homeomorphisms(s1, s2), None)
+    return None if table is None else FiniteMap(s1.n, s1.n, table)
 
 
 def homeomorphic(s1: TopSpace, s2: TopSpace) -> bool:
@@ -286,27 +289,15 @@ def embeddings_equivalent(
     s1: TopSpace, s2: TopSpace, e1: FiniteMap, e2: FiniteMap
 ) -> bool:
     """True iff self-homeomorphisms h1 of the domain and h2 of the codomain
-    exist with e1 . h1 = h2 . e2."""
-    import itertools
+    exist with e1 . h1 = h2 . e2.
 
+    Both automorphism groups come from the homeomorphism search, and the
+    tables h2 . e2 are hashed once, so the cost grows with |Aut(s1)| +
+    |Aut(s2)|: n! on a discrete space, one on a rigid one such as a chain.
+    """
     _check_compat(e1, s1, s2)
     _check_compat(e2, s1, s2)
-    opens1 = s1.opens.mask_set
-    opens2 = s2.opens.mask_set
-    autos1 = [
-        perm
-        for perm in itertools.permutations(range(s1.n))
-        if {image_bits(perm, u) for u in opens1} == opens1
-    ]
-    autos2 = [
-        perm
-        for perm in itertools.permutations(range(s2.n))
-        if {image_bits(perm, u) for u in opens2} == opens2
-    ]
-    for h1 in autos1:
-        lhs = tuple(e1.table[h1[p]] for p in range(s1.n))
-        for h2 in autos2:
-            rhs = tuple(h2[e2.table[p]] for p in range(s1.n))
-            if lhs == rhs:
-                return True
-    return False
+    rhs = {tuple(h2[v] for v in e2.table) for h2 in _homeomorphisms(s2, s2)}
+    return any(
+        tuple(e1.table[v] for v in h1) in rhs for h1 in _homeomorphisms(s1, s1)
+    )

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
-from .carrier import PointSet
+from .carrier import PointSet, mask_points
 from .errors import CarrierTooLarge, CrossCheckFailure
 from .operators import closure
 from .space import TopSpace, meet_topologies
@@ -88,9 +88,8 @@ def _downs(ups: tuple[int, ...]) -> list[int]:
     """cl{p} for every point p: the mask of the q with p ∈ U_q."""
     downs = [0] * len(ups)
     for q, u in enumerate(ups):
-        for p in range(len(ups)):
-            if u >> p & 1:
-                downs[p] |= 1 << q
+        for p in mask_points(u):
+            downs[p] |= 1 << q
     return downs
 
 

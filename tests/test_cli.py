@@ -1,9 +1,13 @@
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import os
+import sys
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -233,6 +237,17 @@ class TestMoreSubcommands:
         out, code = run(capsys, ["check", "sierp.json", "--connected", "--compact"])
         assert json.loads(out) == {"compact": True, "connected": True}
         assert code == 0
+
+    def test_separation_flags_go_through_the_report(self, docs, capsys, monkeypatch):
+        # Each separation flag is read from separation_report, whose ladder
+        # check can fail the request.
+        def broken_ladder(s):
+            raise fintop.CrossCheckFailure("separation ladder T2 => T1 => T0 broken")
+
+        monkeypatch.setattr(cli_module.separation_mod, "separation_report", broken_ladder)
+        for flag in fintop.SeparationReport.__slots__:
+            out, code = run(capsys, ["check", "sierp.json", f"--{flag}"])
+            assert code == 2 and json.loads(out)["error"].startswith("CrossCheckFailure:")
 
     def test_generate_variants(self, docs, capsys):
         out, code = run(capsys, ["generate", "--discrete", "2"])
@@ -472,14 +487,91 @@ def test_check_full_budget(docs, capsys):
     assert code == 0
 
 
+# `cli_golden.json` holds the documents its argvs name ("files") and, per
+# argv, the stdout and exit code the CLI gave when its replies were still
+# copied field by field from the library's reports ("cases").
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.fixture
+def golden_docs(tmp_path, monkeypatch):
+    for name, text in GOLDEN["files"].items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+
+
+def _subcommand(argv):
+    return next((arg for arg in argv if arg != "--pretty"), None)
+
+
+def test_golden_corpus(golden_docs):
+    """Every subcommand and flag, usage and input errors included: stdout
+    and exit code byte for byte."""
+    mismatches = []
+    for case in GOLDEN["cases"]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_dispatch(case["argv"])
+        if (out.getvalue(), code) != (case["stdout"], case["code"]):
+            mismatches.append((case["argv"], out.getvalue(), code))
+    assert not mismatches
+    assert {_subcommand(case["argv"]) for case in GOLDEN["cases"]} >= set(COVERAGE)
+
+
+# Operations that no subcommand computes.
+UNREACHED = {
+    "family_intersection": "the CLI builds no intersection of a family",
+    "subsets_iter": "no subcommand lists the subsets of a carrier",
+}
+# Operations whose work the CLI reaches through another function.
+CALLED_AS = {
+    "emit_space": "docio.space_obj",
+    "emit_map": "docio.map_obj",
+    "emit_family": "docio.family_obj",
+    "homeomorphic": "maps.find_homeomorphism",
+}
+
+
+def _code(name):
+    module, _, attr = name.rpartition(".")
+    owner = importlib.import_module(f"fintop.{module}") if module else fintop
+    return inspect.unwrap(getattr(owner, attr)).__code__
+
+
 class TestCoverage:
-    def test_every_operation_reachable(self):
+    def test_every_operation_listed(self):
         covered = {name for names in COVERAGE.values() for name in names}
         operations = set(fintop.OPERATIONS) - {"cli_dispatch"}
-        missing = operations - covered
+        assert covered.isdisjoint(UNREACHED)
+        missing = operations - covered - set(UNREACHED)
         assert not missing, f"operations without a subcommand: {sorted(missing)}"
         for name in covered:
             assert hasattr(fintop, name), name
+
+    def test_every_operation_reachable(self, golden_docs):
+        # Trace the golden argvs of each subcommand; each operation that
+        # COVERAGE lists under it must run.
+        called = {command: set() for command in COVERAGE}
+        for case in GOLDEN["cases"]:
+            seen = called.get(_subcommand(case["argv"]), set())
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    seen.add(frame.f_code)
+
+            sys.setprofile(profile)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    cli_dispatch(case["argv"])
+            finally:
+                sys.setprofile(None)
+        missed = [
+            (command, name)
+            for command, names in COVERAGE.items()
+            for name in names
+            if _code(CALLED_AS.get(name, name)) not in called[command]
+        ]
+        assert not missed
 
 
 # Arbitrary JSON values, plus space-shaped objects whose "n" and point lists

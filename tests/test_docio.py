@@ -147,3 +147,19 @@ class TestCanonicalOutput:
     def test_emit_is_deterministic(self, sierpinski):
         assert emit_space(sierpinski) == emit_space(sierpinski)
         assert emit_space(sierpinski) == '{"n":2,"opens":[[],[1],[0,1]]}'
+
+    def test_objects_are_the_emitted_documents(self, sierpinski):
+        # The parsers take the objects as they are; emitting is
+        # canonical_json of the same object.
+        f = FiniteMap.of(2, 2, (1, 1))
+        _, fam = parse_family('{"n":3,"members":[[1,0],[2]]}')
+        space_obj = docio.space_obj(sierpinski, "s")
+        map_obj = docio.map_obj(sierpinski, discrete(2), f)
+        family_obj = docio.family_obj(fam)
+        assert space_obj == {"n": 2, "opens": [[], [1], [0, 1]], "name": "s"}
+        assert parse_space(space_obj) == sierpinski
+        assert parse_map(map_obj) == (sierpinski, discrete(2), f)
+        assert parse_family(family_obj) == (3, fam)
+        assert emit_space(sierpinski, "s") == docio.canonical_json(space_obj)
+        assert emit_map(sierpinski, discrete(2), f) == docio.canonical_json(map_obj)
+        assert emit_family(fam) == docio.canonical_json(family_obj)

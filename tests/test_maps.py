@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -209,6 +210,34 @@ class TestFindHomeomorphism:
             for s2 in spaces:
                 assert homeomorphic(s1, s2) == homeomorphic(s2, s1)
 
+    def test_witness_is_least_transporting_permutation(self):
+        # Reference: the first permutation, in lexicographic order, that
+        # carries the opens of s1 onto those of s2.
+        spaces = [s for n in range(4) for s in all_spaces(n)]
+        for s1 in spaces:
+            for s2 in spaces:
+                want = None
+                if s1.n == s2.n:
+                    want = next(
+                        (
+                            perm
+                            for perm in itertools.permutations(range(s1.n))
+                            if _transports(perm, s1, s2)
+                        ),
+                        None,
+                    )
+                w = find_homeomorphism(s1, s2)
+                assert (w and w.table) == want, (s1, s2)
+
+
+def _transports(perm, s1, s2):
+    return {image_bits(perm, u) for u in s1.opens.masks} == s2.opens.mask_set
+
+
+def _automorphisms_by_filter(s):
+    """Every permutation of the carrier that fixes the opens."""
+    return [p for p in itertools.permutations(range(s.n)) if _transports(p, s, s)]
+
 
 class TestCompositionLaws:
     def test_composition(self):
@@ -256,6 +285,39 @@ class TestEmbeddings:
         assert embeddings_equivalent(one, sierpinski, e0, e0)
         assert not embeddings_equivalent(one, sierpinski, e0, e1)
         assert embeddings_equivalent(one, discrete(2), e0, e1)
+
+    def test_embeddings_equivalent_matches_filter(self):
+        # Reference: both automorphism groups filtered from all n!
+        # permutations, and every pair (h1, h2) tried.
+        spaces = [s for n in range(4) for s in all_spaces(n)]
+        for s1 in spaces:
+            autos1 = _automorphisms_by_filter(s1)
+            for s2 in spaces:
+                if s1.n > s2.n:
+                    continue
+                autos2 = _automorphisms_by_filter(s2)
+                tables = [
+                    FiniteMap.of(s1.n, s2.n, t)
+                    for t in itertools.permutations(range(s2.n), s1.n)
+                ]
+                for e1 in tables:
+                    for e2 in tables:
+                        want = any(
+                            tuple(e1.table[v] for v in h1) == tuple(h2[v] for v in e2.table)
+                            for h1 in autos1
+                            for h2 in autos2
+                        )
+                        assert embeddings_equivalent(s1, s2, e1, e2) == want
+
+    def test_chain_embeddings_budget(self):
+        # A chain has one automorphism: no search over the 12! permutations.
+        chain = space(12, [(1 << k) - 1 for k in range(13)])
+        identity = FiniteMap.identity(12)
+        swap = FiniteMap.of(12, 12, (1, 0, *range(2, 12)))
+        start = time.perf_counter()
+        assert embeddings_equivalent(chain, chain, identity, identity)
+        assert not embeddings_equivalent(chain, chain, identity, swap)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDenseImage:

@@ -90,7 +90,6 @@ COVERAGE = {
         "metric_topology",
         "discrete",
         "indiscrete",
-        "space",
         "parse_family",
         "parse_metric",
         "emit_family",
@@ -127,6 +126,7 @@ COVERAGE = {
         "classify_pair",
         "connected_set_masks",
         "relative_opens",
+        "space",
     ),
 }
 
@@ -552,6 +552,8 @@ def cli_dispatch(argv) -> int:
         if args.command is None:
             raise _UsageError("a subcommand is required")
         out, code = _HANDLERS[args.command](args)
+    except SystemExit as exc:  # -h/--help: argparse printed the help
+        return exc.code
     except _UsageError as exc:
         print(docio.canonical_json({"usage_error": str(exc)}))
         return EXIT_USAGE

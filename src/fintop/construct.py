@@ -18,12 +18,15 @@ of the generator's members holding p:
 - *Product.*  The rectangles U × V of opens are a base, and the least one
   holding (i, j) is U_i × U_j, the meet of the preimages of U_i and U_j
   under the two projections.
+
+Every constructor's family is a topology by the proof in its docstring, so
+it is built without validation, which is kept for families from outside.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .carrier import (
     Family,
@@ -41,7 +44,7 @@ from .errors import (
     SubbaseDoesNotCover,
 )
 from .maps import FiniteMap, image_bits, preimage_bits
-from .space import MAX_OPENS_LOG2, TopSpace, _point_meets, space
+from .space import MAX_OPENS_LOG2, TopSpace, _build, _point_meets, _trusted_space
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,21 +85,22 @@ def check_base_conditions(n: int, B: Family) -> Optional[BaseProblem]:
     return None
 
 
-def _unions(n: int, mins: Iterable[int]) -> TopSpace:
-    """The space whose opens are the unions of subfamilies of ``mins``,
-    the minimal opens of a generated topology: O(n·|opens|).
+def _unions(n: int, ups: Sequence[int]) -> TopSpace:
+    """The space whose opens are the unions of subfamilies of ``ups``,
+    ``ups[p]`` being U_p of a generated topology (see the module
+    docstring): O(n·|opens|).
 
     Raises :class:`CarrierTooLarge` as soon as more than 2**MAX_OPENS_LOG2
     opens are found, the bound ``discrete`` keeps.
     """
     opens = {0}
-    for u in set(mins):
+    for u in set(ups):
         opens.update([m | u for m in opens])
         if len(opens) > 1 << MAX_OPENS_LOG2:
             raise CarrierTooLarge(
                 f"generated topology on {n} points has over 2**{MAX_OPENS_LOG2} opens"
             )
-    return space(n, opens)
+    return _build(n, sorted(opens), ups)
 
 
 def topology_from_base(n: int, B: Family) -> TopSpace:
@@ -176,11 +180,15 @@ def topology_from_subbase(n: int, S: Family) -> TopSpace:
 def subspace(s: TopSpace, Y: PointSet) -> tuple[TopSpace, FiniteMap]:
     """The induced topology on Y, with points re-indexed 0..|Y|-1 in
     ascending original order: the preimages of the opens under the
-    inclusion map, which is also returned."""
+    inclusion map, which is also returned.
+
+    Preimages preserve unions and intersections, so they form a topology,
+    and the least one holding p is the trace U_p ∩ Y."""
     same_carrier(s.n, Y.n)
     points = Y.points()
-    sub = space(len(points), {preimage_bits(points, m) for m in s.opens.masks})
-    return sub, FiniteMap(len(points), s.n, points)
+    opens = sorted({preimage_bits(points, m) for m in s.opens.masks})
+    ups = [preimage_bits(points, s.ups[p]) for p in points]
+    return _build(len(points), opens, ups), FiniteMap(len(points), s.n, points)
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,8 +224,8 @@ def product(s1: TopSpace, s2: TopSpace) -> tuple[TopSpace, PairEncoding]:
     enc = PairEncoding(s1.n, s2.n)
     proj1, proj2 = enc.projection1().table, enc.projection2().table
     pre2 = [preimage_bits(proj2, v) for v in s2.ups]
-    mins = (preimage_bits(proj1, u) & v for u in s1.ups for v in pre2)
-    return _unions(n, mins), enc
+    ups = [preimage_bits(proj1, u) & v for u in s1.ups for v in pre2]
+    return _unions(n, ups), enc
 
 
 def quotient(s: TopSpace, P: Partition) -> tuple[TopSpace, FiniteMap]:
@@ -228,6 +236,7 @@ def quotient(s: TopSpace, P: Partition) -> tuple[TopSpace, FiniteMap]:
     Such a set is the image of its preimage, an open that is a union of
     blocks; so the quotient opens are the images of the opens u with
     Pre(Img(u)) = u, found in O(|opens|·n) without the 2**k sets of blocks.
+    Preimages preserve unions and intersections, so these form a topology.
     """
     same_carrier(s.n, P.n)
     k = len(P.blocks)
@@ -237,7 +246,7 @@ def quotient(s: TopSpace, P: Partition) -> tuple[TopSpace, FiniteMap]:
         q = image_bits(index, u)
         if preimage_bits(index, q) == u:  # u is a union of blocks
             opens.add(q)
-    return space(k, opens), FiniteMap(s.n, k, index)
+    return _trusted_space(k, tuple(sorted(opens))), FiniteMap(s.n, k, index)
 
 
 @dataclass(frozen=True, slots=True)
@@ -299,18 +308,21 @@ def is_metrizable(s: TopSpace) -> bool:
 
 def alexandroff(s: TopSpace) -> TopSpace:
     """One-point compactification: adjoin a point at infinity whose
-    neighborhoods are complements of closed compact sets."""
+    neighborhoods are complements of closed compact sets.
+
+    The complement of an open is closed and, being finite, compact, so the
+    opens are τ ∪ {U ∪ {∞} : U ∈ τ}: a topology, with U_∞ = {∞}."""
     from .compact import is_compact_set  # cycle: compact builds on subspaces
 
     n = s.n
     check_carrier(n + 1)
     inf = 1 << n
     closed = s.closeds.mask_set
-    masks = set(s.opens.masks)
+    at_inf = []
     for u in s.opens.masks:
         k = (1 << n) - 1 & ~u
         # The complement of an open is always closed and compact; both halves
         # are checked against the space's closed-set and minimal-open tables.
         if k in closed and is_compact_set(s, PointSet(k, n)):
-            masks.add(u | inf)
-    return space(n + 1, masks)
+            at_inf.append(u | inf)
+    return _build(n + 1, s.opens.masks + tuple(at_inf), (*s.ups, inf))

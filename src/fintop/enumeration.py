@@ -237,9 +237,9 @@ def _ser_space(s: TopSpace) -> str:
 
 
 class _Ctx:
-    """Per-space operator tables for one sweep run."""
+    """Per-space operator tables for one sweep run, and its subspaces."""
 
-    __slots__ = ("s", "ser", "n", "N", "full", "cl", "it", "opens", "closeds")
+    __slots__ = ("s", "ser", "n", "N", "full", "cl", "it", "opens", "closeds", "_subs")
 
     def __init__(self, s: TopSpace, ops: dict) -> None:
         self.s = s
@@ -251,6 +251,15 @@ class _Ctx:
         self.it = [ops["interior"](s, PointSet(m, s.n)).bits for m in range(self.N)]
         self.opens = s.opens.mask_set
         self.closeds = s.closeds.mask_set
+        self._subs = {}
+
+    def sub(self, y: int) -> tuple[TopSpace, maps_mod.FiniteMap]:
+        """The subspace on the mask y and its inclusion, built once per run
+        through the ``construct`` module, so a patched constructor is seen."""
+        got = self._subs.get(y)
+        if got is None:
+            got = self._subs[y] = construct_mod.subspace(self.s, PointSet(y, self.n))
+        return got
 
     def ext(self, m: int) -> int:
         return self.it[self.full & ~m]
@@ -529,8 +538,7 @@ def _chk_connected_set_laws(ctxs):
         conn = connect_mod.connected_set_masks(s)
         # the literal definition: A is connected iff its subspace is
         for m in range(c.N):
-            sub, _ = construct_mod.subspace(s, PointSet(m, c.n))
-            if (m in conn) != connect_mod.is_connected(sub):
+            if (m in conn) != connect_mod.is_connected(c.sub(m)[0]):
                 return c.cx("connected set differs from connected subspace", m)
         if 0 not in conn:
             return c.cx("empty set not connected")
@@ -592,9 +600,8 @@ def _chk_coarser_operator_comparison(ctxs):
 
 def _chk_subspace_operator_comparison(ctxs):
     for c in ctxs:
-        s = c.s
         for y in range(c.N):
-            sub, inc = construct_mod.subspace(s, PointSet(y, c.n))
+            sub, inc = c.sub(y)
             for m in range(c.N):
                 if m & ~y:
                     continue
@@ -657,8 +664,7 @@ def _chk_separation_hereditary(ctxs):
         except CrossCheckFailure as exc:
             return c.cx(str(exc))
         for y in range(c.N):
-            sub, _ = construct_mod.subspace(s, PointSet(y, c.n))
-            sub_rep = separation_mod.separation_report(sub)
+            sub_rep = separation_mod.separation_report(c.sub(y)[0])
             if rep.t1 and not sub_rep.t1:
                 return c.cx("T1 not hereditary", y)
             if rep.t3 and not sub_rep.t3:
@@ -688,6 +694,11 @@ def _chk_alexandroff_facts(ctxs):
     for c in ctxs:
         s = c.s
         ext = construct_mod.alexandroff(s)
+        # Every complement of an open is closed and compact, so every U | ∞
+        # is open; alexandroff builds its space without validating it.
+        inf = 1 << c.n
+        if ext.opens.masks != s.opens.masks + tuple(u | inf for u in s.opens.masks):
+            return c.cx("Alexandroff extension does not add U | inf for every open U")
         if not compact_mod.is_compact(ext):
             return c.cx("Alexandroff extension not compact")
         sub, _ = construct_mod.subspace(ext, PointSet((1 << c.n) - 1, ext.n))
@@ -719,7 +730,7 @@ def _chk_locally_connected_equiv(ctxs):
         connected_opens = [
             v
             for v in c.opens
-            if connect_mod.is_connected(construct_mod.subspace(s, PointSet(v, c.n))[0])
+            if connect_mod.is_connected(c.sub(v)[0])
         ]
         literal = all(
             any(v >> p & 1 and v & ~w == 0 for v in connected_opens)
@@ -764,7 +775,7 @@ def _chk_fundamental_cover_laws(ctxs):
             families.extend(itertools.combinations(subsets, size))
         reports = {}
         for fam_masks in families:
-            C = Family.of(c.n, fam_masks)
+            C = Family._from_masks(c.n, fam_masks)  # ascending, in the carrier
             reports[fam_masks] = (C, covers_mod.classify_cover(s, C))
         opens_bits = sum(1 << u for u in c.opens)
         closeds_bits = sum(1 << v for v in c.closeds)
@@ -818,13 +829,13 @@ def _chk_constructor_laws(ctxs):
         s = c.s
         # subspace transitivity
         for y in range(c.N):
-            sub_y, inc_y = construct_mod.subspace(s, PointSet(y, c.n))
+            sub_y, inc_y = c.sub(y)
             for yp in range(c.N):
                 if yp & ~y:
                     continue
                 inner_mask = inc_y.preimage(PointSet(yp, c.n))
                 sub2, _ = construct_mod.subspace(sub_y, inner_mask)
-                direct, _ = construct_mod.subspace(s, PointSet(yp, c.n))
+                direct, _ = c.sub(yp)
                 if sub2.opens.masks != direct.opens.masks:
                     return c.cx("subspace transitivity broken", y, yp)
         # product with the one-point space is homeomorphic to s
@@ -839,7 +850,7 @@ def _chk_constructor_laws(ctxs):
                 return c.cx("quotient by singletons not homeomorphic")
         # base for s induces base for subspaces
         for y in range(c.N):
-            sub_y, inc_y = construct_mod.subspace(s, PointSet(y, c.n))
+            sub_y, inc_y = c.sub(y)
             traced = Family.of(
                 sub_y.n,
                 (inc_y.preimage(PointSet(y & u, c.n)).bits for u in c.opens),
@@ -848,12 +859,12 @@ def _chk_constructor_laws(ctxs):
                 return c.cx("traced base not a base for the subspace", y)
         # open subset of open subspace is open in the whole space (closed analogue)
         for y in c.opens:
-            sub_y, inc_y = construct_mod.subspace(s, PointSet(y, c.n))
+            sub_y, inc_y = c.sub(y)
             for v in sub_y.opens.masks:
                 if inc_y.image(PointSet(v, sub_y.n)).bits not in c.opens:
                     return c.cx("open-in-open-subspace not open", y, v)
         for y in c.closeds:
-            sub_y, inc_y = construct_mod.subspace(s, PointSet(y, c.n))
+            sub_y, inc_y = c.sub(y)
             for v in sub_y.closeds.masks:
                 if inc_y.image(PointSet(v, sub_y.n)).bits not in c.closeds:
                     return c.cx("closed-in-closed-subspace not closed", y, v)

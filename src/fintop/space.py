@@ -21,9 +21,10 @@ iff ``m | U_p`` ∈ F for every member m and every point p:
   up-sets of the specialization preorder), which is closed under union,
   and under intersection because A ∩ B is the union of the U_r, r ∈ A ∩ B.
 
-A family already known to be a topology (one the generator yields) gets
-its U_p in one pass over its ascending opens: U_p is the first open that
-holds p.  U_p is open and lies inside every open that holds p, and a
+A family already known to be a topology (one the generator or a
+constructor yields) is not validated again.  Where its U_p have no closed
+form, it gets them in one pass over its ascending opens: U_p is the first
+open that holds p.  U_p is open and lies inside every open that holds p, and a
 proper subset has a smaller mask, so U_p is the least such open as an
 integer.  Validation cannot use this: on a family that is not a topology
 the first member holding p need not be the intersection, and the
@@ -345,17 +346,21 @@ def space(n: int, fam: Union[Family, Iterable]) -> TopSpace:
 
 
 def discrete(n: int) -> TopSpace:
-    """The topology of all subsets, capped at MAX_OPENS_LOG2 points."""
+    """The topology of all subsets, capped at MAX_OPENS_LOG2 points.
+
+    The power set is closed under union and intersection, and U_p = {p}."""
     check_carrier(n)
     if n > MAX_OPENS_LOG2:
         raise CarrierTooLarge(f"discrete topology on {n} points has 2**{n} opens")
-    return space(n, range(1 << n))
+    return _build(n, range(1 << n), [1 << p for p in range(n)])
 
 
 def indiscrete(n: int) -> TopSpace:
-    """The topology {empty, carrier} (a single open when n = 0)."""
+    """The topology {empty, carrier} (a single open when n = 0): a chain,
+    so closed under union and intersection, with U_p = X."""
     check_carrier(n)
-    return space(n, {0, (1 << n) - 1})
+    full = (1 << n) - 1
+    return _build(n, sorted({0, full}), [full] * n)
 
 
 def closed_sets(s: TopSpace) -> Family:
@@ -415,25 +420,25 @@ def compare(t1: TopSpace, t2: TopSpace) -> str:
 
 
 def meet_topologies(spaces: Sequence[TopSpace]) -> TopSpace:
-    """Intersection of the opens families; always a topology."""
+    """Intersection of the opens families: a union or intersection of
+    members lies in every family, so in their intersection."""
     if not spaces:
         raise EmptyList("meet of an empty list of topologies")
     n = same_carrier(*(s.n for s in spaces))
     common = set(spaces[0].opens.masks)
     for s in spaces[1:]:
         common &= s.opens.mask_set
-    return space(n, common)
+    return _trusted_space(n, tuple(sorted(common)))
 
 
 def one_point_extension(s: TopSpace) -> TopSpace:
     """Adjoin a new point (index n) open-dense in every old open.
 
     The new topology is {{a} | U : U open} plus the empty set, over n+1
-    points; this is always a topology.
+    points: U ↦ {a} | U preserves unions and intersections, so U_p becomes
+    {a} | U_p, and U_a = {a}.
     """
     n = s.n
     check_carrier(n + 1)
     a = 1 << n
-    masks = {a | m for m in s.opens.masks}
-    masks.add(0)
-    return space(n + 1, masks)
+    return _build(n + 1, (0, *(a | m for m in s.opens.masks)), (*(a | u for u in s.ups), a))

@@ -150,6 +150,13 @@ class TestExitCodes:
         out, code = run(capsys, ["ops", "sierp.json", "--closure", "--set", "7"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [[], *([c] for c in cli_module._HANDLERS)], ids=str)
+    def test_help_returns_zero(self, capsys, argv):
+        # argparse prints the help and exits; cli_dispatch returns that code.
+        for flag in ("-h", "--help"):
+            assert cli_dispatch([*argv, flag]) == 0
+            assert capsys.readouterr().out.startswith("usage: ")
+
     def test_predicate_true_exit_zero(self, docs, capsys):
         out, code = run(capsys, ["check", "sierp.json", "--t0", "--connected"])
         assert code == 0

@@ -25,14 +25,18 @@ from fintop import (
     is_compact,
     is_finer,
     is_metrizable,
+    meet_topologies,
     metric_topology,
+    one_point_extension,
     product,
     quotient,
     space,
     subspace,
     topology_from_base,
     topology_from_subbase,
+    validate_topology,
 )
+from fintop.carrier import mask_points
 from fintop.enumeration import all_spaces
 
 
@@ -496,3 +500,122 @@ class TestOpenClosedInSubspace:
                 for v in sub.closeds.masks:
                     orig = PointSet.of(3, [inc.table[p] for p in PointSet(v, sub.n)])
                     assert orig.bits in s.closeds
+
+
+def assert_validates_to(result):
+    """``result`` is the space validate_topology builds from its opens,
+    minimal opens included: the definition the constructors no longer run."""
+    expected = validate_topology(result.n, result.opens.masks)
+    assert isinstance(expected, TopSpace), expected
+    assert result == expected
+    assert result.ups == expected.ups
+
+
+def random_preorder_space(rng, n):
+    """The space of a seeded random preorder on n points, built through
+    ``space`` (validated): U_p is the up-set of p, from about 0.8 random
+    arrows per point, so the open counts spread from 4 to a few hundred."""
+    ups = [1 << p | sum(1 << q for q in range(n) if rng.random() < 0.8 / n) for p in range(n)]
+    changed = True
+    while changed:  # transitive closure
+        changed = False
+        for p in range(n):
+            u = ups[p]
+            for q in mask_points(u):
+                u |= ups[q]
+            if u != ups[p]:
+                ups[p], changed = u, True
+    opens = {0}
+    for u in set(ups):
+        opens |= {m | u for m in opens}
+    return space(n, opens)
+
+
+def random_partition(rng, n):
+    labels = [rng.randrange(n) for _ in range(n)]
+    return Partition.of(n, [[p for p in range(n) if labels[p] == k] for k in set(labels)])
+
+
+RANDOM_SPACES = [
+    random_preorder_space(random.Random(1500 + i), n)
+    for i, n in enumerate(n for n in range(4, 11) for _ in range(6))
+]
+
+
+class TestTrustedConstructors:
+    """Every constructor builds its space without validating it; on every
+    input with n <= 3, and on seeded random preorders up to 10 points, the
+    result is what validate_topology makes of its opens."""
+
+    def test_subspace(self):
+        for n in range(4):
+            for s in all_spaces(n):
+                for y in range(1 << n):
+                    assert_validates_to(subspace(s, PointSet(y, n))[0])
+
+    def test_quotient(self):
+        for n in range(4):
+            for s in all_spaces(n):
+                for P in all_partitions(n):
+                    assert_validates_to(quotient(s, P)[0])
+
+    def test_random_preorders(self):
+        rng = random.Random(15)
+        for s in RANDOM_SPACES:
+            assert_validates_to(s)
+            for _ in range(12):
+                assert_validates_to(subspace(s, PointSet(rng.randrange(1 << s.n), s.n))[0])
+                assert_validates_to(quotient(s, random_partition(rng, s.n))[0])
+
+    def test_product(self):
+        spaces = [s for n in range(4) for s in all_spaces(n)]
+        for s1 in spaces:
+            for s2 in spaces:
+                if s1.n * s2.n <= 6:
+                    assert_validates_to(product(s1, s2)[0])
+
+    def test_extensions_and_meets(self):
+        for n in range(4):
+            pool = all_spaces(n)
+            for s in pool:
+                assert_validates_to(alexandroff(s))
+                assert_validates_to(one_point_extension(s))
+                for t in pool:
+                    assert_validates_to(meet_topologies([s, t]))
+
+    def test_discrete_and_indiscrete(self):
+        for n in range(11):
+            assert_validates_to(discrete(n))
+            assert_validates_to(indiscrete(n))
+
+    def test_bases_subbases_and_metrics(self):
+        for n, B in SMALL_FAMILIES:
+            if reference_base_problem(n, B.masks) is None:
+                assert_validates_to(topology_from_base(n, B))
+            if B.masks and reference_base_problem(n, B.masks) != ("NotCovering", ()):
+                assert_validates_to(topology_from_subbase(n, B))
+        rng = random.Random(1515)
+        for _ in range(60):
+            n = rng.randint(0, 6)
+            d = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    d[i][j] = d[j][i] = rng.randint(3, 5)
+            assert_validates_to(metric_topology(MetricTable.of(d)))
+
+    @pytest.mark.parametrize(
+        "build,budget",
+        [
+            (lambda: discrete(20), 0.5),
+            (lambda: product(discrete(4), discrete(4))[0], 0.03),
+        ],
+        ids=["discrete-20", "product-discrete-4x4"],
+    )
+    def test_cap_budgets(self, build, budget):
+        # They took 2.0 s and 0.07-0.11 s while every result was validated
+        # again, and take about 0.06 s and 0.005 s without it.
+        start = time.perf_counter()
+        s = build()
+        elapsed = time.perf_counter() - start
+        assert len(s.opens) == 1 << s.n
+        assert elapsed < budget, f"took {elapsed:.3f} s"

@@ -217,6 +217,68 @@ class TestSweep:
             assert out[name]["counterexample"]
 
 
+
+#: The sweep theorems that read a space's subspaces through its context.
+_SUBSPACE_THEOREMS = [
+    "connected_set_laws",
+    "subspace_operator_comparison",
+    "separation_hereditary",
+    "locally_connected_equivalence",
+    "constructor_laws",
+]
+
+
+class TestSweepSubspaces:
+    def test_each_subspace_built_once_per_run(self, monkeypatch):
+        # Only the subspace of a subspace, which the transitivity law
+        # tests, is built again for each pair.
+        from fintop import construct
+
+        pool = all_spaces(3)
+        real = construct.subspace
+        calls = []
+
+        def counted(s, Y):
+            if any(s is t for t in pool):
+                calls.append((id(s), Y.bits))
+            return real(s, Y)
+
+        monkeypatch.setattr(construct, "subspace", counted)
+        out = sweep_theorems(3, theorems=_SUBSPACE_THEOREMS, include_maps=False)
+        assert all(rec["ok"] for rec in out.values())
+        assert len(calls) == len(set(calls)) == len(pool) * 8
+
+    def test_patched_subspace_reaches_the_sweep(self, monkeypatch):
+        # Every subspace indiscrete: each theorem that can see it fails.
+        # (Every finite space is locally connected, so that law cannot.)
+        from fintop import construct
+
+        real = construct.subspace
+
+        def indiscrete_sub(s, Y):
+            sub, inc = real(s, Y)
+            return indiscrete(sub.n), inc
+
+        monkeypatch.setattr(construct, "subspace", indiscrete_sub)
+        out = sweep_theorems(2, theorems=_SUBSPACE_THEOREMS, include_maps=False)
+        failed = {name for name, rec in out.items() if not rec["ok"]}
+        assert failed == set(_SUBSPACE_THEOREMS) - {"locally_connected_equivalence"}
+
+
+def test_compact_set_fault_fails_alexandroff_facts(monkeypatch):
+    # Singletons read as not compact: the extension drops each U | inf whose
+    # complement is one point and, built without validation, is no topology.
+    from fintop import compact
+
+    real = compact.is_compact_set
+    monkeypatch.setattr(compact, "is_compact_set", lambda s, A: real(s, A) and len(A) != 1)
+    out = sweep_theorems(2, theorems=["alexandroff_facts"], include_maps=False)
+    assert out["alexandroff_facts"]["counterexample"] == (
+        '{"n": 2, "opens": [[], [0], [1], [0, 1]]} sets : '
+        "Alexandroff extension does not add U | inf for every open U"
+    )
+
+
 _SIERPINSKI = '{"n": 2, "opens": [[], [0], [0, 1]]} sets : '
 _DISCRETE2 = '{"n": 2, "opens": [[], [0], [1], [0, 1]]} sets : '
 _CHAIN3 = '{"n": 3, "opens": [[], [0], [1], [0, 1], [0, 2], [0, 1, 2]]} sets : '

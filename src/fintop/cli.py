@@ -156,8 +156,9 @@ def _points_arg(raw: str) -> list[int]:
         raise docio.DocumentError(f"bad point list {raw!r}")
 
 
-def _blocks_arg(raw: str) -> list[list[int]]:
-    return [_points_arg(block) for block in raw.split(";")]
+def _blocks_arg(n: int, raw: str) -> list[PointSet]:
+    blocks = [_points_arg(block) for block in raw.split(";")]
+    return [_pset(n, block) for block in blocks]
 
 
 def _pset(n: int, pts: list[int]) -> PointSet:
@@ -428,7 +429,7 @@ def _cmd_product(args):
 
 def _cmd_quotient(args):
     s = _load_space(args.file)
-    P = Partition.of(s.n, _blocks_arg(args.blocks))
+    P = Partition.of(s.n, _blocks_arg(s.n, args.blocks))
     quot, projection = construct_mod.quotient(s, P)
     return {"space": docio.space_obj(quot), "projection": list(projection.table)}, EXIT_TRUE
 
@@ -488,7 +489,7 @@ def _cmd_homeo(args):
 
 def _cmd_cover(args):
     s = _load_space(args.file)
-    C = Family.of(s.n, _blocks_arg(args.members))
+    C = Family.of(s.n, _blocks_arg(s.n, args.members))
     target = (
         _pset(s.n, _points_arg(args.target)) if args.target is not None else None
     )
@@ -497,11 +498,11 @@ def _cmd_cover(args):
         sub = covers_mod.minimal_subcover(s, C, target)
         out["minimal_subcover"] = [_pl(m) for m in sub]
     if args.subcover_of is not None:
-        big = Family.of(s.n, _blocks_arg(args.subcover_of))
+        big = Family.of(s.n, _blocks_arg(s.n, args.subcover_of))
         tgt = target if target is not None else PointSet.full(s.n)
         out["is_subcover"] = covers_mod.is_subcover(C, big, tgt, s)
     if args.refines is not None:
-        coarse = Family.of(s.n, _blocks_arg(args.refines))
+        coarse = Family.of(s.n, _blocks_arg(s.n, args.refines))
         out["is_refinement"] = covers_mod.is_refinement(C, coarse, s)
     if args.paste is not None:
         s1, s2, f = docio.parse_map(_read(args.paste))

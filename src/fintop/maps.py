@@ -1,6 +1,28 @@
 """Total maps between finite carriers and their topological analysis:
 continuity, open/closed maps, homeomorphisms, embeddings, and limits.
 
+Every map predicate is decided from the minimal opens U_p
+(``TopSpace.ups``) and the point closures cl{p} = {q : p ∈ U_q}.  A finite
+space is its specialization preorder, and its continuous maps are exactly
+the order-preserving ones (Barmak 2011, LNM 2032, ch. 1).  U_p is the least
+neighborhood of p, so each definition becomes one mask test per point:
+
+- f is continuous at p iff f(U_p) ⊆ U_{f(p)}, and continuous iff that
+  holds at every p;
+- f is open iff every f(U_p) is open, and closed iff every f(cl{p}) is
+  closed (a down-set): every open is a union of U_p, every closed set a
+  union of cl{p}, and images preserve unions;
+- f is an embedding iff it is injective and U_p = f⁻¹(U_{f(p)}) for every
+  p: the image subspace has the minimal opens U_y ∩ f(X), and the
+  corestriction then carries the preorder both ways;
+- p is a limit point of A iff (U_p ∩ A) − {p} ≠ ∅, and y is a limit of f
+  along A at p iff f((U_p ∩ A) − {p}) ⊆ U_y.
+
+None of these reads the opens family, so ``fintop homeo --map`` and
+``--limit-set`` answer at the 24-point cap.  The literal definitions
+(preimages of opens, images of opens and closed sets, the image subspace,
+neighborhood quantifiers) are the reference in ``tests/test_maps.py``.
+
 :func:`image_bits` and :func:`preimage_bits` are the single place where a
 subset mask moves along a function table: maps, the subspace, product and
 quotient constructors, and the enumeration's permutation and map tables all
@@ -11,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .carrier import PointSet, same_carrier
+from .carrier import PointSet, mask_points, same_carrier
 from .errors import NotALimitPoint
-from .space import TopSpace
+from .space import TopSpace, _downs
 
 
 def image_bits(table, mask: int) -> int:
@@ -113,60 +135,41 @@ def _check_compat(f: FiniteMap, s1: TopSpace, s2: TopSpace) -> None:
     same_carrier(f.cod_n, s2.n)
 
 
-def check_map(f: FiniteMap, s1: TopSpace, s2: TopSpace) -> MapReport:
-    """Classify f between two spaces.
+def _is_union(blocks, mask: int) -> bool:
+    """Whether mask holds blocks[q] for each of its points q: an open set
+    when the blocks are the U_q, a closed set when they are the cl{q}."""
+    return all(blocks[q] & ~mask == 0 for q in mask_points(mask))
 
-    The embedding flag is decided by explicitly constructing the image
-    subspace and checking the corestriction for homeomorphism.
-    """
+
+def check_map(f: FiniteMap, s1: TopSpace, s2: TopSpace) -> MapReport:
+    """Classify f between two spaces from the minimal opens (see the module
+    docstring)."""
     _check_compat(f, s1, s2)
-    opens1 = s1.opens.mask_set
-    opens2 = s2.opens.mask_set
-    closeds1 = s1.closeds.mask_set
-    closeds2 = s2.closeds.mask_set
-    continuous = all(preimage_bits(f.table, w) in opens1 for w in opens2)
-    open_map = all(image_bits(f.table, u) in opens2 for u in opens1)
-    closed_map = all(image_bits(f.table, c) in closeds2 for c in closeds1)
+    table = f.table
+    ups1, ups2 = s1.ups, s2.ups
+    images = [image_bits(table, u) for u in ups1]
+    continuous = all(img & ~ups2[v] == 0 for img, v in zip(images, table))
+    open_map = all(_is_union(ups2, img) for img in images)
+    downs2 = _downs(ups2)
+    closed_map = all(_is_union(downs2, image_bits(table, d)) for d in _downs(ups1))
     injective = f.is_injective()
     surjective = f.is_surjective()
     homeomorphism = injective and surjective and continuous and open_map
-    embedding = _is_embedding(f, s1, s2, injective)
+    embedding = injective and all(
+        preimage_bits(table, ups2[v]) == u for u, v in zip(ups1, table)
+    )
     return MapReport(
         continuous, open_map, closed_map, injective, surjective, homeomorphism, embedding
     )
 
 
-def _is_embedding(f: FiniteMap, s1: TopSpace, s2: TopSpace, injective: bool) -> bool:
-    if not injective:
-        return False
-    from .construct import subspace
-
-    img = f.image(PointSet.full(s1.n))
-    sub, inclusion = subspace(s2, img)
-    reindex = {orig: i for i, orig in enumerate(inclusion.table)}
-    corestricted = FiniteMap(s1.n, sub.n, tuple(reindex[v] for v in f.table))
-    opens1 = s1.opens.mask_set
-    opens_sub = sub.opens.mask_set
-    continuous = all(preimage_bits(corestricted.table, w) in opens1 for w in opens_sub)
-    open_onto = all(image_bits(corestricted.table, u) in opens_sub for u in opens1)
-    return continuous and open_onto
-
-
 def is_continuous_at(f: FiniteMap, s1: TopSpace, s2: TopSpace, p: int) -> bool:
-    """Local continuity: every neighborhood of f(p) pulls back inside the
-    image of some neighborhood of p."""
+    """Local continuity: f(U_p) ⊆ U_{f(p)}, that is, every neighborhood of
+    f(p) holds the image of some neighborhood of p."""
     _check_compat(f, s1, s2)
     if not 0 <= p < s1.n:
         raise ValueError(f"point {p} outside carrier of size {s1.n}")
-    fp = f.table[p]
-    for w in s2.opens.masks:
-        if not w >> fp & 1:
-            continue
-        if not any(
-            u >> p & 1 and image_bits(f.table, u) & ~w == 0 for u in s1.opens.masks
-        ):
-            return False
-    return True
+    return image_bits(f.table, s1.ups[p]) & ~s2.ups[f.table[p]] == 0
 
 
 def restrict(f: FiniteMap, s1: TopSpace, s2: TopSpace, A: PointSet) -> FiniteMap:
@@ -182,50 +185,28 @@ def limits_at(
     """All limits of f (defined on A, indexed in ascending order of A's
     points) at the limit point p of A.
 
-    y is a limit iff every neighborhood of y contains the image of
-    (U & A) - {p} for some neighborhood U of p.
+    p is a limit point of A iff (U_p & A) - {p} is not empty, and y is a
+    limit iff U_y holds the image of (U_p & A) - {p}.
     """
     same_carrier(A.n, s1.n)
     same_carrier(f.cod_n, s2.n)
     points = A.points()
     if f.dom_n != len(points):
         raise ValueError("map domain must match |A|")
-    from .operators import point_roles
-
-    if not point_roles(s1, A, p).limit:
+    if not 0 <= p < s1.n:
+        raise ValueError(f"point {p} outside carrier of size {s1.n}")
+    punctured = s1.ups[p] & A.bits & ~(1 << p)
+    if not punctured:
         raise NotALimitPoint(f"{p} is not a limit point of the set")
-    pbit = 1 << p
-    # Image in s2 of (U & A) - {p}, per candidate neighborhood U of p.
-    images = [
-        image_bits(f.table, preimage_bits(points, u & ~pbit))
-        for u in s1.opens.masks
-        if u & pbit
-    ]
-    out = 0
-    for y in range(s2.n):
-        ybit = 1 << y
-        ok = True
-        for w in s2.opens.masks:
-            if not w & ybit:
-                continue
-            if not any(img & ~w == 0 for img in images):
-                ok = False
-                break
-        if ok:
-            out |= ybit
-    return PointSet(out, s2.n)
-
-
-def _point_signature(s: TopSpace, p: int) -> tuple[int, int]:
-    member_count = sum(1 for m in s.opens.masks if m >> p & 1)
-    return (s.ups[p].bit_count(), member_count)
+    img = image_bits(f.table, preimage_bits(points, punctured))
+    return PointSet(sum(1 << y for y, u in enumerate(s2.ups) if img & ~u == 0), s2.n)
 
 
 def _homeomorphisms(s1: TopSpace, s2: TopSpace) -> Iterator[tuple[int, ...]]:
     """Every homeomorphism table from s1 onto s2, in lexicographic order.
 
     Candidate bijections are pruned by cheap invariants first (open-set
-    count, per-point minimal-open/membership signatures), then built by
+    count, the size of each point's minimal open), then built by
     backtracking with partial minimal-open consistency.  A complete table
     carries the specialization preorder both ways, r ∈ U_p iff
     f(r) ∈ U_{f(p)}, so it maps each U_p onto U_{f(p)} and, as images
@@ -234,8 +215,8 @@ def _homeomorphisms(s1: TopSpace, s2: TopSpace) -> Iterator[tuple[int, ...]]:
     if s1.n != s2.n or len(s1.opens) != len(s2.opens):
         return
     n = s1.n
-    sig1 = [_point_signature(s1, p) for p in range(n)]
-    sig2 = [_point_signature(s2, p) for p in range(n)]
+    sig1 = [u.bit_count() for u in s1.ups]
+    sig2 = [u.bit_count() for u in s2.ups]
     if sorted(sig1) != sorted(sig2):
         return
     assignment: list[int] = []

@@ -42,10 +42,10 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 
-from .carrier import PointSet, mask_points
+from .carrier import PointSet
 from .errors import CarrierTooLarge, CrossCheckFailure
 from .operators import closure
-from .space import TopSpace, meet_topologies
+from .space import TopSpace, _downs, meet_topologies
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,15 +82,6 @@ def _cross(name: str, first: bool, second: bool) -> bool:
     if first != second:
         raise CrossCheckFailure(f"{name}: criteria disagree ({first} vs {second})")
     return first
-
-
-def _downs(ups: tuple[int, ...]) -> list[int]:
-    """cl{p} for every point p: the mask of the q with p ∈ U_q."""
-    downs = [0] * len(ups)
-    for q, u in enumerate(ups):
-        for p in mask_points(u):
-            downs[p] |= 1 << q
-    return downs
 
 
 def is_t0(s: TopSpace) -> bool:

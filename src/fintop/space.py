@@ -62,6 +62,7 @@ from .carrier import (
     Family,
     PointSet,
     check_carrier,
+    mask_points,
     same_carrier,
 )
 from .errors import CarrierTooLarge, EmptyList, InvalidTopology
@@ -390,6 +391,15 @@ def minimal_open(s: TopSpace, p: int) -> PointSet:
     if not 0 <= p < s.n:
         raise ValueError(f"point {p} outside carrier of size {s.n}")
     return s.min_open[p]
+
+
+def _downs(ups: tuple[int, ...]) -> list[int]:
+    """cl{p} for every point p: the mask of the q with p ∈ U_q."""
+    downs = [0] * len(ups)
+    for q, u in enumerate(ups):
+        for p in mask_points(u):
+            downs[p] |= 1 << q
+    return downs
 
 
 #: Possible results of :func:`compare` (mutually exclusive).

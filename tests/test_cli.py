@@ -150,6 +150,22 @@ class TestExitCodes:
         out, code = run(capsys, ["ops", "sierp.json", "--closure", "--set", "7"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["quotient", "sierp.json", "--blocks", "0;9"],
+            ["cover", "sierp.json", "--members", "0,1", "--subcover-of", "0;9"],
+            ["cover", "sierp.json", "--members", "0,1", "--refines", "0,1;9"],
+        ],
+        ids=lambda argv: argv[-2],
+    )
+    def test_input_error_bad_block_points(self, docs, capsys, argv):
+        # Block arguments are range-checked like --set.
+        assert run(capsys, argv) == (
+            '{"error":"DocumentError: point 9 outside carrier of size 2"}',
+            2,
+        )
+
     @pytest.mark.parametrize("argv", [[], *([c] for c in cli_module._HANDLERS)], ids=str)
     def test_help_returns_zero(self, capsys, argv):
         # argparse prints the help and exits; cli_dispatch returns that code.
@@ -386,6 +402,18 @@ CAP_CASES = [
     ("blocks24.json", [LOW, HIGH], _members(LOW, HIGH), (True, True, True, True)),
 ]
 CAP_SECONDS = 1.0
+
+
+def _circulant24(offsets):
+    """The height-1 circulant on 24 points: 0..11 are open singletons and
+    U_{12+p} = {12+p} | {(p+o) % 12 : o in offsets}; 35,504 opens for the
+    offsets used below."""
+    ups = [1 << p for p in range(12)]
+    ups += [1 << 12 + p | sum(1 << (p + o) % 12 for o in offsets) for p in range(12)]
+    opens = {0}
+    for u in ups:
+        opens |= {m | u for m in opens}
+    return _doc24([[p for p in ALL if m >> p & 1] for m in sorted(opens)])
 _SEP_FLAGS = ("t0", "t1", "t2", "t3", "t4", "regular", "normal")
 
 
@@ -468,6 +496,25 @@ class TestCarrierCapBudgets:
         assert time.perf_counter() - start < CAP_SECONDS
         assert sum(c.indistinguishable for c in classes) == indistinguishable
         assert sum(c.separated for c in classes) == separated
+
+    def test_maps_on_circulants(self, cap_docs, capsys):
+        # Every map predicate reads the 24 minimal opens, never the 35,504
+        # opens of each document.
+        (cap_docs / "c24.json").write_text(_circulant24((0, 1, 3)))
+        (cap_docs / "c24b.json").write_text(_circulant24((0, 9, 11)))
+        identity = ",".join(map(str, ALL))
+        argv = ["homeo", "c24.json", "c24.json", "--map", identity]
+        obj, code = self.timed(capsys, argv)
+        assert code == 0 and obj["continuous_at"] == ALL
+        assert obj["homeomorphism"] and obj["embedding"] and obj["closed_map"]
+        fold = ",".join(str(p % 12) for p in ALL)
+        obj, code = self.timed(capsys, ["homeo", "c24.json", "c24b.json", "--map", fold])
+        assert code == 1 and obj["continuous_at"] == LOW
+        # Every subset of the open singletons 0..11 is open.
+        assert obj["open_map"] and not (obj["continuous"] or obj["embedding"])
+        limit = ["--limit-set", ",".join(map(str, LOW)), "--limit-point", "12"]
+        obj, code = self.timed(capsys, argv + limit)
+        assert code == 0 and obj["limits"] == [12]
 
     def test_quotient_by_singletons(self, cap_docs, capsys):
         # The 2**24 sets of blocks are not scanned: the quotient opens are

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -25,6 +26,7 @@ from fintop import (
 from fintop import maps
 from fintop.enumeration import all_spaces
 from fintop.maps import image_bits, preimage_bits
+from test_construct import random_preorder_space
 
 
 def all_maps(n1, n2):
@@ -63,6 +65,86 @@ class TestCheckMap:
     def test_carrier_mismatch(self, sierpinski):
         with pytest.raises(CarrierMismatch):
             check_map(FiniteMap.identity(3), sierpinski, sierpinski)
+
+
+def _literal_report(f, s1, s2):
+    """(continuous, open, closed, embedding) from the definitions: every
+    open's preimage is open, every open's image is open, every closed set's
+    image is closed, and f is an embedding."""
+    opens1, opens2 = s1.opens.mask_set, s2.opens.mask_set
+    closeds2 = s2.closeds.mask_set
+    return (
+        all(preimage_bits(f.table, w) in opens1 for w in opens2),
+        all(image_bits(f.table, u) in opens2 for u in opens1),
+        all(image_bits(f.table, c) in closeds2 for c in s1.closeds.masks),
+        _literal_embedding(f, s1, s2),
+    )
+
+
+def _literal_embedding(f, s1, s2):
+    """f is injective and its corestriction onto the image subspace is
+    continuous and open onto it."""
+    if not f.is_injective():
+        return False
+    sub, inclusion = subspace(s2, f.image(PointSet.full(s1.n)))
+    reindex = {orig: i for i, orig in enumerate(inclusion.table)}
+    corestricted = tuple(reindex[v] for v in f.table)
+    opens1, opens_sub = s1.opens.mask_set, sub.opens.mask_set
+    return all(preimage_bits(corestricted, w) in opens1 for w in opens_sub) and all(
+        image_bits(corestricted, u) in opens_sub for u in opens1
+    )
+
+
+def _literal_continuous_at(f, s1, s2, p):
+    """Every open W around f(p) holds the image of some open U around p."""
+    return all(
+        any(u >> p & 1 and image_bits(f.table, u) & ~w == 0 for u in s1.opens.masks)
+        for w in s2.opens.masks
+        if w >> f(p) & 1
+    )
+
+
+def _flags(f, s1, s2):
+    r = check_map(f, s1, s2)
+    got = (r.continuous, r.open_map, r.closed_map, r.embedding)
+    assert got == _literal_report(f, s1, s2), (s1, s2, f)
+    local = [is_continuous_at(f, s1, s2, p) for p in range(s1.n)]
+    assert local == [_literal_continuous_at(f, s1, s2, p) for p in range(s1.n)], (s1, s2, f)
+    return got
+
+
+class TestLiteralReference:
+    """check_map and is_continuous_at decide every flag from the minimal
+    opens; the definitions over the opens and closed families agree."""
+
+    def test_every_triple_to_three_points(self):
+        spaces = [s for n in range(4) for s in all_spaces(n)]
+        seen = {
+            _flags(f, s1, s2) for s1 in spaces for s2 in spaces for f in all_maps(s1.n, s2.n)
+        }
+        # Every combination of the four flags except a discontinuous embedding.
+        assert len(seen) == 12
+
+    def test_random_triples(self):
+        # Per codomain: the inclusion of a random subspace (an embedding), a
+        # random injection and a random table from a random domain, and the
+        # quotient-like fold onto the first points.
+        rng = random.Random(16)
+        seen = set()
+        for n in range(4, 9):
+            for _ in range(60):
+                s2 = random_preorder_space(rng, n)
+                sub, inclusion = subspace(s2, PointSet(rng.randrange(1, 1 << n), n))
+                s1 = random_preorder_space(rng, rng.randint(1, n))
+                cases = [
+                    (sub, inclusion),
+                    (s1, FiniteMap.of(s1.n, n, rng.sample(range(n), s1.n))),
+                    (s1, FiniteMap.of(s1.n, n, [rng.randrange(n) for _ in range(s1.n)])),
+                    (s2, FiniteMap.of(n, n, [p % s1.n for p in range(n)])),
+                ]
+                seen |= {_flags(f, dom, s2) for dom, f in cases}
+        for flag in range(4):
+            assert {flags[flag] for flags in seen} == {False, True}
 
 
 class TestLocalContinuity:
@@ -134,6 +216,16 @@ class TestLimits:
         with pytest.raises(NotALimitPoint):
             limits_at(discrete(2), A, f, discrete(2), 0)
 
+    def test_errors(self):
+        A = PointSet.of(2, [1])
+        f = FiniteMap.of(1, 2, (0,))
+        for p in (-1, 2):
+            with pytest.raises(ValueError, match=rf"^point {p} outside carrier of size 2$"):
+                limits_at(discrete(2), A, f, discrete(2), p)
+        # 1 is in A, but A holds no point of U_1 other than 1 itself.
+        with pytest.raises(NotALimitPoint, match=r"^1 is not a limit point of the set$"):
+            limits_at(space(2, [0, 1, 3]), A, f, discrete(2), 1)
+
     def test_hausdorff_uniqueness(self):
         from fintop import separation_report
 
@@ -153,14 +245,14 @@ class TestLimits:
         # y is a limit iff each open W around y holds f((U & A) - {p}) for
         # some open U around p; p itself may belong to A.
         for s1 in all_spaces(2) + all_spaces(3):
-            for s2 in all_spaces(2):
+            for s2 in [s for n in range(1, 4) for s in all_spaces(n)]:
                 for a in range(1 << s1.n):
                     A = PointSet(a, s1.n)
                     points = A.points()
                     for p in range(s1.n):
                         if not point_roles(s1, A, p).limit:
                             continue
-                        for f in all_maps(len(points), 2):
+                        for f in all_maps(len(points), s2.n):
                             images = [
                                 {f(i) for i, q in enumerate(points) if q in U and q != p}
                                 for U in s1.opens
@@ -168,7 +260,7 @@ class TestLimits:
                             ]
                             expected = [
                                 y
-                                for y in range(2)
+                                for y in range(s2.n)
                                 if all(
                                     any(img <= set(W.points()) for img in images)
                                     for W in s2.opens

@@ -289,7 +289,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="theorem-regression sweep")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--maps", dest="maps", action="store_true", default=None)
     p.add_argument("--no-maps", dest="maps", action="store_false")
     return parser
 

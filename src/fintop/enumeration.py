@@ -13,12 +13,18 @@ implies U_p <= U_q); each complete assignment yields the family of its
 up-sets.  A finite topology is exactly its minimal-open assignment (Stong
 1966), so the generated families become spaces without being validated
 again.  Homeomorphism classes are the relabeling orbits: a table with one
-row per permutation of the carrier holds the image of every mask, the
-canonical form is the least sorted image over all rows, and the class
-filter keeps an opens tuple unless some row sorts it below itself.
+row per permutation of the carrier holds the image of every mask, and the
+canonical form is the least sorted image over all rows.  The classes are
+found by marking orbits: walking the ascending labeled tuples, an unmarked
+tuple is the least of its orbit, so it is kept and each of its relabelings
+is marked, found by bisection in the same sorted tuple.  That costs
+n! relabelings per class.
 
-The map-level theorems are swept by :mod:`fintop.mapsweep`, over the same
-per-space contexts.
+Every theorem of the sweep is invariant under relabeling the carrier, so at
+n = 4 it quantifies over the class representatives (33 of 355): one side
+of each pair of spaces, both sides of each (space, space, table) triple of
+the map theorems (:mod:`fintop.mapsweep`), with every table.  For n <= 3
+it sweeps every labeled topology.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Union
@@ -43,7 +50,7 @@ from .maps import image_bits
 from .mapsweep import _map_sweep
 from .space import TopSpace, _trusted_space, space
 
-#: Hard caps: labeled enumeration is exact up to 4 and best-effort at 5.
+#: Hard caps on the carrier of labeled enumeration and of the classes.
 LABELED_CAP = 5
 CLASS_CAP = 5
 
@@ -138,7 +145,7 @@ def topologies_minopen(n: int) -> tuple[tuple[int, ...], ...]:
     the family of sets that contain the minimal open of each of their
     points.  Distinct assignments give distinct topologies.
     """
-    if n > LABELED_CAP:
+    if not 0 <= n <= LABELED_CAP:
         raise CarrierTooLarge(f"enumeration capped at n <= {LABELED_CAP}")
     return tuple(sorted(_minopen_scan(n)))
 
@@ -160,13 +167,20 @@ def canonical_form(n: int, opens: tuple[int, ...]) -> tuple[int, ...]:
     return min(tuple(sorted(row[m] for m in opens)) for row in _perm_table(n))
 
 
-def _is_canonical(n: int, opens: tuple[int, ...]) -> bool:
-    """``canonical_form(n, opens) == opens`` for a sorted opens tuple,
-    stopping at the first relabeling that sorts below it."""
-    for row in _perm_table(n):
-        if tuple(sorted(row[m] for m in opens)) < opens:
-            return False
-    return True
+def _class_leaders(n: int) -> list[tuple[int, ...]]:
+    """The least opens tuple of each relabeling orbit, ascending: the
+    tuples equal to their own canonical form, found by orbit marking."""
+    all_opens = topologies_minopen(n)
+    rows = _perm_table(n)
+    marked = bytearray(len(all_opens))
+    leaders = []
+    for i, opens in enumerate(all_opens):
+        if marked[i]:
+            continue
+        leaders.append(opens)
+        for row in rows:
+            marked[bisect_left(all_opens, tuple(sorted(row[m] for m in opens)))] = 1
+    return leaders
 
 
 #: The named predicates: ``enumerate --predicate`` and the ``check`` flags,
@@ -206,9 +220,10 @@ def enumerate_topologies(cfg: EnumConfig) -> Iterator[TopSpace]:
     of each relabeling orbit is yielded.
     """
     pred = _resolve_predicate(cfg.predicate)
-    all_opens = topologies_minopen(cfg.n)
     if cfg.mode == "up_to_homeomorphism":
-        all_opens = tuple(o for o in all_opens if _is_canonical(cfg.n, o))
+        all_opens = _class_leaders(cfg.n)
+    else:
+        all_opens = topologies_minopen(cfg.n)
     for opens in all_opens:
         s = _trusted_space(cfg.n, opens)
         if pred is None or pred(s):
@@ -585,9 +600,11 @@ def _chk_components(ctxs):
     return None
 
 
-def _chk_coarser_operator_comparison(ctxs):
+def _chk_coarser_operator_comparison(ctxs, labeled):
+    # Relabeling moves both topologies of a pair at once, so only tau1 may
+    # be a class representative: tau2 ranges over every labeled topology.
     for c1 in ctxs:
-        for c2 in ctxs:
+        for c2 in labeled:
             if not c2.opens <= c1.opens:
                 continue  # require tau2 coarser than tau1
             if not c2.closeds <= c1.closeds:
@@ -960,7 +977,7 @@ SINGLE_SPACE_CHECKS = [
     ("product_quotient_preservation", _chk_product_quotient_preservation),
 ]
 
-#: Subset of theorem ids cheap enough for the n=4 spot sweep.
+#: The operator identities: theorem ids read from the operator tables alone.
 OPERATOR_IDENTITY_CHECKS = [
     "interior_idempotent",
     "closure_idempotent",
@@ -996,34 +1013,52 @@ def sweep_theorems(
     n: int,
     overrides: Optional[dict] = None,
     theorems: Optional[list] = None,
-    include_maps: Optional[bool] = None,
+    include_maps: bool = True,
 ) -> dict:
-    """Run the theorem regression over every topology on n points.
+    """Run the theorem regression over the topologies on n points, n <= 4.
 
-    Returns {theorem id: {"ok": bool, "counterexample": Optional[str]}}.
-    `overrides` may replace the "interior"/"closure" operators used to build
-    the per-space tables, so a deliberately corrupted operator surfaces as a
-    named theorem failure with a serialized counterexample.  The map-level
-    sweep runs by default for n <= 3.
+    Returns {theorem id: {"ok": bool, "counterexample": Optional[str]}}:
+    the single-space theorems named in `theorems` (all 34 by default), then
+    the 13 map theorems unless `include_maps` is False.  `overrides` may
+    replace the "interior"/"closure" operators used to build the per-space
+    tables, so a deliberately corrupted operator surfaces as a named
+    theorem failure with a serialized counterexample.  For n <= 3 every
+    labeled topology is swept; at n = 4 the class representatives are, as
+    the module docstring says.  A fault that is not itself invariant under
+    relabeling can escape the reduced sweep: ``_sweep(4, all_spaces(4))``
+    is the unreduced run.
     """
-    if n > 4:
+    if not 0 <= n <= 4:
         raise CarrierTooLarge("theorem sweep capped at n <= 4")
-    ops = _default_ops(overrides)
-    if include_maps is None:
-        include_maps = n <= 3
-    if theorems is None:
-        names = (
-            [name for name, _ in SINGLE_SPACE_CHECKS]
-            if n <= 3
-            else list(OPERATOR_IDENTITY_CHECKS)
-        )
+    if n <= 3:
+        spaces = all_spaces(n)
     else:
-        names = list(theorems)
-    ctxs = [_Ctx(s, ops) for s in all_spaces(n)]
+        spaces = tuple(enumerate_topologies(EnumConfig(n, "up_to_homeomorphism")))
+    return _sweep(n, spaces, overrides, theorems, include_maps)
+
+
+def _sweep(
+    n: int,
+    spaces,
+    overrides: Optional[dict] = None,
+    theorems: Optional[list] = None,
+    include_maps: bool = True,
+) -> dict:
+    """:func:`sweep_theorems` quantified over `spaces`: topologies on n
+    points, at least one of each homeomorphism class."""
+    ops = _default_ops(overrides)
+    names = [name for name, _ in SINGLE_SPACE_CHECKS] if theorems is None else theorems
+    ctxs = [_Ctx(s, ops) for s in spaces]
     lookup = dict(SINGLE_SPACE_CHECKS)
     report = {}
     for name in names:
-        cx = lookup[name](ctxs)
+        check = lookup[name]
+        if check is _chk_coarser_operator_comparison:
+            every = all_spaces(n)
+            labeled = ctxs if tuple(spaces) == every else [_Ctx(s, ops) for s in every]
+            cx = check(ctxs, labeled)
+        else:
+            cx = check(ctxs)
         report[name] = {"ok": cx is None, "counterexample": cx}
     if include_maps:
         for name, cx in _map_sweep(n, ctxs).items():

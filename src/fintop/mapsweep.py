@@ -130,7 +130,7 @@ class _Domain:
         "loc_bad", "bad", "paste",
     )
 
-    def __init__(self, c: _Ctx, e: dict, t, img, pre, shifts, above, holds) -> None:
+    def __init__(self, c: _Ctx, e: dict, t, img, pre, shifts, above, holds, missed) -> None:
         masks = range(c.N)
         opens, closeds = e["opens"], e["closeds"]
         self.pre_open = _bitset(u for u in masks if opens >> pre[u] & 1)
@@ -158,20 +158,37 @@ class _Domain:
         # bad[S]: the masks u with S & pre[u] not open in S, so f is
         # continuous on S iff no open of the codomain is in bad[S], and on
         # every member of a cover iff none is in the union of their bad[S].
-        # Per cover list, the distinct unions.
+        # Per cover list, the codomains (bit i2) whose opens miss one of
+        # those unions: missed(union) is that bitset for one union.
         self.bad = {
             S: _bitset(u for u in masks if not rel >> (S & pre[u]) & 1)
             for S, rel in e["rel"].items()
         }
         self.paste = []
         for covers in e["covers"]:
-            unions = set()
+            hit = 0
             for fam in covers:
                 union = 0
                 for S in fam:
                     union |= self.bad[S]
-                unions.add(union)
-            self.paste.append(unions)
+                hit |= missed(union)
+            self.paste.append(hit)
+
+
+def _codomains_missing(opens_list):
+    """missed(union): the bitset of the codomains i whose opens bitset
+    ``opens_list[i]`` meets no mask of ``union``, memoized per union."""
+    memo: dict[int, int] = {}
+
+    def missed(union: int) -> int:
+        got = memo.get(union)
+        if got is None:
+            got = memo[union] = _bitset(
+                i for i, opens in enumerate(opens_list) if not opens & union
+            )
+        return got
+
+    return missed
 
 
 def _map_sweep(n: int, ctxs) -> dict:
@@ -185,7 +202,8 @@ def _map_sweep(n: int, ctxs) -> dict:
     domain tables (:class:`_Domain`) at the top of each c1 iteration, so
     at most n**n of them are held.  Pasting is tested only when f is not
     continuous: its failure is "f continuous on every member of a
-    fundamental cover, yet not continuous".
+    fundamental cover, yet not continuous", and whether some cover has f
+    continuous on every member is bit i2 of the domain table's ``paste``.
     """
     results: dict[str, Optional[str]] = {k: None for k in MAP_SWEEP_CHECKS}
     N = 1 << n
@@ -195,6 +213,8 @@ def _map_sweep(n: int, ctxs) -> dict:
     above = [_bitset(w for w in masks if x & ~w == 0) for x in masks]
     holds = [_bitset(w for w in masks if w >> q & 1) for q in range(n)]
     extras = [_space_families(c) for c in ctxs]
+    missed = _codomains_missing([e["opens"] for e in extras])
+    fmaps = [FiniteMap.of(n, n, t) for t in tables]
     # Per c2, four tables indexed by t: Pre(Cl2(m)), Cl2(Img(m)),
     # Pre(Int2(m)) and Int2(Img(m)) packed over m, equal ints shared.
     shared: dict[int, int] = {}
@@ -221,8 +241,15 @@ def _map_sweep(n: int, ctxs) -> dict:
         e1 = extras[i1]
         indiscrete1 = c1.opens == {0, c1.full} and n >= 1
         doms = [
-            _Domain(c1, e1, t, imgs[ti], pres[ti], shifts, above, holds)
+            _Domain(c1, e1, t, imgs[ti], pres[ti], shifts, above, holds, missed)
             for ti, t in enumerate(tables)
+        ]
+        # Per limit point p of A: the masks u & A - p, u open holding p.
+        limit_args = [
+            (a, p, [u & a & ~(1 << p) for u in c1.opens if u >> p & 1])
+            for a in range(N)
+            for p in range(n)
+            if c1.cl[a & ~(1 << p)] >> p & 1
         ]
         for i2, c2 in enumerate(ctxs):
             e2 = extras[i2]
@@ -277,12 +304,12 @@ def _map_sweep(n: int, ctxs) -> dict:
                 # Pasting fails when f is discontinuous and continuous on
                 # every member of a fundamental cover: the first such cover.
                 if not cont:
-                    for key, covers, unions in zip(
+                    for key, covers, hit in zip(
                         ("pasting_open_covers", "pasting_closed_covers"),
                         e1["covers"],
                         d.paste,
                     ):
-                        if results[key] is None and not all(opens2 & u for u in unions):
+                        if results[key] is None and hit >> i2 & 1:
                             for fam in covers:
                                 if not any(opens2 & d.bad[S] for S in fam):
                                     results[key] = fail(
@@ -343,23 +370,18 @@ def _map_sweep(n: int, ctxs) -> dict:
                                     break
 
                 if e2["t1"] and results["hausdorff_limit_uniqueness"] is None:
-                    for a in range(N):
-                        for p in range(n):
-                            pb = 1 << p
-                            if not c1.cl[a & ~pb] >> p & 1:
-                                continue  # p is not a limit point of A
-                            # y is a limit of f along A at p iff every open w
-                            # holding y holds img[u & A - p] for some open u
-                            # holding p: iff no open holding y is outside near.
-                            near = 0
-                            for u in c1.opens:
-                                if u & pb:
-                                    near |= above[img[u & a & ~pb]]
-                            limits = [y for y in range(n) if not opens2 & holds[y] & ~near]
-                            if len(limits) > 1:
-                                results["hausdorff_limit_uniqueness"] = fail(
-                                    c1, c2, t, f"multiple limits along {a:#x} at p={p}"
-                                )
+                    for a, p, traces in limit_args:
+                        # y is a limit of f along A at p iff every open w
+                        # holding y holds img[u & A - p] for some open u
+                        # holding p: iff no open holding y is outside near.
+                        near = 0
+                        for m in traces:
+                            near |= above[img[m]]
+                        limits = [y for y in range(n) if not opens2 & holds[y] & ~near]
+                        if len(limits) > 1:
+                            results["hausdorff_limit_uniqueness"] = fail(
+                                c1, c2, t, f"multiple limits along {a:#x} at p={p}"
+                            )
 
                 if results["t1_pullback_and_indiscrete_maps"] is None and e2["t1"]:
                     if cont and n_values[ti] == n and not e1["t1"]:
@@ -372,9 +394,7 @@ def _map_sweep(n: int, ctxs) -> dict:
                         )
 
                 if e2["t2"] and results["hausdorff_codomain_implications"] is None:
-                    checks = compact_mod.hausdorff_compact_checks(
-                        c1.s, c2.s, FiniteMap.of(n, n, t)
-                    )
+                    checks = compact_mod.hausdorff_compact_checks(c1.s, c2.s, fmaps[ti])
                     if not all(checks.values()):
                         results["hausdorff_codomain_implications"] = fail(
                             c1, c2, t, f"implications: {checks}"

@@ -33,12 +33,14 @@ from fintop.cli import cli_dispatch
 from fintop.covers import classify_cover
 from fintop.enumeration import (
     EnumConfig,
+    OPERATOR_IDENTITY_CHECKS,
     SINGLE_SPACE_CHECKS,
     SWEEP_CORE,
     all_spaces,
     canonical_form,
     enumerate_topologies,
     topologies_naive,
+    _sweep,
 )
 
 EXPECTED_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355}
@@ -113,8 +115,9 @@ class TestCriterion3SingleSpaceSweep:
         assert not bad, bad
 
     def test_full_single_space_sweep_n4(self):
-        # All 34 single-space theorems over all 355 topologies on 4 points,
-        # under 30 s.
+        # All 34 single-space theorems over the 33 homeomorphism classes on
+        # 4 points (coarser_operator_comparison against all 355 on its
+        # second side), under 10 s.
         names = [name for name, _ in SINGLE_SPACE_CHECKS]
         assert len(names) == 34
         start = time.perf_counter()
@@ -123,11 +126,13 @@ class TestCriterion3SingleSpaceSweep:
         assert sorted(report) == sorted(names)
         bad = {k: v for k, v in report.items() if not v["ok"]}
         assert not bad, bad
-        assert elapsed < 30.0
+        assert elapsed < 10.0
 
     def test_spot_sweep_n4_operator_identities(self):
-        # all 355 topologies on 4 points, operator identities only
-        report = sweep_theorems(4, include_maps=False)
+        # all 355 labeled topologies on 4 points, unreduced, operator
+        # identities only
+        report = _sweep(4, all_spaces(4), theorems=OPERATOR_IDENTITY_CHECKS, include_maps=False)
+        assert len(report) == 12
         bad = {k: v for k, v in report.items() if not v["ok"]}
         assert not bad, bad
 
@@ -144,6 +149,18 @@ class TestCriterion4MapSweep:
         bad = {k: v for k, v in report.items() if not v["ok"]}
         assert not bad, bad
         assert elapsed < 5.0
+
+    def test_full_sweep_n4(self):
+        # All 47 theorems at n = 4 by default: the map theorems over the 33
+        # class representatives on both sides (33 x 33 x 256 triples),
+        # under 10 s.
+        start = time.perf_counter()
+        report = sweep_theorems(4)
+        elapsed = time.perf_counter() - start
+        assert len(report) == 47
+        bad = {k: v for k, v in report.items() if not v["ok"]}
+        assert not bad, bad
+        assert elapsed < 10.0
 
 
 class TestCriterion5T1Rigidity:

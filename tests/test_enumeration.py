@@ -19,7 +19,7 @@ from fintop import separation
 from fintop.enumeration import (
     CLASS_CAP,
     PREDICATES,
-    _is_canonical,
+    _class_leaders,
     _perm_table,
     all_spaces,
     canonical_form,
@@ -52,6 +52,9 @@ class TestGenerators:
         for n in (6, -1):
             with pytest.raises(CarrierTooLarge):
                 count_topologies(n)
+            # n = -1: not the ValueError of a negative shift count
+            with pytest.raises(CarrierTooLarge, match="^enumeration capped at n <= 5$"):
+                topologies_minopen(n)
 
     def test_trusted_build_matches_validation(self):
         assert _trusted_mismatch(_trusted_space) is None
@@ -112,10 +115,12 @@ class TestCanonicalForm:
             for opens in topologies_minopen(n):
                 assert canonical_form(n, opens) == reference(n, opens)
 
-    def test_early_exit_filter(self):
+    def test_leaders_are_the_canonical_forms(self):
         for n in range(6):
-            for opens in topologies_minopen(n):
-                assert _is_canonical(n, opens) == (canonical_form(n, opens) == opens)
+            expected = [o for o in topologies_minopen(n) if canonical_form(n, o) == o]
+            assert _class_leaders(n) == expected
+            got = enumerate_topologies(EnumConfig(n, mode="up_to_homeomorphism"))
+            assert [s.opens.masks for s in got] == expected
 
     def test_cap_before_table(self):
         misses = _perm_table.cache_info().misses
@@ -182,8 +187,10 @@ class TestSweep:
         assert all(rec["counterexample"] is None for rec in out.values())
 
     def test_cap(self):
-        with pytest.raises(CarrierTooLarge):
-            sweep_theorems(5)
+        # n = -1 has the sweep's own message, not the enumeration's cap
+        for n in (5, -1):
+            with pytest.raises(CarrierTooLarge, match="^theorem sweep capped at n <= 4$"):
+                sweep_theorems(n)
 
     def test_locally_connected_mutant_fails_sweep(self, monkeypatch):
         from fintop import connect

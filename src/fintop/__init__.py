@@ -19,7 +19,6 @@ from .carrier import (
     same_carrier,
     subsets_iter,
 )
-from .cli import COVERAGE, cli_dispatch, main
 from .compact import (
     CompactnessReport,
     compactness_report,
@@ -155,6 +154,19 @@ from .space import (
 )
 
 __version__ = "1.0.0"
+
+#: Names of :mod:`fintop.cli` that the package exports without importing
+#: the CLI, so ``python -m fintop.cli`` runs ``cli.py`` once, as ``__main__``.
+_CLI_NAMES = ("COVERAGE", "cli_dispatch", "main")
+
+
+def __getattr__(name: str):
+    """Resolve the CLI exports on first use (PEP 562)."""
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: Spec-level operations of the library (the CLI coverage map in
 #: :data:`fintop.cli.COVERAGE` must reach every one of these but

@@ -4,7 +4,8 @@ Subsets are stored as bitmasks (bit i set iff point i is a member), so all
 set operations are single machine-word operations.  Families of subsets are
 canonicalized on construction (sorted ascending by bitmask, deduplicated),
 which makes family equality plain sequence equality.  A family stores its
-canonical masks; its ``PointSet`` members are a view built on first read.
+canonical masks; its ``PointSet`` members and its set of masks are views
+built on first read.
 """
 
 from __future__ import annotations
@@ -37,13 +38,19 @@ def same_carrier(*sizes: int) -> int:
     return first
 
 
+#: The points of each byte value, ascending.
+_BYTE_POINTS = tuple(bytes(p for p in range(8) if b >> p & 1) for b in range(256))
+
+
 def mask_points(mask: int) -> list[int]:
-    """The points of a mask, ascending, one step per point in the mask."""
-    points = []
+    """The points of a mask, ascending, one table lookup per byte."""
+    points = list(_BYTE_POINTS[mask & 255])
+    mask >>= 8
+    base = 8
     while mask:
-        low = mask & -mask
-        points.append(low.bit_length() - 1)
-        mask ^= low
+        points += map(base.__add__, _BYTE_POINTS[mask & 255])
+        mask >>= 8
+        base += 8
     return points
 
 
@@ -125,14 +132,14 @@ class PointSet:
 class Family:
     """A canonical (sorted, deduplicated) sequence of subsets of one carrier.
 
-    The family is its ascending masks; ``members`` is a view of them as
-    PointSets, built on first read and excluded from equality, hashing and
-    repr.
+    The family is its ascending masks; ``members`` (a view of them as
+    PointSets) and ``mask_set`` are built on first read and excluded from
+    equality, hashing and repr.
     """
 
     n: int
     _masks: tuple[int, ...] = field(repr=False)
-    _mask_set: frozenset[int] = field(compare=False, repr=False)
+    _mask_set: frozenset[int] | None = field(compare=False, repr=False)
     _members: tuple[PointSet, ...] | None = field(compare=False, repr=False)
 
     def __init__(self, members: Iterable[PointSet], n: int) -> None:
@@ -150,7 +157,7 @@ class Family:
     def _fill(self, n: int, masks: tuple[int, ...], members) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "_mask_set", frozenset(masks))
+        object.__setattr__(self, "_mask_set", None)
         object.__setattr__(self, "_members", members)
 
     @classmethod
@@ -193,8 +200,12 @@ class Family:
 
     @property
     def mask_set(self) -> frozenset[int]:
-        """The members' masks as a read-only set, built once."""
-        return self._mask_set
+        """The members' masks as a read-only set, built on first read."""
+        mask_set = self._mask_set
+        if mask_set is None:
+            mask_set = frozenset(self._masks)
+            object.__setattr__(self, "_mask_set", mask_set)
+        return mask_set
 
     def __iter__(self) -> Iterator[PointSet]:
         return iter(self.members)
@@ -204,7 +215,7 @@ class Family:
 
     def __contains__(self, item: PointSet | int) -> bool:
         bits = item.bits if isinstance(item, PointSet) else item
-        return bits in self._mask_set
+        return bits in self.mask_set
 
     def __repr__(self) -> str:
         inner = ",".join(

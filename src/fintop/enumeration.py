@@ -6,19 +6,10 @@ Two independent generators cross-validate each other: a minimal-open-set
 filter over every subset of the power set.  Enumeration correctness
 anchors the entire regression suite, so both are kept.
 
-The production generator backtracks over the points, choosing the minimal
-open U_p of each point in turn and keeping a choice only if it agrees with
-every U_q chosen before it (q in U_p implies U_q <= U_p, and p in U_q
-implies U_p <= U_q); each complete assignment yields the family of its
-up-sets.  A finite topology is exactly its minimal-open assignment (Stong
-1966), so the generated families become spaces without being validated
-again.  Homeomorphism classes are the relabeling orbits: a table with one
-row per permutation of the carrier holds the image of every mask, and the
-canonical form is the least sorted image over all rows.  The classes are
-found by marking orbits: walking the ascending labeled tuples, an unmarked
-tuple is the least of its orbit, so it is kept and each of its relabelings
-is marked, found by bisection in the same sorted tuple.  That costs
-n! relabelings per class.
+The production generator and the orbit marking that finds the
+homeomorphism classes live in :mod:`fintop.minopen`: each topology is
+recorded by the code of its minimal opens, and each space is built from
+that code without being validated again.
 
 Every theorem of the sweep is invariant under relabeling the carrier, so at
 n = 4 it quantifies over the class representatives (33 of 355): one side
@@ -32,7 +23,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Union
@@ -46,9 +36,9 @@ from . import operators as operators_mod
 from . import separation as separation_mod
 from .carrier import Family, Partition, PointSet, mask_points, subsets_iter
 from .errors import CarrierTooLarge, CrossCheckFailure
-from .maps import image_bits
 from .mapsweep import _map_sweep
-from .space import TopSpace, _trusted_space, space
+from .minopen import _class_leaders, _code_shifts, _minopen_index, _perm_table
+from .space import TopSpace, _build, space
 
 #: Hard caps on the carrier of labeled enumeration and of the classes.
 LABELED_CAP = 5
@@ -101,42 +91,6 @@ def topologies_naive(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(found))
 
 
-def _minopen_scan(n: int) -> Iterator[tuple[int, ...]]:
-    """Opens tuples from minimal-open assignments.
-
-    Backtracks as the module docstring describes, visiting assignments in
-    ascending lexicographic order of (U_0, ..., U_{n-1}).
-    """
-    if n == 0:
-        yield (0,)
-        return
-    N = 1 << n
-    cands = [[m for m in range(N) if m >> p & 1] for p in range(n)]
-    assign = [0] * n
-    lows = [(m & -m).bit_length() - 1 for m in range(N)]
-    up = [0] * N
-
-    def extend(p: int) -> Iterator[tuple[int, ...]]:
-        for u in cands[p]:
-            for q in range(p):
-                uq = assign[q]
-                if (u >> q & 1 and uq & ~u) or (uq >> p & 1 and u & ~uq):
-                    break
-            else:
-                assign[p] = u
-                if p + 1 < n:
-                    yield from extend(p + 1)
-                    continue
-                # The opens are the up-sets: the sets equal to the union of
-                # the minimal opens of their points.
-                for m in range(1, N):
-                    up[m] = up[m & (m - 1)] | assign[lows[m]]
-                yield tuple(m for m in range(N) if up[m] == m)
-
-    yield from extend(0)
-
-
-@lru_cache(maxsize=None)
 def topologies_minopen(n: int) -> tuple[tuple[int, ...], ...]:
     """Enumerate topologies through their per-point minimal open sets.
 
@@ -147,17 +101,7 @@ def topologies_minopen(n: int) -> tuple[tuple[int, ...], ...]:
     """
     if not 0 <= n <= LABELED_CAP:
         raise CarrierTooLarge(f"enumeration capped at n <= {LABELED_CAP}")
-    return tuple(sorted(_minopen_scan(n)))
-
-
-@lru_cache(maxsize=None)
-def _perm_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """One row per permutation of the carrier (identity first), holding the
-    image of every mask under that permutation."""
-    return tuple(
-        tuple(image_bits(perm, m) for m in range(1 << n))
-        for perm in itertools.permutations(range(n))
-    )
+    return _minopen_index(n)[0]
 
 
 def canonical_form(n: int, opens: tuple[int, ...]) -> tuple[int, ...]:
@@ -165,22 +109,6 @@ def canonical_form(n: int, opens: tuple[int, ...]) -> tuple[int, ...]:
     if not 0 <= n <= CLASS_CAP:
         raise CarrierTooLarge(f"canonical form capped at n <= {CLASS_CAP}")
     return min(tuple(sorted(row[m] for m in opens)) for row in _perm_table(n))
-
-
-def _class_leaders(n: int) -> list[tuple[int, ...]]:
-    """The least opens tuple of each relabeling orbit, ascending: the
-    tuples equal to their own canonical form, found by orbit marking."""
-    all_opens = topologies_minopen(n)
-    rows = _perm_table(n)
-    marked = bytearray(len(all_opens))
-    leaders = []
-    for i, opens in enumerate(all_opens):
-        if marked[i]:
-            continue
-        leaders.append(opens)
-        for row in rows:
-            marked[bisect_left(all_opens, tuple(sorted(row[m] for m in opens)))] = 1
-    return leaders
 
 
 #: The named predicates: ``enumerate --predicate`` and the ``check`` flags,
@@ -217,15 +145,21 @@ def enumerate_topologies(cfg: EnumConfig) -> Iterator[TopSpace]:
     """Yield each topology exactly once, ascending by opens family.
 
     In up_to_homeomorphism mode only the canonically least representative
-    of each relabeling orbit is yielded.
+    of each relabeling orbit is yielded.  Each space is built from its
+    opens and the U_p unpacked from its code.
     """
     pred = _resolve_predicate(cfg.predicate)
+    n = cfg.n
+    all_opens, codes, code_at = _minopen_index(n)
+    shifts = _code_shifts(n)
+    width = (1 << n) - 1
     if cfg.mode == "up_to_homeomorphism":
-        all_opens = _class_leaders(cfg.n)
+        picks = _class_leaders(n)
     else:
-        all_opens = topologies_minopen(cfg.n)
-    for opens in all_opens:
-        s = _trusted_space(cfg.n, opens)
+        picks = range(len(all_opens))
+    for i in picks:
+        code = codes[code_at[i]]
+        s = _build(n, all_opens[i], [code >> sh & width for sh in shifts])
         if pred is None or pred(s):
             yield s
 

@@ -1,0 +1,138 @@
+"""Topologies by their minimal-open codes: the production generator and
+the relabeling-orbit kernel behind :mod:`fintop.enumeration`.
+
+The production generator backtracks over the points, choosing the minimal
+open U_p of each point in turn and keeping a choice only if it agrees with
+every U_q chosen before it (q in U_p implies U_q <= U_p, and p in U_q
+implies U_p <= U_q): U_p must lie inside every earlier U_q that holds p,
+and contain the up-set of its points below p.  A finite topology is
+exactly its minimal-open assignment (Stong 1966), so the assignment is the
+record: its code packs U_0, ..., U_{n-1} into n bits each, U_0 highest, and
+the backtracking visits the codes in ascending order.  The generator
+yields each code with its opens tuple, the up-sets, which it fills in one
+point at a time; each space is built from its opens and the U_p unpacked
+from its code (``enumeration.enumerate_topologies``), without being
+validated again.
+
+Homeomorphism classes are the relabeling orbits: a table with one row per
+permutation of the carrier holds the image of every mask, and the
+canonical form (``enumeration.canonical_form``) is the least sorted image
+over all rows.  The classes are found by marking orbits: walking the ascending opens tuples, an unmarked
+one is the least of its orbit, so it is kept and each of its n!
+relabelings is marked.  A relabeling σ carries U_p onto U'_{σ(p)} =
+σ(U_p), so marking the image costs n row lookups and one bisection in the
+ascending codes, not a sort of every relabeled open.
+"""
+
+from __future__ import annotations
+
+import itertools
+from array import array
+from bisect import bisect_left
+from functools import lru_cache
+from operator import lshift
+from typing import Iterator
+
+from .maps import image_bits
+
+
+def _code_shifts(n: int) -> list[int]:
+    """Where U_p sits in a topology's code: n bits per point, U_0 highest."""
+    return [n * (n - 1 - p) for p in range(n)]
+
+
+def _minopen_scan(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(code, opens tuple) of every minimal-open assignment, ascending by
+    code.
+
+    Backtracks as the module docstring describes.  The opens are the
+    up-sets, the masks m with up[m] = m, where up[m] is the union of the
+    U_q with q in m.  A mask whose highest point is p needs only U_0..U_p,
+    so choosing U_p fills up[m] for 2^p <= m < 2^(p+1) from the lower half
+    (up[m] = up[m - 2^p] | U_p) and appends the new opens among them.
+    """
+    if n == 0:
+        yield 0, (0,)
+        return
+    N = 1 << n
+    # fits[p][i]: the masks holding p inside the mask i, ascending.
+    fits = [
+        [[u for u in range(N) if u >> p & 1 and not u & ~i] for i in range(N)]
+        for p in range(n)
+    ]
+    shifts = _code_shifts(n)
+    assign = [0] * n
+    up = [0] * N
+    opens = [0]  # the opens below 2^p on the current branch
+
+    def extend(p: int, code: int):
+        bit = 1 << p
+        inside = N - 1  # the intersection of the earlier U_q holding p
+        for uq in assign[:p]:
+            if uq & bit:
+                inside &= uq
+        below = len(opens)
+        for u in fits[p][inside]:
+            if up[u & (bit - 1)] & ~u:
+                continue  # some earlier q in u has U_q outside u
+            assign[p] = u
+            new = up[bit : bit << 1] = [v | u for v in up[:bit]]
+            opens[below:] = [m for m, v in enumerate(new, bit) if v == m]
+            with_p = code | u << shifts[p]
+            if p + 1 < n:
+                yield from extend(p + 1, with_p)
+            else:
+                yield with_p, tuple(opens)
+
+    yield from extend(0, 0)
+
+
+@lru_cache(maxsize=None)
+def _minopen_index(n: int) -> tuple[tuple[tuple[int, ...], ...], array, array]:
+    """The opens tuples ascending, the codes ascending (``array("Q")``), and
+    for the i-th opens tuple the index of its code (``array("I")``)."""
+    codes = array("Q")
+    found = []
+    for code, opens in _minopen_scan(n):
+        codes.append(code)
+        found.append(opens)
+    all_opens = tuple(sorted(found))
+    code_at = array("I", [0]) * len(found)
+    for j, opens in enumerate(found):
+        code_at[bisect_left(all_opens, opens)] = j
+    return all_opens, codes, code_at
+
+
+@lru_cache(maxsize=None)
+def _perm_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """One row per permutation of the carrier (identity first), holding the
+    image of every mask under that permutation."""
+    return tuple(
+        tuple(image_bits(perm, m) for m in range(1 << n))
+        for perm in itertools.permutations(range(n))
+    )
+
+
+def _class_leaders(n: int) -> list[int]:
+    """The index in ``_minopen_index(n)[0]`` of the least opens tuple of
+    each relabeling orbit, ascending: the tuples equal to their own
+    canonical form, found by orbit marking over the codes."""
+    _, codes, code_at = _minopen_index(n)
+    shifts = _code_shifts(n)
+    width = (1 << n) - 1
+    # σ carries U_p onto U'_{σ(p)} = σ(U_p): row[U_p] moves to σ(p)'s slot.
+    moves = [
+        (row, [shifts[q] for q in perm])
+        for perm, row in zip(itertools.permutations(range(n)), _perm_table(n))
+    ]
+    marked = bytearray(len(codes))
+    leaders = []
+    for i, at in enumerate(code_at):
+        if marked[at]:
+            continue
+        leaders.append(i)
+        ups = [codes[at] >> s & width for s in shifts]
+        for row, to in moves:
+            # The shifted fields are disjoint, so their sum is the code.
+            marked[bisect_left(codes, sum(map(lshift, map(row.__getitem__, ups), to)))] = 1
+    return leaders

@@ -7,6 +7,7 @@ generous for CI noise but tight enough to catch algorithmic regressions.
 
 import itertools
 import json
+import math
 import time
 
 import pytest
@@ -39,6 +40,7 @@ from fintop.enumeration import (
     all_spaces,
     canonical_form,
     enumerate_topologies,
+    topologies_minopen,
     topologies_naive,
     _sweep,
 )
@@ -64,13 +66,71 @@ class TestCriterion1Counts:
 
     def test_n5_oeis_counts(self):
         # n = 5: labeled (A000798), classes (A001930) and T0 (A001035)
-        # counts, under 3 s.
+        # counts, under 1 s.
         start = time.perf_counter()
         assert count_topologies(5) == 6942
         reps = enumerate_topologies(EnumConfig(5, "up_to_homeomorphism"))
         assert sum(1 for _ in reps) == 139
         assert count_topologies(5, "t0") == 4231
-        assert time.perf_counter() - start < 3.0
+        assert time.perf_counter() - start < 1.0
+
+    def test_classes_by_burnside(self):
+        # Classes are relabeling orbits, so by Burnside's lemma their number
+        # is the mean number of labeled topologies a permutation fixes.  The
+        # fixed count depends only on the cycle type, and the relabeling
+        # here shares no code with the orbit marking or canonical_form.
+        for n, expected in enumerate((1, 1, 3, 9, 33, 139)):
+            total = 0
+            for cycles in _cycle_types(n):
+                perm, start = [], 0
+                for k in cycles:
+                    perm += [start + (i + 1) % k for i in range(k)]
+                    start += k
+                fixed = 0
+                for opens in topologies_minopen(n):
+                    members = set(opens)
+                    if all(
+                        sum(1 << perm[p] for p in range(n) if m >> p & 1) in members
+                        for m in opens
+                    ):
+                        fixed += 1
+                total += _type_size(cycles) * fixed
+            assert total == expected * math.factorial(n)
+            reps = enumerate_topologies(EnumConfig(n, "up_to_homeomorphism"))
+            assert sum(1 for _ in reps) == expected
+
+    def test_labeled_counts_by_stirling(self):
+        # A topology is a T0 topology on its classes of indistinguishable
+        # points, so T(n) = sum over k of S(n, k) T0(k) (Erne & Stege 1991).
+        stirling = [[1]]
+        for n in range(1, 6):
+            prev = stirling[-1] + [0]
+            stirling.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)])
+        t0 = [count_topologies(k, "t0") for k in range(6)]
+        assert t0 == [1, 1, 3, 19, 219, 4231]
+        for n in range(6):
+            assert count_topologies(n) == sum(s * t for s, t in zip(stirling[n], t0))
+
+
+def _cycle_types(n, largest=None):
+    """The partitions of n, parts descending: the cycle types of the
+    permutations of n points."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in _cycle_types(n - k, k):
+            yield (k, *rest)
+
+
+def _type_size(cycles):
+    """How many permutations have the cycle type `cycles`."""
+    size = math.factorial(sum(cycles))
+    for k in cycles:
+        size //= k
+    for k in set(cycles):
+        size //= math.factorial(cycles.count(k))
+    return size
 
 
 class TestCriterion2HomeoClasses:

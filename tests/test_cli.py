@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -177,6 +178,26 @@ class TestExitCodes:
         out, code = run(capsys, ["check", "sierp.json", "--t0", "--connected"])
         assert code == 0
         assert json.loads(out) == {"t0": True, "connected": True}
+
+
+def test_module_entry_point_runs_cli_once():
+    # `python -m fintop.cli` runs cli.py only as __main__: the package does
+    # not import it first, so runpy warns about nothing on stderr.
+    env = dict(os.environ)
+    src_root = str(Path(fintop.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fintop.cli", "validate", "-"],
+        input='{"n": 2, "opens": [[], [1], [0, 1]]}',
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == '{"canonical":{"n":2,"opens":[[],[1],[0,1]]},"valid":true}\n'
+    assert proc.stderr == ""
+    assert fintop.cli_dispatch is fintop.cli.cli_dispatch
 
 
 def test_parser_reuse_keeps_no_state(docs, capsys):
@@ -372,11 +393,14 @@ class TestEnumerateCount:
                 assert run(capsys, argv) == (expected, 0)
 
     def test_labeled_count_builds_no_space(self, docs, capsys, monkeypatch):
-        def refuse(n, opens):
+        def refuse(n, opens, ups):
             raise AssertionError("a space was built")
 
-        monkeypatch.setattr(enum_mod, "_trusted_space", refuse)
+        monkeypatch.setattr(enum_mod, "_build", refuse)
         assert run(capsys, ["enumerate", "--n", "5", "--count"]) == ('{"count":6942}', 0)
+        # The patched builder is the one the enumeration calls.
+        with pytest.raises(AssertionError, match="^a space was built$"):
+            next(enum_mod.enumerate_topologies(enum_mod.EnumConfig(1)))
 
 
 def _doc24(opens):

@@ -62,6 +62,16 @@ class TestGenerators:
     def test_last_open_mutant_is_killed(self):
         assert _trusted_mismatch(_last_open_space) == (2, (0b00, 0b01, 0b10, 0b11))
 
+    def test_enumerated_spaces_match_validation(self):
+        # Every space both modes yield for n <= 5, built from the U_p code.
+        spaces = (
+            s
+            for n in range(6)
+            for mode in ("labeled", "up_to_homeomorphism")
+            for s in enumerate_topologies(EnumConfig(n, mode))
+        )
+        assert _first_mismatch(spaces) is None
+
     def test_first_open_rule_needs_a_topology(self):
         # {∅, {0,1}, {0,2}, X} passes the m | U_p test with U_p the first
         # member holding p, yet {0,1} ∩ {0,2} = {0} is not a member.
@@ -75,15 +85,23 @@ class TestGenerators:
 
 def _trusted_mismatch(build):
     """The first topology with n <= 5 (6942 at n = 5) whose space built by
-    `build` from the generator's opens tuple differs from the validated one
-    in equality, hash, ups, closeds or min_open; None if there is none."""
-    for n in range(6):
-        for opens in topologies_minopen(n):
-            views = []
-            for s in (build(n, opens), validate_topology(n, opens)):
-                views.append((s, hash(s), s.ups, s.closeds, s.min_open))
-            if views[0] != views[1]:
-                return n, opens
+    `build` from the generator's opens tuple differs from the validated one;
+    None if there is none."""
+    return _first_mismatch(
+        build(n, opens) for n in range(6) for opens in topologies_minopen(n)
+    )
+
+
+def _first_mismatch(spaces):
+    """(n, opens) of the first space that differs from ``validate_topology``
+    of its opens in equality, hash, ups, closeds or min_open, or None."""
+    for built in spaces:
+        n, opens = built.n, built.opens.masks
+        views = []
+        for s in (built, validate_topology(n, opens)):
+            views.append((s, hash(s), s.ups, s.closeds, s.min_open))
+        if views[0] != views[1]:
+            return n, opens
     return None
 
 
@@ -117,8 +135,9 @@ class TestCanonicalForm:
 
     def test_leaders_are_the_canonical_forms(self):
         for n in range(6):
-            expected = [o for o in topologies_minopen(n) if canonical_form(n, o) == o]
-            assert _class_leaders(n) == expected
+            labeled = topologies_minopen(n)
+            expected = [o for o in labeled if canonical_form(n, o) == o]
+            assert [labeled[i] for i in _class_leaders(n)] == expected
             got = enumerate_topologies(EnumConfig(n, mode="up_to_homeomorphism"))
             assert [s.opens.masks for s in got] == expected
 

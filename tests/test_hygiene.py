@@ -40,11 +40,16 @@ def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
 
 
+#: Module hooks that the interpreter calls by name (PEP 562).
+MODULE_HOOKS = {"__getattr__"}
+
+
 def unread_definitions(sources: dict[str, str]) -> list[str]:
     """Module-level defs and classes whose name no module reads, as a name,
-    an attribute or an imported name (so ``__init__`` imports count)."""
+    an attribute or an imported name (so ``__init__`` imports count); a
+    module hook counts as read."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = set()
+    read = set(MODULE_HOOKS)
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -64,7 +69,8 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
 
 def test_scan_flags_an_unread_definition():
     sources = {
-        "a": "def f(): pass\ndef g(): pass\ndef h(): pass\nclass C: pass\n",
+        "a": "def f(): pass\ndef g(): pass\ndef h(): pass\nclass C: pass\n"
+        "def __getattr__(name): pass\n",
         "b": "from . import a\nfrom .a import g\na.h()\n",
         "__init__": "from .a import C\n",
     }

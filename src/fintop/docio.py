@@ -40,17 +40,24 @@ def _load(text: Union[str, dict]) -> dict:
     return obj
 
 
-def _parse_point_list(n: int, raw, what: str) -> int:
-    _require(isinstance(raw, list), f"{what} must be a list of point indices")
-    bits = 0
+def _parse_point_lists(n: int, raw: list, field: str) -> list[int]:
+    """The mask of every point list in ``raw``, the document's ``field``;
+    errors name the member as ``field[i]``."""
+    masks = []
     top = max(n, 1)
-    for p in raw:
-        if type(p) is not int:  # bool and float fail here; int subclasses pass
-            _require(isinstance(p, int) and not isinstance(p, bool), f"{what}: bad point {p!r}")
-        if not 0 <= p < top:
-            raise DocumentError(f"{what}: point {p} outside carrier of size {n}")
-        bits |= 1 << p
-    return bits
+    for i, member in enumerate(raw):
+        if not isinstance(member, list):
+            raise DocumentError(f"{field}[{i}] must be a list of point indices")
+        bits = 0
+        for p in member:
+            # bool and float fail here; int subclasses pass
+            if type(p) is not int and (not isinstance(p, int) or isinstance(p, bool)):
+                raise DocumentError(f"{field}[{i}]: bad point {p!r}")
+            if not 0 <= p < top:
+                raise DocumentError(f"{field}[{i}]: point {p} outside carrier of size {n}")
+            bits |= 1 << p
+        masks.append(bits)
+    return masks
 
 
 def _parse_n(obj: dict) -> int:
@@ -71,11 +78,7 @@ def parse_space(text: Union[str, dict]) -> TopSpace:
     n = _parse_n(obj)
     raw_opens = obj.get("opens")
     _require(isinstance(raw_opens, list), "field 'opens' must be a list")
-    masks = [
-        _parse_point_list(n, member, f"opens[{i}]")
-        for i, member in enumerate(raw_opens)
-    ]
-    result = validate_topology(n, masks)
+    result = validate_topology(n, _parse_point_lists(n, raw_opens, "opens"))
     if not isinstance(result, TopSpace):
         raise InvalidTopology(result)
     return result
@@ -122,10 +125,7 @@ def parse_family(text: Union[str, dict]) -> tuple[int, Family]:
     n = _parse_n(obj)
     raw = obj.get("members")
     _require(isinstance(raw, list), "field 'members' must be a list")
-    masks = [
-        _parse_point_list(n, member, f"members[{i}]") for i, member in enumerate(raw)
-    ]
-    return n, Family.of(n, masks)
+    return n, Family.of(n, _parse_point_lists(n, raw, "members"))
 
 
 def family_obj(fam: Family) -> dict:

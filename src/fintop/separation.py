@@ -8,8 +8,8 @@ spaces", Trans. AMS 123; Barmak 2011, LNM 2032, ch. 1), because the least
 open holding a set A is the union of the U_a, a ∈ A, and the least closed
 set holding p is cl{p}:
 
-- T0 iff ≤ is antisymmetric: U_p ∩ cl{p} = {p}; equivalently the U_p are
-  pairwise distinct.
+- T0 iff ≤ is antisymmetric, i.e. the U_p are pairwise distinct;
+  equivalently U_p ∩ cl{p} = {p} for every p.
 - T1 iff every U_p = {p}; equivalently every cl{p} = {p}.
 - T2 iff the U_p are pairwise disjoint; equivalently every U_p = {p}.
 - T3 (a closed set and a point outside it have disjoint neighborhoods) iff
@@ -24,16 +24,19 @@ set holding p is cl{p}:
 - Points p, q are indistinguishable iff U_p = U_q, distinguishable iff
   q ∉ U_p and p ∉ U_q, and separated iff U_p ∩ U_q = ∅.
 
-Each axiom is evaluated by its two criteria, which must agree
-(:func:`_cross`); each is O(n²) or O(n³) mask operations and never reads
-the opens family, so every flag answers at the 24-point cap.  The literal
-definitions, which compare neighborhood families and closed-set families
-at a cost that grows with the number of opens, are kept as
-:func:`_literal_report` and :func:`_literal_classify`.  They run only as
-cross-checks (:func:`_literal_cross_check`): the theorem sweep compares
-them with the preorder answers on every space it visits
-(``separation_hereditary``, ``indistinguishability_equivalences``), and the
-tests on every space with n ≤ 5.
+Each predicate decides its axiom by the first criterion above, read from
+the U_p: T0 is one set of the n masks, T1 and T2 are O(n) mask tests, T3
+is O(n²) bit tests, and T4 is O(n²) mask pairs after one O(n²) transpose
+of the U_p into the cl{p}.  None reads the opens family, so every flag
+answers at the 24-point cap.  The second criteria (all but T2's read the
+cl{p}) and the literal definitions, which compare neighborhood families
+and closed-set families at a cost that grows with the number of opens,
+run only as cross-checks (:func:`_literal_cross_check`, through
+:func:`_second_criteria`, :func:`_literal_report` and
+:func:`_literal_classify`): the theorem sweep compares them with the
+predicates on every space it visits (``separation_hereditary``,
+``indistinguishability_equivalences``), and the tests on every space with
+n ≤ 5.
 """
 
 from __future__ import annotations
@@ -86,34 +89,26 @@ def _cross(name: str, first: bool, second: bool) -> bool:
 
 def is_t0(s: TopSpace) -> bool:
     """T0: distinct points are partially distinguishable."""
-    ups = s.ups
-    downs = _downs(ups)
-    antisymmetric = all(u & d == 1 << p for p, (u, d) in enumerate(zip(ups, downs)))
-    return _cross("T0", antisymmetric, len(set(ups)) == s.n)
+    return len(set(s.ups)) == s.n
 
 
 def is_t1(s: TopSpace) -> bool:
     """T1: distinct points are distinguishable."""
-    ups = s.ups
-    points_open = all(u == 1 << p for p, u in enumerate(ups))
-    points_closed = all(d == 1 << p for p, d in enumerate(_downs(ups)))
-    return _cross("T1", points_open, points_closed)
+    return all(u == 1 << p for p, u in enumerate(s.ups))
 
 
 def is_t2(s: TopSpace) -> bool:
     """T2 (Hausdorff): distinct points are separated."""
     ups = s.ups
-    disjoint = sum(u.bit_count() for u in ups) == reduce(or_, ups, 0).bit_count()
-    return _cross("T2", disjoint, all(u == 1 << p for p, u in enumerate(ups)))
+    return sum(u.bit_count() for u in ups) == reduce(or_, ups, 0).bit_count()
 
 
 def is_t3(s: TopSpace) -> bool:
     """T3: every closed set and outside point have disjoint neighborhoods."""
     ups = s.ups
-    symmetric = all(
+    return all(
         ups[q] >> p & 1 for p, u in enumerate(ups) for q in range(s.n) if u >> q & 1
     )
-    return _cross("T3", symmetric, list(ups) == _downs(ups))
 
 
 def is_t4(s: TopSpace) -> bool:
@@ -121,20 +116,11 @@ def is_t4(s: TopSpace) -> bool:
     ups = s.ups
     downs = _downs(ups)
     n = s.n
-    pairwise = all(
+    return all(
         downs[p] & downs[q] or not ups[p] & ups[q]
         for p in range(n)
         for q in range(p + 1, n)
     )
-    per_point = all(
-        downs[p] & downs[q]
-        for d in downs
-        for p in range(n)
-        if d >> p & 1
-        for q in range(p + 1, n)
-        if d >> q & 1
-    )
-    return _cross("T4", pairwise, per_point)
 
 
 def is_regular(s: TopSpace) -> bool:
@@ -230,17 +216,46 @@ def _literal_report(s: TopSpace) -> SeparationReport:
     return _report(t0, t1, t2, t3, t4)
 
 
+def _second_criteria(s: TopSpace) -> tuple[bool, bool, bool, bool, bool]:
+    """T0..T4 by the second criterion of the module docstring:
+    U_p ∩ cl{p} = {p}, every cl{p} = {p}, every U_p = {p}, U_p = cl{p},
+    and any two points of a cl{r} have meeting closures."""
+    ups, n = s.ups, s.n
+    downs = _downs(ups)
+    per_point = all(
+        downs[p] & downs[q]
+        for d in downs
+        for p in range(n)
+        if d >> p & 1
+        for q in range(p + 1, n)
+        if d >> q & 1
+    )
+    return (
+        all(u & d == 1 << p for p, (u, d) in enumerate(zip(ups, downs))),
+        all(d == 1 << p for p, d in enumerate(downs)),
+        all(u == 1 << p for p, u in enumerate(ups)),
+        list(ups) == downs,
+        per_point,
+    )
+
+
 def _literal_cross_check(s: TopSpace) -> SeparationReport:
     """:func:`separation_report`, after checking it against
-    :func:`_literal_report` and :func:`classify_pair` against
-    :func:`_literal_classify` on every pair of points; raises
-    :class:`CrossCheckFailure` naming each axiom and pair that disagree."""
+    :func:`_literal_report` and :func:`_second_criteria`, and
+    :func:`classify_pair` against :func:`_literal_classify` on every pair of
+    points; raises :class:`CrossCheckFailure` naming each axiom and pair
+    that disagree."""
     rep, lit = separation_report(s), _literal_report(s)
     bad = [
         f"{name.upper()}: preorder={getattr(rep, name)} literal={getattr(lit, name)}"
         for name in SeparationReport.__slots__
         if getattr(rep, name) != getattr(lit, name)
     ]
+    for name, second in zip(("t0", "t1", "t2", "t3", "t4"), _second_criteria(s)):
+        try:
+            _cross(name.upper(), getattr(rep, name), second)
+        except CrossCheckFailure as exc:
+            bad.append(str(exc))
     nei = [_nei_masks(s, p) for p in range(s.n)]
     for p in range(s.n):
         for q in range(p, s.n):  # every flag is symmetric in the pair

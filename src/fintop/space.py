@@ -159,8 +159,8 @@ def _canonical_masks(n: int, fam) -> tuple[list[int], list[AxiomViolation]]:
                     bits |= 1 << p
                 raw.append(bits)
     violations = []
-    bad = next((m for m in sorted(raw) if m < 0 or m & ~full), None)
-    if bad is not None:
+    if raw and (min(raw) < 0 or max(raw) > full):
+        bad = next(m for m in sorted(raw) if m < 0 or m & ~full)
         # Witness the stray member over the smallest carrier that holds it.
         wide = min(24, max(n, bad.bit_length())) if bad >= 0 else n
         witness = (PointSet(bad & (1 << wide) - 1, wide),) if bad >= 0 else ()

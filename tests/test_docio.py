@@ -80,7 +80,7 @@ class TestSpaceDocuments:
         def no_parse(*args):
             raise AssertionError("point list parsed before the carrier cap")
 
-        monkeypatch.setattr(docio, "_parse_point_list", no_parse)
+        monkeypatch.setattr(docio, "_parse_point_lists", no_parse)
         huge = '{"n":%d,"opens":[[],[%d]]}' % (10**8, 10**8 - 1)
         with pytest.raises(CarrierTooLarge):
             parse_space(huge)

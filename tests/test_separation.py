@@ -168,7 +168,9 @@ def _with_ups(n, opens, ups):
 
 
 # Corrupted minimal opens, each the minimal opens of another space on the
-# same carrier, so the two preorder criteria of every axiom still agree;
+# same carrier, so the second preorder criterion of every axiom, which runs
+# only in the literal cross-check (`separation._second_criteria`), still
+# agrees with the predicate, and only the literal criteria kill them;
 # (opens, corrupted U_p, what the literal cross-check must name).
 MIN_OPEN_MUTANTS = {
     "t0": ([0, 1, 3, 7], [1, 7, 7], {"T0", "pair"}),
@@ -191,13 +193,38 @@ class TestLiteralCrossCheck:
     def test_min_open_mutant_is_killed(self, target):
         opens, ups, named = MIN_OPEN_MUTANTS[target]
         bad = _with_ups(len(ups), opens, ups)
-        separation_report(bad)  # the preorder criteria do not see it
+        rep = separation_report(bad)  # neither preorder criterion sees it
+        assert separation._second_criteria(bad) == (rep.t0, rep.t1, rep.t2, rep.t3, rep.t4)
         with pytest.raises(CrossCheckFailure) as exc:
             separation._literal_cross_check(bad)
         got = {part.split(":")[0].split(" (")[0] for part in str(exc.value).split("; ")}
         assert got == named
         if target != "classify_pair":
             assert target.upper() in got
+
+    def test_faulty_transpose_is_caught(self, monkeypatch):
+        # Drop the highest point of every cl{p}.  The predicates read the
+        # down-sets only for T4, so the literal cross-check must name every
+        # axiom whose second criterion reads them, and never T2, whose
+        # second criterion reads only the U_p.
+        downs = separation._downs
+        monkeypatch.setattr(
+            separation,
+            "_downs",
+            lambda ups: [d ^ (1 << (d.bit_length() - 1)) for d in downs(ups)],
+        )
+        named = set()
+        for n in range(4):
+            for s in all_spaces(n):
+                try:
+                    separation._literal_cross_check(s)
+                except CrossCheckFailure as exc:
+                    named |= {
+                        part.split(":")[0]
+                        for part in str(exc).split("; ")
+                        if "criteria disagree" in part
+                    }
+        assert named == {"T0", "T1", "T3", "T4"}
 
     @pytest.mark.parametrize(
         "attr, fault, named",

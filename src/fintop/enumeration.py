@@ -36,7 +36,6 @@ from . import operators as operators_mod
 from . import separation as separation_mod
 from .carrier import Family, Partition, PointSet, mask_points, subsets_iter
 from .errors import CarrierTooLarge, CrossCheckFailure
-from .mapsweep import _map_sweep
 from .minopen import _class_leaders, _code_shifts, _minopen_index, _perm_table
 from .space import TopSpace, _build, space
 
@@ -980,6 +979,11 @@ def _sweep(
 ) -> dict:
     """:func:`sweep_theorems` quantified over `spaces`: topologies on n
     points, at least one of each homeomorphism class."""
+    if include_maps:
+        # Imported here, so that a process that sweeps no maps never compiles
+        # the module, and before the per-space tables are built, so that
+        # compiling it does not add to the sweep's peak memory.
+        from .mapsweep import _map_sweep
     ops = _default_ops(overrides)
     names = [name for name, _ in SINGLE_SPACE_CHECKS] if theorems is None else theorems
     ctxs = [_Ctx(s, ops) for s in spaces]

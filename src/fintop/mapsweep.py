@@ -1,27 +1,35 @@
 """The map-level theorem sweep: each criterion over every triple (c1, c2, t)
 of domain space, codomain space and function table on n points.
 
-Where a criterion quantifies over masks, a mask test decides it.  A family
-of masks (the opens, the closeds, the connected, compact and dense sets,
-the masks whose preimage is open) is one N-bit int, N = 2**n, with bit m
-set for member m, so "every open of c2 has an open preimage" is
-``opens2 & ~pre_open == 0``.  An operator table such as m -> Cl1(Pre(m))
-is packed n bits per mask into one int, so ``Cl1(Pre(m)) <= Pre(Cl2(m))``
-for every m is one ``&~`` of two ints.  Each test reads the same operator
-tables and families as the literal ``all``/``any`` over masks it stands
-for, so the verdicts are the literal ones.  The triples are visited in the
-order (c1, c2, t) and the checks in a fixed order within a triple; when a
-test fails and its message names a witness (a set, a mask, a cover), the
-literal loop runs to find it, so each theorem's first counterexample is
-the literal one too (``tests/map_sweep_golden.json`` pins both).  The
-codomain tables are built once per (c2, t) and kept; the domain tables
-once per (c1, t), at the top of each c1 iteration, so only the n**n tables
-of one domain are held at a time.
+The unit of work is one pair (c1, t): each check yields one int with bit
+i2 set for each codomain ``ctxs[i2]`` that passes (or fails) it, so no
+triple is visited on its own.  A family of masks of the codomain carrier
+(the opens, the closeds, the connected, compact and dense sets, the masks
+whose preimage is open) is one int with one byte lane per mask, bit 8*m
+for member m, so a family read through a table is one ``int.from_bytes``
+of ``bytes(map(flags.__getitem__, pre))``.  A check keyed by a family is
+a memoized lookup over the codomains: ``missed(full ^ pre_open)`` is the
+codomains whose opens all have an open preimage, those into which f is
+continuous.  An operator comparison reads the codomain tables bit-sliced:
+bit q of Pre(Cl2(m)) is t[q] in Cl2(m), and ``hold[m][y]`` is the AND over
+the points of y of the codomains whose Cl2(m) holds that point, so
+``Cl1(Pre(m)) <= Pre(Cl2(m))`` for every m is the AND over m of
+``hold[m][Img(Cl1(Pre(m)))]``.  Each lookup reads the operator tables and
+families the literal ``all``/``any`` over masks reads.
+
+The literal loops visit (c1, c2, t) in that order, so a theorem's first
+failure within c1 is on the least codomain index set for some t, and on
+the least such t.  Only on that triple does a literal loop run, to name
+the witness (a set, a mask, a cover).  The reports are those of the
+per-triple sweep kept in ``tests/map_sweep_reference.py``;
+``tests/map_sweep_golden.json`` pins them.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import and_, getitem, or_
 from typing import TYPE_CHECKING, Optional
 
 from . import compact as compact_mod
@@ -78,325 +86,399 @@ def _fundamental_covers(c: _Ctx) -> tuple[list, list]:
     return open_covers, closed_covers
 
 
-def _bitset(masks) -> int:
-    """A family of masks as one int with bit m set for each member m."""
+def _family(masks) -> int:
+    """A family of masks as one int, one byte lane per mask: bit 8*m set
+    for each member m."""
     out = 0
     for m in masks:
-        out |= 1 << m
+        out |= 1 << 8 * m
     return out
 
 
-def _pack(values, shifts) -> int:
-    """One n-bit mask per m packed into one int, the mask for m at bit n*m."""
-    return sum(v << sh for v, sh in zip(values, shifts))
+def _flags(family, N: int) -> bytes:
+    """One byte per mask m < N: 1 if m is in `family`, else 0."""
+    return bytes(m in family for m in range(N))
 
 
 def _space_families(c: _Ctx) -> dict:
     """The families of one space the map sweep reads: as the literal loops
-    read them, and as bitsets."""
+    read them, as byte-lane families and as per-mask flags."""
     conn = connect_mod.connected_set_masks(c.s)
     covers = _fundamental_covers(c)
     compact = frozenset(
         m for m in range(c.N) if compact_mod.is_compact_set(c.s, PointSet(m, c.n))
     )
+    dense = [m for m in range(c.N) if c.cl[m] == c.full]
+    # The inclusion-least opens holding p (U_p alone in a topology).  The
+    # continuity and limit tests at p take the union, over opens u holding
+    # p, of the masks above the image of u (or of a trace of u); an open
+    # holding another adds nothing to it, so only these are read.
+    least = [
+        [
+            u
+            for u in c.opens
+            if u >> p & 1 and not any(v != u and v & ~u == 0 and v >> p & 1 for v in c.opens)
+        ]
+        for p in range(c.n)
+    ]
+    # Per limit point p of A: the traces u & A - p of the least opens u
+    # holding p; each distinct tuple of them is read once, and a lone trace
+    # through a table over its image.
+    traces = {
+        tuple(sorted({u & a & ~(1 << p) for u in least[p]}))
+        for a in range(c.N)
+        for p in range(c.n)
+        if c.cl[a & ~(1 << p)] >> p & 1
+    }
+    not_rel = {
+        S: _flags(set(range(c.N)) - covers_mod.relative_opens(c.s, S), c.N)
+        for S in sorted({S for fams in covers for fam in fams for S in fam})
+    }
+    # A cover holding another cover of its list adds nothing to paste: its
+    # union of bad[S] holds the other's.
+    minimal = []
+    for fams in covers:
+        found = set(fams)
+        minimal.append([
+            fam
+            for fam in fams
+            if not any(
+                sub in found for r in range(1, len(fam)) for sub in itertools.combinations(fam, r)
+            )
+        ])
     return {
-        "opens": _bitset(c.opens),
-        "closeds": _bitset(c.closeds),
+        "opens": _family(c.opens),
+        "closeds": _family(c.closeds),
+        "open_flags": _flags(c.opens, c.N),
+        "closed_flags": _flags(c.closeds, c.N),
+        "least": least,
+        "not_it": [c.full ^ m for m in c.it],
         "conn": conn,
-        "conn_bits": _bitset(conn),
+        "conn_bits": _family(conn),
         "compact": compact,
-        "compact_bits": _bitset(compact),
-        "dense_bits": _bitset(m for m in range(c.N) if c.cl[m] == c.full),
+        "compact_bits": _family(compact),
+        "dense": dense,
+        "dense_bits": _family(dense),
+        "lone_traces": sorted(tr[0] for tr in traces if len(tr) == 1),
+        "traces": sorted(tr for tr in traces if len(tr) > 1),
         "t1": separation_mod.is_t1(c.s),
         # hausdorff_compact_checks raises unless the codomain is T2.
         "t2": separation_mod.is_t2(c.s),
-        "minbase": _bitset(c.s.ups),
+        "minbase": _family(c.s.ups),
         "covers": covers,
-        # The relative opens of each cover member S, as a bitset over masks.
-        "rel": {
-            S: _bitset(covers_mod.relative_opens(c.s, S))
-            for S in sorted({S for fams in covers for fam in fams for S in fam})
-        },
+        "minimal_covers": minimal,
+        # Per cover member S, flag m is set iff m is not a relative open of S.
+        "not_rel": not_rel,
+        "paste_members": [
+            (S, not_rel[S])
+            for S in sorted({S for fams in minimal for fam in fams for S in fam})
+        ],
     }
+
+
+def _bad(S: int, not_rel: bytes, pre) -> int:
+    """The family of the masks u with S & pre[u] not open in S."""
+    return int.from_bytes(bytes(map(not_rel.__getitem__, map(S.__and__, pre))), "little")
+
+
+def _codomains_missing(families):
+    """missed(x): the bitset of the codomains i whose family
+    ``families[i]`` meets no mask of `x`, memoized per x."""
+    memo: dict[int, int] = {}
+
+    def missed(x: int) -> int:
+        got = memo.get(x)
+        if got is None:
+            got = memo[x] = sum(1 << i for i, fam in enumerate(families) if not fam & x)
+        return got
+
+    return missed
+
+
+def _operator_lookups(tables, n: int, everyone: int) -> tuple[list, list]:
+    """The bit-sliced transpose of one operator table per codomain:
+    ``hold[m][y]`` is the codomains i with y <= tables[i][m], and
+    ``miss[m][y]`` those with tables[i][m] & y == 0."""
+    hold, miss = [], []
+    for m in range(1 << n):
+        at = [
+            sum(1 << i for i, tbl in enumerate(tables) if tbl[m] >> q & 1)
+            for q in range(n)
+        ]
+        h, meet = [everyone], [0]
+        for y in range(1, 1 << n):
+            rest, q = y & (y - 1), (y & -y).bit_length() - 1
+            h.append(h[rest] & at[q])
+            meet.append(meet[rest] | at[q])
+        hold.append(h)
+        miss.append([everyone ^ v for v in meet])
+    return hold, miss
+
+
+class _Codomains:
+    """The codomain side of the sweep: carrier-wide tables and, for each
+    criterion, a lookup answering with a bitset over codomain indices."""
+
+    def __init__(self, n: int, ctxs, extras) -> None:
+        N = 1 << n
+        masks = range(N)
+        everyone = (1 << len(ctxs)) - 1
+        self.lane = [1 << 8 * m for m in masks]
+        self.all_masks = _family(masks)
+        self.comp = [N - 1 ^ m for m in masks]
+        # above[x]: the masks holding x; holds[q]: the masks holding q.
+        self.above = [_family(w for w in masks if x & ~w == 0) for x in masks]
+        self.holds = [_family(w for w in masks if w >> q & 1) for q in range(n)]
+
+        def within(key):
+            return _codomains_missing([self.all_masks ^ e[key] for e in extras])
+
+        self.missed = _codomains_missing([e["opens"] for e in extras])
+        self.missed_closed = _codomains_missing([e["closeds"] for e in extras])
+        self.missed_base = _codomains_missing([e["minbase"] for e in extras])
+        self.within_open = within("opens")
+        self.within_closed = within("closeds")
+        self.within_conn = within("conn_bits")
+        self.within_compact = within("compact_bits")
+        self.within_dense = within("dense_bits")
+        self.equal_open: dict[int, int] = {}
+        for i, e in enumerate(extras):
+            self.equal_open[e["opens"]] = self.equal_open.get(e["opens"], 0) | 1 << i
+        self.hold_cl, self.miss_cl = _operator_lookups([c.cl for c in ctxs], n, everyone)
+        self.hold_it, self.miss_it = _operator_lookups([c.it for c in ctxs], n, everyone)
+        self.t1 = sum(1 << i for i, e in enumerate(extras) if e["t1"])
+        self.t2 = [i for i, e in enumerate(extras) if e["t2"]]
+        self.t1_opens = [(i, e["opens"]) for i, e in enumerate(extras) if e["t1"]]
+        self._multi: dict[int, int] = {}
+        # Per image mask x: the codomains with multiple limits when near is
+        # the masks above x.
+        self.multi_above = [self.multiple_limits(near) for near in self.above]
+
+    def multiple_limits(self, near: int) -> int:
+        """The T1 codomains with more than one point y such that every open
+        holding y is in `near`, memoized per near."""
+        got = self._multi.get(near)
+        if got is None:
+            got = 0
+            for i, opens in self.t1_opens:
+                limits = [y for y, h in enumerate(self.holds) if not opens & h & ~near]
+                if len(limits) > 1:
+                    got |= 1 << i
+            self._multi[near] = got
+        return got
 
 
 class _Domain:
     """The tables of one domain space and one function table: families of
-    codomain masks as N-bit ints, operator tables packed n bits per mask."""
+    codomain masks in byte lanes, and the codomains passing each mask
+    test as bitsets over codomain indices."""
 
     __slots__ = (
-        "pre_open", "pre_closed", "cl_pre", "img_cl", "it_pre", "img_it",
         "img_opens", "img_closeds", "img_conn", "img_compact", "img_dense",
-        "loc_bad", "bad", "paste",
+        "loc_bad", "paste", "cont", "c_closed", "c_cl", "c_img", "c_it",
+        "base", "omap", "ochar", "cmap", "cchar",
     )
 
-    def __init__(self, c: _Ctx, e: dict, t, img, pre, shifts, above, holds, missed) -> None:
-        masks = range(c.N)
-        opens, closeds = e["opens"], e["closeds"]
-        self.pre_open = _bitset(u for u in masks if opens >> pre[u] & 1)
-        self.pre_closed = _bitset(m for m in masks if closeds >> pre[m] & 1)
-        self.cl_pre = _pack((c.cl[pre[m]] for m in masks), shifts)
-        self.img_cl = _pack((img[c.cl[m]] for m in masks), shifts)
-        self.it_pre = _pack((c.it[pre[m]] for m in masks), shifts)
-        self.img_it = _pack((img[c.it[m]] for m in masks), shifts)
-        self.img_opens = _bitset(img[u] for u in c.opens)
-        self.img_closeds = _bitset(img[m] for m in c.closeds)
-        self.img_conn = _bitset(img[a] for a in e["conn"])
-        self.img_compact = _bitset(img[a] for a in e["compact"])
-        self.img_dense = _bitset(img[a] for a in masks if c.cl[a] == c.full)
-        # near[p]: the masks w holding img[u] for some open u with p in u.
+    def __init__(self, c: _Ctx, e: dict, t, img, pre, k: _Codomains) -> None:
+        lane, above, comp = k.lane, k.above, k.comp
+        at_img = img.__getitem__
+
+        def images(family) -> int:
+            return reduce(or_, map(lane.__getitem__, map(at_img, family)), 0)
+
+        def preimages(flags: bytes) -> int:
+            return int.from_bytes(bytes(map(flags.__getitem__, pre)), "little")
+
+        def every_lane(rows, values) -> int:
+            return reduce(and_, map(getitem, rows, values))
+
+        pre_open = preimages(e["open_flags"])
+        self.img_opens = images(c.opens)
+        self.img_closeds = images(c.closeds)
+        self.img_conn = images(e["conn"])
+        self.img_compact = images(e["compact"])
+        self.img_dense = images(e["dense"])
+        # near: the masks w holding img[u] for some open u with p in u.
         # Every open w holding t[p] must be one, so f is continuous at each
         # p iff no open of the codomain is in loc_bad.
-        near = [0] * c.n
-        for u in c.opens:
-            for p in range(c.n):
-                if u >> p & 1:
-                    near[p] |= above[img[u]]
         self.loc_bad = 0
-        for p in range(c.n):
-            self.loc_bad |= holds[t[p]] & ~near[p]
+        for p, least in enumerate(e["least"]):
+            near = reduce(or_, map(above.__getitem__, map(at_img, least)), 0)
+            self.loc_bad |= k.holds[t[p]] & ~near
         # bad[S]: the masks u with S & pre[u] not open in S, so f is
         # continuous on S iff no open of the codomain is in bad[S], and on
         # every member of a cover iff none is in the union of their bad[S].
-        # Per cover list, the codomains (bit i2) whose opens miss one of
-        # those unions: missed(union) is that bitset for one union.
-        self.bad = {
-            S: _bitset(u for u in masks if not rel >> (S & pre[u]) & 1)
-            for S, rel in e["rel"].items()
-        }
-        self.paste = []
-        for covers in e["covers"]:
-            hit = 0
-            for fam in covers:
-                union = 0
-                for S in fam:
-                    union |= self.bad[S]
-                hit |= missed(union)
-            self.paste.append(hit)
-
-
-def _codomains_missing(opens_list):
-    """missed(union): the bitset of the codomains i whose opens bitset
-    ``opens_list[i]`` meets no mask of ``union``, memoized per union."""
-    memo: dict[int, int] = {}
-
-    def missed(union: int) -> int:
-        got = memo.get(union)
-        if got is None:
-            got = memo[union] = _bitset(
-                i for i, opens in enumerate(opens_list) if not opens & union
+        # paste[j]: the codomains whose opens miss one such union of cover
+        # list j (open covers, closed covers).
+        bad = {S: _bad(S, flags, pre) for S, flags in e["paste_members"]}
+        self.paste = [
+            reduce(
+                or_,
+                (k.missed(reduce(or_, map(bad.__getitem__, fam))) for fam in covers),
+                0,
             )
-        return got
-
-    return missed
+            for covers in e["minimal_covers"]
+        ]
+        self.cont = k.missed(k.all_masks ^ pre_open)
+        self.c_closed = k.missed_closed(k.all_masks ^ preimages(e["closed_flags"]))
+        self.base = k.missed_base(k.all_masks ^ pre_open)
+        self.omap = k.within_open(self.img_opens)
+        self.cmap = k.within_closed(self.img_closeds)
+        # Cl1(Pre(m)) <= Pre(Cl2(m)), Img(Cl1(m)) <= Cl2(Img(m)),
+        # Pre(Int2(m)) <= Int1(Pre(m)), Img(Int1(m)) <= Int2(Img(m)) and
+        # Cl2(Img(m)) <= Img(Cl1(m)) for every m, one lookup per mask m.
+        img_cl = list(map(at_img, c.cl))
+        self.c_cl = every_lane(k.hold_cl, map(at_img, map(c.cl.__getitem__, pre)))
+        self.c_img = every_lane(map(k.hold_cl.__getitem__, img), img_cl)
+        self.c_it = every_lane(k.miss_it, map(at_img, map(e["not_it"].__getitem__, pre)))
+        self.ochar = every_lane(map(k.hold_it.__getitem__, img), map(at_img, c.it))
+        self.cchar = every_lane(map(k.miss_cl.__getitem__, img), map(comp.__getitem__, img_cl))
 
 
 def _map_sweep(n: int, ctxs) -> dict:
     """Quantify the map-level theorems over all ordered pairs of spaces on n
     points and all n**n function tables between them.
 
-    Each check is one or two mask operations on the N-bit families and
-    packed operator tables of the module docstring, deciding what the
-    literal quantifier over masks decides; a literal loop runs only to
-    name the witness of a failed test.  The codomain tables are built once per (c2, t); the
-    domain tables (:class:`_Domain`) at the top of each c1 iteration, so
-    at most n**n of them are held.  Pasting is tested only when f is not
-    continuous: its failure is "f continuous on every member of a
-    fundamental cover, yet not continuous", and whether some cover has f
-    continuous on every member is bit i2 of the domain table's ``paste``.
+    Per pair (c1, t), :class:`_Domain` holds, for each mask test of the
+    module docstring, the bitset of the codomains passing it; a theorem
+    fails on codomain i2 where its tests disagree (or, for the image and
+    Hausdorff theorems, where f is continuous and a test fails).  Pasting
+    fails where f is not continuous yet continuous on every member of a
+    fundamental cover: bit i2 of ``paste``.  Still-open theorems keep
+    their first failing (i2, t) per c1; after c1, :func:`_witness` names
+    the counterexample on that one triple.
     """
     results: dict[str, Optional[str]] = {k: None for k in MAP_SWEEP_CHECKS}
-    N = 1 << n
-    masks = range(N)
-    shifts = [n * m for m in masks]
     tables, imgs, pres = _map_tables(n)
-    above = [_bitset(w for w in masks if x & ~w == 0) for x in masks]
-    holds = [_bitset(w for w in masks if w >> q & 1) for q in range(n)]
     extras = [_space_families(c) for c in ctxs]
-    missed = _codomains_missing([e["opens"] for e in extras])
+    k = _Codomains(n, ctxs, extras)
     fmaps = [FiniteMap.of(n, n, t) for t in tables]
-    # Per c2, four tables indexed by t: Pre(Cl2(m)), Cl2(Img(m)),
-    # Pre(Int2(m)) and Int2(Img(m)) packed over m, equal ints shared.
-    shared: dict[int, int] = {}
-
-    def packed(values) -> int:
-        v = _pack(values, shifts)
-        return shared.setdefault(v, v)
-
-    codomain = [
-        (
-            [packed(pre[c2.cl[m]] for m in masks) for pre in pres],
-            [packed(c2.cl[img[m]] for m in masks) for img in imgs],
-            [packed(pre[c2.it[m]] for m in masks) for pre in pres],
-            [packed(c2.it[img[m]] for m in masks) for img in imgs],
-        )
-        for c2 in ctxs
-    ]
     n_values = [len(set(t)) for t in tables]
-
-    def fail(c1, c2, t, detail):
-        return f"s1={c1.ser} s2={c2.ser} f={list(t)}: {detail}"
 
     for i1, c1 in enumerate(ctxs):
         e1 = extras[i1]
         indiscrete1 = c1.opens == {0, c1.full} and n >= 1
-        doms = [
-            _Domain(c1, e1, t, imgs[ti], pres[ti], shifts, above, holds, missed)
-            for ti, t in enumerate(tables)
-        ]
-        # Per limit point p of A: the masks u & A - p, u open holding p.
-        limit_args = [
-            (a, p, [u & a & ~(1 << p) for u in c1.opens if u >> p & 1])
-            for a in range(N)
-            for p in range(n)
-            if c1.cl[a & ~(1 << p)] >> p & 1
-        ]
-        for i2, c2 in enumerate(ctxs):
-            e2 = extras[i2]
-            opens2, closeds2 = e2["opens"], e2["closeds"]
-            pre_cl2s, cl2_imgs, pre_it2s, it2_imgs = codomain[i2]
-            for ti, t in enumerate(tables):
-                img, d = imgs[ti], doms[ti]
-                pre_cl2, cl2_img = pre_cl2s[ti], cl2_imgs[ti]
-                pre_it2, it2_img = pre_it2s[ti], it2_imgs[ti]
-                cont = not opens2 & ~d.pre_open
-
-                if results["continuity_equivalences"] is None:
-                    c_closed = not closeds2 & ~d.pre_closed
-                    c_cl = not d.cl_pre & ~pre_cl2
-                    c_img = not d.img_cl & ~cl2_img
-                    c_it = not pre_it2 & ~d.it_pre
-                    if not cont == c_closed == c_cl == c_img == c_it:
-                        results["continuity_equivalences"] = fail(
-                            c1,
-                            c2,
-                            t,
-                            f"equivalences diverge: {cont},{c_closed},{c_cl},{c_img},{c_it}",
-                        )
-
-                if results["local_vs_global_continuity"] is None:
-                    loc = not opens2 & d.loc_bad
-                    if loc != cont:
-                        results["local_vs_global_continuity"] = fail(
-                            c1, c2, t, f"pointwise={loc} global={cont}"
-                        )
-
-                if results["base_continuity_criterion"] is None:
-                    base_cont = not e2["minbase"] & ~d.pre_open
-                    if base_cont != cont:
-                        results["base_continuity_criterion"] = fail(
-                            c1, c2, t, "minimal-open-base criterion mismatch"
-                        )
-
-                omap = not d.img_opens & ~opens2
-                if results["open_closed_map_characterizations"] is None:
-                    ochar = not d.img_it & ~it2_img
-                    cmap = not d.img_closeds & ~closeds2
-                    cchar = not cl2_img & ~d.img_cl
-                    if omap != ochar or cmap != cchar:
-                        results["open_closed_map_characterizations"] = fail(
-                            c1,
-                            c2,
-                            t,
-                            f"open {omap}/{ochar} closed {cmap}/{cchar}",
-                        )
-
-                # Pasting fails when f is discontinuous and continuous on
-                # every member of a fundamental cover: the first such cover.
-                if not cont:
-                    for key, covers, hit in zip(
-                        ("pasting_open_covers", "pasting_closed_covers"),
-                        e1["covers"],
-                        d.paste,
-                    ):
-                        if results[key] is None and hit >> i2 & 1:
-                            for fam in covers:
-                                if not any(opens2 & d.bad[S] for S in fam):
-                                    results[key] = fail(
-                                        c1, c2, t, f"pasting failed for cover {fam}"
-                                    )
-                                    break
-
-                if cont:
-                    if (
-                        results["image_of_connected"] is None
-                        and d.img_conn & ~e2["conn_bits"]
-                    ):
-                        for a in e1["conn"]:
-                            if img[a] not in e2["conn"]:
-                                results["image_of_connected"] = fail(
-                                    c1, c2, t, f"image of connected {a:#x} disconnected"
-                                )
-                                break
-                    if (
-                        results["image_of_compact"] is None
-                        and d.img_compact & ~e2["compact_bits"]
-                    ):
-                        for a in e1["compact"]:
-                            if img[a] not in e2["compact"]:
-                                results["image_of_compact"] = fail(
-                                    c1, c2, t, f"image of compact {a:#x} not compact"
-                                )
-                                break
-                    if (
-                        results["image_of_dense"] is None
-                        and img[c1.full] == c2.full
-                        and d.img_dense & ~e2["dense_bits"]
-                    ):
-                        for a in range(N):
-                            if c1.cl[a] == c1.full and c2.cl[img[a]] != c2.full:
-                                results["image_of_dense"] = fail(
-                                    c1, c2, t, f"image of dense {a:#x} not dense"
-                                )
-                                break
-                    if (
-                        n_values[ti] == n
-                        and omap
-                        and results["homeomorphism_transport"] is None
-                    ):
-                        if d.img_opens != opens2:
-                            results["homeomorphism_transport"] = fail(
-                                c1, c2, t, "opens not transported"
-                            )
-                        elif d.img_cl != cl2_img or d.img_it != it2_img:
-                            for m in range(N):
-                                if (
-                                    img[c1.cl[m]] != c2.cl[img[m]]
-                                    or img[c1.it[m]] != c2.it[img[m]]
-                                ):
-                                    results["homeomorphism_transport"] = fail(
-                                        c1, c2, t, f"operators not transported at {m:#x}"
-                                    )
-                                    break
-
-                if e2["t1"] and results["hausdorff_limit_uniqueness"] is None:
-                    for a, p, traces in limit_args:
-                        # y is a limit of f along A at p iff every open w
-                        # holding y holds img[u & A - p] for some open u
-                        # holding p: iff no open holding y is outside near.
-                        near = 0
-                        for m in traces:
-                            near |= above[img[m]]
-                        limits = [y for y in range(n) if not opens2 & holds[y] & ~near]
-                        if len(limits) > 1:
-                            results["hausdorff_limit_uniqueness"] = fail(
-                                c1, c2, t, f"multiple limits along {a:#x} at p={p}"
-                            )
-
-                if results["t1_pullback_and_indiscrete_maps"] is None and e2["t1"]:
-                    if cont and n_values[ti] == n and not e1["t1"]:
-                        results["t1_pullback_and_indiscrete_maps"] = fail(
-                            c1, c2, t, "injective continuous map into T1, domain not T1"
-                        )
-                    if cont and indiscrete1 and n_values[ti] > 1:
-                        results["t1_pullback_and_indiscrete_maps"] = fail(
-                            c1, c2, t, "non-constant continuous map from indiscrete to T1"
-                        )
-
-                if e2["t2"] and results["hausdorff_codomain_implications"] is None:
-                    checks = compact_mod.hausdorff_compact_checks(c1.s, c2.s, fmaps[ti])
-                    if not all(checks.values()):
-                        results["hausdorff_codomain_implications"] = fail(
-                            c1, c2, t, f"implications: {checks}"
-                        )
+        first: dict[str, tuple[int, int]] = {}
+        for ti, t in enumerate(tables):
+            img = imgs[ti]
+            d = _Domain(c1, e1, t, img, pres[ti], k)
+            cont = d.cont
+            fails = {
+                "continuity_equivalences": (
+                    (cont ^ d.c_closed) | (cont ^ d.c_cl) | (cont ^ d.c_img) | (cont ^ d.c_it)
+                ),
+                "local_vs_global_continuity": k.missed(d.loc_bad) ^ cont,
+                "base_continuity_criterion": d.base ^ cont,
+                "open_closed_map_characterizations": (d.omap ^ d.ochar) | (d.cmap ^ d.cchar),
+                "pasting_open_covers": d.paste[0] & ~cont,
+                "pasting_closed_covers": d.paste[1] & ~cont,
+                "image_of_connected": cont & ~k.within_conn(d.img_conn),
+                "image_of_compact": cont & ~k.within_compact(d.img_compact),
+            }
+            if img[c1.full] == c1.full:
+                fails["image_of_dense"] = cont & ~k.within_dense(d.img_dense)
+            homeo = cont & d.omap if n_values[ti] == n else 0
+            if homeo:
+                same = k.equal_open.get(d.img_opens, 0) & d.c_img & d.cchar & d.ochar
+                if same:
+                    # Int2(Img(m)) <= Img(Int1(m)) too, for those codomains.
+                    rows = map(k.miss_it.__getitem__, img)
+                    same &= reduce(and_, map(getitem, rows, (k.comp[img[m]] for m in c1.it)))
+                fails["homeomorphism_transport"] = homeo & ~same
+            if k.t1 and results["hausdorff_limit_uniqueness"] is None:
+                lone = map(img.__getitem__, e1["lone_traces"])
+                multi = reduce(or_, map(k.multi_above.__getitem__, lone), 0)
+                for traces in e1["traces"]:
+                    near = reduce(or_, map(k.above.__getitem__, map(img.__getitem__, traces)))
+                    multi |= k.multiple_limits(near)
+                fails["hausdorff_limit_uniqueness"] = multi
+            if (n_values[ti] == n and not e1["t1"]) or (indiscrete1 and n_values[ti] > 1):
+                fails["t1_pullback_and_indiscrete_maps"] = k.t1 & cont
+            if k.t2 and results["hausdorff_codomain_implications"] is None:
+                fails["hausdorff_codomain_implications"] = sum(
+                    1 << i2
+                    for i2 in k.t2
+                    if not all(
+                        compact_mod.hausdorff_compact_checks(c1.s, ctxs[i2].s, fmaps[ti]).values()
+                    )
+                )
+            if not any(fails.values()):
+                continue
+            for name, bits in fails.items():
+                if bits and results[name] is None:
+                    i2 = (bits & -bits).bit_length() - 1
+                    if name not in first or i2 < first[name][0]:
+                        first[name] = (i2, ti)
+        for name, (i2, ti) in first.items():
+            c2, t = ctxs[i2], tables[ti]
+            d = _Domain(c1, e1, t, imgs[ti], pres[ti], k)
+            detail = _witness(
+                name, c1, e1, c2, extras[i2], i2, t, imgs[ti], pres[ti], d, k, fmaps[ti]
+            )
+            results[name] = f"s1={c1.ser} s2={c2.ser} f={list(t)}: {detail}"
     return results
+
+
+def _witness(name, c1, e1, c2, e2, i2, t, img, pre, d, k, fmap) -> str:
+    """The counterexample detail of theorem `name` on the triple (c1, c2, t),
+    named by the literal loops of the per-triple sweep."""
+
+    def on(bits: int) -> bool:
+        return bool(bits >> i2 & 1)
+
+    opens2 = e2["opens"]
+    if name == "continuity_equivalences":
+        flags = (d.cont, d.c_closed, d.c_cl, d.c_img, d.c_it)
+        return "equivalences diverge: " + ",".join(str(on(b)) for b in flags)
+    if name == "local_vs_global_continuity":
+        return f"pointwise={on(k.missed(d.loc_bad))} global={on(d.cont)}"
+    if name == "base_continuity_criterion":
+        return "minimal-open-base criterion mismatch"
+    if name == "open_closed_map_characterizations":
+        return f"open {on(d.omap)}/{on(d.ochar)} closed {on(d.cmap)}/{on(d.cchar)}"
+    if name in ("pasting_open_covers", "pasting_closed_covers"):
+        covers = e1["covers"][name == "pasting_closed_covers"]
+        bad = {S: _bad(S, flags, pre) for S, flags in e1["not_rel"].items()}
+        fam = next(f for f in covers if not any(opens2 & bad[S] for S in f))
+        return f"pasting failed for cover {fam}"
+    if name == "image_of_connected":
+        a = next(a for a in e1["conn"] if img[a] not in e2["conn"])
+        return f"image of connected {a:#x} disconnected"
+    if name == "image_of_compact":
+        a = next(a for a in e1["compact"] if img[a] not in e2["compact"])
+        return f"image of compact {a:#x} not compact"
+    if name == "image_of_dense":
+        a = next(
+            a for a in range(c1.N) if c1.cl[a] == c1.full and c2.cl[img[a]] != c2.full
+        )
+        return f"image of dense {a:#x} not dense"
+    if name == "homeomorphism_transport":
+        if d.img_opens != opens2:
+            return "opens not transported"
+        m = next(
+            m
+            for m in range(c1.N)
+            if img[c1.cl[m]] != c2.cl[img[m]] or img[c1.it[m]] != c2.it[img[m]]
+        )
+        return f"operators not transported at {m:#x}"
+    if name == "hausdorff_limit_uniqueness":
+        # The last (A, p) with more than one limit, as the literal loop
+        # overwrote its report for each.
+        detail = None
+        for a in range(c1.N):
+            for p in range(c1.n):
+                if c1.cl[a & ~(1 << p)] >> p & 1:
+                    near = 0
+                    for u in c1.opens:
+                        if u >> p & 1:
+                            near |= k.above[img[u & a & ~(1 << p)]]
+                    limits = [y for y, h in enumerate(k.holds) if not opens2 & h & ~near]
+                    if len(limits) > 1:
+                        detail = f"multiple limits along {a:#x} at p={p}"
+        return detail
+    if name == "t1_pullback_and_indiscrete_maps":
+        if c1.opens == {0, c1.full} and len(set(t)) > 1:
+            return "non-constant continuous map from indiscrete to T1"
+        return "injective continuous map into T1, domain not T1"
+    checks = compact_mod.hausdorff_compact_checks(c1.s, c2.s, fmap)
+    return f"implications: {checks}"

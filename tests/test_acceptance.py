@@ -213,14 +213,14 @@ class TestCriterion4MapSweep:
     def test_full_sweep_n4(self):
         # All 47 theorems at n = 4 by default: the map theorems over the 33
         # class representatives on both sides (33 x 33 x 256 triples),
-        # under 10 s.
+        # under 3 s.
         start = time.perf_counter()
         report = sweep_theorems(4)
         elapsed = time.perf_counter() - start
         assert len(report) == 47
         bad = {k: v for k, v in report.items() if not v["ok"]}
         assert not bad, bad
-        assert elapsed < 10.0
+        assert elapsed < 3.0
 
 
 class TestCriterion5T1Rigidity:

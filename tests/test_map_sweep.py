@@ -3,17 +3,22 @@
 `map_sweep_golden.json` holds the 13 map-theorem reports of
 ``sweep_theorems(n, overrides=..., theorems=[])`` for n = 3 and n = 2,
 clean and under each fault below, as the literal per-triple loops produced
-them.  The table-driven sweep must reproduce them byte for byte:
+them.  The sweep over codomain bitsets must reproduce them byte for byte:
 verdicts, and the first counterexample string of every failed theorem.
 The operator faults go through ``overrides``; the others replace a
-function the sweep reads for its per-space families.
+function the sweep reads for its per-space families.  The per-triple
+sweep itself is kept in ``map_sweep_reference.py``, and the two must agree
+on the class representatives at n = 4 too, and under faults injected into
+the tables of each.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+import map_sweep_reference as reference
 from fintop import (
     PointSet,
     closure,
@@ -172,21 +177,18 @@ def test_lenient_t1_fault_is_a_failed_theorem(monkeypatch):
 
 
 def test_domain_image_families_are_literal_images():
-    # Each image family of _Domain is the bitset of the images of the
+    # Each image family of _Domain is the family of the images of the
     # literal family, for every domain space and table at n = 3.  Its
     # pasting bitsets hold codomain i2 iff the opens of i2 miss the union
     # of bad[S] over the members S of some fundamental cover.
     n, N = 3, 8
     tables, imgs, pres = mapsweep._map_tables(n)
-    shifts = [n * m for m in range(N)]
-    above = [mapsweep._bitset(w for w in range(N) if x & ~w == 0) for x in range(N)]
-    holds = [mapsweep._bitset(w for w in range(N) if w >> q & 1) for q in range(n)]
     spaces = enum_mod.all_spaces(n)
-    codomain_opens = [mapsweep._bitset(s.opens.masks) for s in spaces]
-    missed = mapsweep._codomains_missing(codomain_opens)
-    for s in spaces:
-        c = enum_mod._Ctx(s, enum_mod._default_ops(None))
-        e = mapsweep._space_families(c)
+    ctxs = [enum_mod._Ctx(s, enum_mod._default_ops(None)) for s in spaces]
+    extras = [mapsweep._space_families(c) for c in ctxs]
+    k = mapsweep._Codomains(n, ctxs, extras)
+    codomain_opens = [mapsweep._family(s.opens.masks) for s in spaces]
+    for s, c, e in zip(spaces, ctxs, extras):
         literal = {
             "img_opens": s.opens.masks,
             "img_closeds": s.closeds.masks,
@@ -197,17 +199,128 @@ def test_domain_image_families_are_literal_images():
             "img_dense": [a for a in range(N) if closure(s, PointSet(a, n)).bits == N - 1],
         }
         for ti, t in enumerate(tables):
-            d = mapsweep._Domain(c, e, t, imgs[ti], pres[ti], shifts, above, holds, missed)
+            d = mapsweep._Domain(c, e, t, imgs[ti], pres[ti], k)
             for name, family in literal.items():
-                expected = mapsweep._bitset(image_bits(t, a) for a in family)
+                expected = mapsweep._family(image_bits(t, a) for a in family)
                 assert getattr(d, name) == expected, (name, s, t)
+            bad = {
+                S: mapsweep._family(
+                    u
+                    for u in range(N)
+                    if S & pres[ti][u] not in covers_mod.relative_opens(s, S)
+                )
+                for S in e["not_rel"]
+            }
             for covers, hit in zip(e["covers"], d.paste):
-                expected = mapsweep._bitset(
-                    i2
+                expected = sum(
+                    1 << i2
                     for i2, opens2 in enumerate(codomain_opens)
-                    if any(not any(opens2 & d.bad[S] for S in fam) for fam in covers)
+                    if any(not any(opens2 & bad[S] for S in fam) for fam in covers)
                 )
                 assert hit == expected, (s, t)
+
+
+def _both(n, spaces):
+    """run(overrides): the map-theorem reports of the sweep and of the
+    per-triple reference over `spaces`."""
+
+    def run(overrides):
+        ctxs = [enum_mod._Ctx(s, enum_mod._default_ops(overrides)) for s in spaces]
+        return mapsweep._map_sweep(n, ctxs), reference._map_sweep(n, ctxs)
+
+    return run
+
+
+REPRESENTATIVES_4 = tuple(
+    enum_mod.enumerate_topologies(enum_mod.EnumConfig(4, "up_to_homeomorphism"))
+)
+
+
+@pytest.mark.parametrize("name", [*FAULTS, *PATCHES])
+def test_reports_match_the_per_triple_reference(name):
+    # Every labeled space at n = 2 and 3 (the golden's inputs) and the 33
+    # class representatives at n = 4, clean and under each fault.
+    assert len(REPRESENTATIVES_4) == 33
+    inputs = ((2, enum_mod.all_spaces(2)), (3, enum_mod.all_spaces(3)), (4, REPRESENTATIVES_4))
+    for n, spaces in inputs:
+        swept, literal = _under(name, _both(n, spaces))
+        assert swept == literal, (name, n)
+
+
+def _failed_as_reference(n, spaces, theorem):
+    """Both sweeps over `spaces`: equal reports, `theorem` failed; its
+    counterexample."""
+    swept, literal = _both(n, spaces)(None)
+    assert swept == literal
+    assert swept[theorem] is not None, theorem
+    return swept[theorem]
+
+
+_SIERPINSKI_0 = '{"n": 2, "opens": [[], [0], [0, 1]]}'
+_SIERPINSKI_1 = '{"n": 2, "opens": [[], [1], [0, 1]]}'
+_DISCRETE_2 = '{"n": 2, "opens": [[], [0], [1], [0, 1]]}'
+
+
+def test_local_continuity_fault_is_caught(monkeypatch):
+    # loc_bad gains the carrier (mask 3), an open of every codomain:
+    # pointwise continuity then never holds, and the first continuous
+    # triple fails.  The sweep keeps mask m at bit 8*m, the reference at m.
+    for module, width in ((mapsweep, 8), (reference, 1)):
+        init = module._Domain.__init__
+
+        def corrupt(self, *args, init=init, width=width):
+            init(self, *args)
+            self.loc_bad |= 1 << width * 3
+
+        monkeypatch.setattr(module._Domain, "__init__", corrupt)
+    cx = _failed_as_reference(2, enum_mod.all_spaces(2), "local_vs_global_continuity")
+    assert cx == f"s1={_DISCRETE_2} s2={_DISCRETE_2} f=[0, 0]: pointwise=False global=True"
+
+
+def test_base_criterion_reads_the_codomain_minimal_opens():
+    # The Sierpinski space with U_1 replaced by the carrier: its minimal
+    # opens no longer generate {1}, so the base criterion passes maps that
+    # pull {1} back to a non-open.
+    spaces = list(enum_mod.all_spaces(2))
+    assert spaces[2].ups == (3, 2)
+    spaces[2] = dataclasses.replace(spaces[2], ups=(3, 3))
+    cx = _failed_as_reference(2, spaces, "base_continuity_criterion")
+    assert cx == (
+        f"s1={_SIERPINSKI_0} s2={_SIERPINSKI_1} f=[0, 1]: minimal-open-base criterion mismatch"
+    )
+
+
+def test_t1_pullback_reads_the_domain_t1_flag():
+    # A copy of the discrete space whose U_0 is the carrier is not T1, yet
+    # the identity from it into the discrete space is continuous.
+    spaces = list(enum_mod.all_spaces(2))
+    spaces.append(dataclasses.replace(spaces[0], ups=(3, 2)))
+    assert not separation_mod.is_t1(spaces[-1])
+    cx = _failed_as_reference(2, spaces, "t1_pullback_and_indiscrete_maps")
+    assert cx == (
+        f"s1={_DISCRETE_2} s2={_DISCRETE_2} f=[0, 1]: "
+        "injective continuous map into T1, domain not T1"
+    )
+
+
+def test_hausdorff_implication_fault_is_caught(monkeypatch):
+    # hausdorff_compact_checks answers False for the swap of the two points.
+    checks = compact_mod.hausdorff_compact_checks
+
+    def corrupt(s1, s2, f):
+        got = checks(s1, s2, f)
+        if f.table == (1, 0):
+            got["continuous_implies_closed"] = False
+        return got
+
+    monkeypatch.setattr(compact_mod, "hausdorff_compact_checks", corrupt)
+    cx = _failed_as_reference(2, enum_mod.all_spaces(2), "hausdorff_codomain_implications")
+    assert cx == (
+        f"s1={_DISCRETE_2} s2={_DISCRETE_2} f=[1, 0]: implications: "
+        "{'continuous_implies_closed': False, "
+        "'continuous_bijection_implies_homeomorphism': True, "
+        "'continuous_injection_implies_embedding': True}"
+    )
 
 
 #: The one fault whose verdicts change under relabeling: the interior

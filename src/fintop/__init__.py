@@ -82,7 +82,6 @@ from .enumeration import (
     canonical_form,
     count_topologies,
     enumerate_topologies,
-    sweep_theorems,
     topologies_minopen,
     topologies_naive,
 )
@@ -161,11 +160,16 @@ _CLI_NAMES = ("COVERAGE", "cli_dispatch", "main")
 
 
 def __getattr__(name: str):
-    """Resolve the CLI exports on first use (PEP 562)."""
+    """Resolve the CLI exports and ``sweep_theorems`` on first use (PEP 562),
+    so a process that sweeps nothing never compiles :mod:`fintop.theorems`."""
     if name in _CLI_NAMES:
         from . import cli
 
         return getattr(cli, name)
+    if name == "sweep_theorems":
+        from .theorems import sweep_theorems
+
+        return sweep_theorems
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 #: Spec-level operations of the library (the CLI coverage map in

@@ -523,7 +523,9 @@ def _cmd_enumerate(args):
 
 
 def _cmd_sweep(args):
-    report = enum_mod.sweep_theorems(args.n, include_maps=args.maps)
+    from .theorems import sweep_theorems
+
+    report = sweep_theorems(args.n, include_maps=args.maps)
     ok = all(entry["ok"] for entry in report.values())
     return {"all_pass": ok, "theorems": report}, EXIT_TRUE if ok else EXIT_FALSE
 

@@ -40,7 +40,7 @@ from .carrier import PointSet
 from .maps import FiniteMap, image_bits, preimage_bits
 
 if TYPE_CHECKING:
-    from .enumeration import _Ctx
+    from .theorems import _Ctx
 
 MAP_SWEEP_CHECKS = [
     "continuity_equivalences",

@@ -22,7 +22,7 @@ from fintop.carrier import PointSet
 from fintop.maps import FiniteMap, image_bits, preimage_bits
 
 if TYPE_CHECKING:
-    from fintop.enumeration import _Ctx
+    from fintop.theorems import _Ctx
 
 MAP_SWEEP_CHECKS = [
     "continuity_equivalences",

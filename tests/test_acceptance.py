@@ -34,14 +34,17 @@ from fintop.cli import cli_dispatch
 from fintop.covers import classify_cover
 from fintop.enumeration import (
     EnumConfig,
-    OPERATOR_IDENTITY_CHECKS,
-    SINGLE_SPACE_CHECKS,
-    SWEEP_CORE,
     all_spaces,
     canonical_form,
     enumerate_topologies,
     topologies_minopen,
     topologies_naive,
+)
+from fintop.mapsweep import MAP_SWEEP_CHECKS
+from fintop.theorems import (
+    OPERATOR_IDENTITY_CHECKS,
+    SINGLE_SPACE_THEOREMS,
+    SWEEP_CORE,
     _sweep,
 )
 
@@ -178,7 +181,7 @@ class TestCriterion3SingleSpaceSweep:
         # All 34 single-space theorems over the 33 homeomorphism classes on
         # 4 points (coarser_operator_comparison against all 355 on its
         # second side), under 10 s.
-        names = [name for name, _ in SINGLE_SPACE_CHECKS]
+        names = [name for name, _, _ in SINGLE_SPACE_THEOREMS]
         assert len(names) == 34
         start = time.perf_counter()
         report = sweep_theorems(4, theorems=names, include_maps=False)
@@ -187,6 +190,16 @@ class TestCriterion3SingleSpaceSweep:
         bad = {k: v for k, v in report.items() if not v["ok"]}
         assert not bad, bad
         assert elapsed < 10.0
+
+    def test_registry_sets_the_report_order(self):
+        # 34 unique ids; a default report lists them in registry order, then
+        # the map theorems.  With theorems=[] (the call the sweep3 benchmark
+        # workload makes for its map time) only the 13 map ids remain.
+        names = [name for name, _, _ in SINGLE_SPACE_THEOREMS]
+        assert len(set(names)) == len(names) == 34
+        assert len(MAP_SWEEP_CHECKS) == 13
+        assert list(sweep_theorems(2)) == names + MAP_SWEEP_CHECKS
+        assert list(sweep_theorems(3, theorems=[], include_maps=True)) == MAP_SWEEP_CHECKS
 
     def test_spot_sweep_n4_operator_identities(self):
         # all 355 labeled topologies on 4 points, unreduced, operator

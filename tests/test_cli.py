@@ -200,6 +200,55 @@ def test_module_entry_point_runs_cli_once():
     assert fintop.cli_dispatch is fintop.cli.cli_dispatch
 
 
+_LAZY_SWEEP_SCRIPT = """
+import contextlib, io, sys
+import fintop
+from fintop import EnumConfig, cli_dispatch, count_topologies, enumerate_topologies
+
+doc = sys.argv[1]
+assert count_topologies(5) == 6942
+assert sum(1 for _ in enumerate_topologies(EnumConfig(5, "up_to_homeomorphism"))) == 139
+assert count_topologies(5, "t0") == 4231
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli_dispatch(["enumerate", "--n", "3", "--count"]) == 0
+    assert cli_dispatch(["check", doc, "--t0"]) == 0
+    assert cli_dispatch(["validate", doc]) == 0
+# vars() and the enumeration module, not hasattr(fintop, ...): that would
+# resolve the lazy export and import the sweep.
+loaded = [name for name in ("fintop.theorems", "fintop.mapsweep") if name in sys.modules]
+assert not loaded, loaded
+assert "sweep_theorems" not in vars(fintop)
+assert not hasattr(sys.modules["fintop.enumeration"], "sweep_theorems")
+
+from fintop import sweep_theorems
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli_dispatch(["sweep", "--n", "2"]) == 0
+assert sweep_theorems is sys.modules["fintop.theorems"].sweep_theorems
+print("ok")
+"""
+
+
+def test_counting_and_documents_load_no_sweep_code(tmp_path):
+    # The counts and the enumerate/check/validate subcommands never compile
+    # the theorem sweep; `from fintop import sweep_theorems` and `fintop
+    # sweep` still reach it.
+    doc = tmp_path / "sierp.json"
+    doc.write_text('{"n": 2, "opens": [[], [0], [0, 1]]}')
+    env = dict(os.environ)
+    src_root = str(Path(fintop.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_SWEEP_SCRIPT, str(doc)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.stderr == ""
+    assert proc.returncode == 0
+    assert proc.stdout == "ok\n"
+
+
 def test_parser_reuse_keeps_no_state(docs, capsys):
     # One parser serves every request in a process; replaying the same argv
     # sequence must give the same bytes and codes, and no flag may leak

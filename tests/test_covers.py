@@ -18,7 +18,7 @@ from fintop import (
     space,
     verify_pasting,
 )
-from fintop import enumeration
+from fintop import theorems
 from fintop.covers import _is_fundamental
 from fintop.enumeration import all_spaces
 
@@ -96,7 +96,7 @@ class TestSubcoverRefinement:
         checked = 0
         for n in range(4):
             N = 1 << n
-            below = enumeration._below(N)
+            below = theorems._below(N)
             families = [
                 members
                 for size in range(4)

@@ -380,17 +380,17 @@ class TestFundamentalCoverLawFaults:
 
     def test_down_set_fault_is_named(self, monkeypatch):
         # Every mask below every member: the first mask hit is no refinement.
-        from fintop import enumeration
+        from fintop import theorems
 
-        monkeypatch.setattr(enumeration, "_below", lambda N: [(1 << N) - 1] * N)
+        monkeypatch.setattr(theorems, "_below", lambda N: [(1 << N) - 1] * N)
         disagree = "down-set test disagrees with is_refinement: "
         assert _cover_laws_cx(2) == _SIERPINSKI + disagree + "(3,) (1, 2)"
         assert _cover_laws_cx(3) == _CHAIN3 + disagree + "(7,) (1, 6)"
 
     def test_confirmed_refinement_is_named(self, monkeypatch):
-        from fintop import covers, enumeration
+        from fintop import covers, theorems
 
-        monkeypatch.setattr(enumeration, "_below", lambda N: [(1 << N) - 1] * N)
+        monkeypatch.setattr(theorems, "_below", lambda N: [(1 << N) - 1] * N)
         monkeypatch.setattr(covers, "is_refinement", lambda C_ref, C, s: True)
         refines = "fundamental refinement (3,) of non-fundamental (1, 2)"
         assert _cover_laws_cx(2) == _SIERPINSKI + refines

@@ -80,3 +80,47 @@ def test_scan_flags_an_unread_definition():
 def test_every_definition_is_read():
     sources = {path.stem: path.read_text() for path in PACKAGE}
     assert unread_definitions(sources) == []
+
+
+def unread_locals(source: str) -> list[str]:
+    """Names that a function assigns and never reads, nested functions
+    included (so a closure's read counts); ``_``-prefixed names and names
+    declared global or nonlocal are exempt."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read, stored = set(), {}
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+        found.extend(
+            f"{fn.name}.{name} (line {line})"
+            for name, line in stored.items()
+            if name not in read and not name.startswith("_")
+        )
+    return found
+
+
+def test_scan_flags_an_unread_local():
+    source = (
+        "def f(xs):\n"
+        "    a = [x for x in xs]\n"
+        "    for i in xs:\n"
+        "        b = i\n"
+        "    for _ in xs:\n"
+        "        pass\n"
+        "    def g():\n"
+        "        return a\n"
+        "    return g\n"
+    )
+    assert unread_locals(source) == ["f.b (line 4)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_every_local_is_read(path):
+    assert unread_locals(path.read_text()) == []

@@ -33,6 +33,7 @@ from fintop import covers as covers_mod
 from fintop import enumeration as enum_mod
 from fintop import mapsweep
 from fintop import separation as separation_mod
+from fintop import theorems as theorems_mod
 from fintop.maps import image_bits
 
 GOLDEN = Path(__file__).with_name("map_sweep_golden.json")
@@ -184,7 +185,7 @@ def test_domain_image_families_are_literal_images():
     n, N = 3, 8
     tables, imgs, pres = mapsweep._map_tables(n)
     spaces = enum_mod.all_spaces(n)
-    ctxs = [enum_mod._Ctx(s, enum_mod._default_ops(None)) for s in spaces]
+    ctxs = [theorems_mod._Ctx(s, theorems_mod._default_ops(None)) for s in spaces]
     extras = [mapsweep._space_families(c) for c in ctxs]
     k = mapsweep._Codomains(n, ctxs, extras)
     codomain_opens = [mapsweep._family(s.opens.masks) for s in spaces]
@@ -225,7 +226,7 @@ def _both(n, spaces):
     per-triple reference over `spaces`."""
 
     def run(overrides):
-        ctxs = [enum_mod._Ctx(s, enum_mod._default_ops(overrides)) for s in spaces]
+        ctxs = [theorems_mod._Ctx(s, theorems_mod._default_ops(overrides)) for s in spaces]
         return mapsweep._map_sweep(n, ctxs), reference._map_sweep(n, ctxs)
 
     return run
@@ -338,12 +339,12 @@ def test_class_representatives_catch_the_same_faults(n):
         enum_mod.enumerate_topologies(enum_mod.EnumConfig(n, "up_to_homeomorphism"))
     )
     assert len(reps) < len(labeled)
-    clean = enum_mod._sweep(n, reps)
-    assert len(clean) == 47 and clean == enum_mod._sweep(n, labeled)
+    clean = theorems_mod._sweep(n, reps)
+    assert len(clean) == 47 and clean == theorems_mod._sweep(n, labeled)
 
     def failing(spaces):
         def run(overrides):
-            report = enum_mod._sweep(n, spaces, overrides)
+            report = theorems_mod._sweep(n, spaces, overrides)
             return {name for name, rec in report.items() if not rec["ok"]}
 
         return run

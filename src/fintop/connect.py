@@ -12,7 +12,8 @@ each question in O(n²) mask operations (breadth-first search for sets):
 - A finite space is totally disconnected iff it is discrete (each U_p = {p}).
 
 The sweep checks :func:`connected_set_masks` against :func:`is_connected`,
-the literal clopen definition, on every subspace.
+the literal clopen definition, on every subspace.  Its memo is keyed on
+the adjacency U_p ∪ cl{p}, which ``ups`` determines, so it is never stale.
 """
 
 from __future__ import annotations
@@ -29,18 +30,9 @@ def is_connected(s: TopSpace) -> bool:
     return clopen_sets(s).mask_set == {0, (1 << s.n) - 1}
 
 
-def _adjacency(s: TopSpace) -> list[int]:
-    """Per point p, the mask of the points comparable to p (p included)."""
-    return _adjacency_bits(s.ups)
-
-
-def _adjacency_bits(mins: tuple[int, ...]) -> list[int]:
-    adj = list(mins)
-    for p, u in enumerate(mins):
-        for q in range(len(mins)):
-            if u >> q & 1:
-                adj[q] |= 1 << p
-    return adj
+def _adjacency(s: TopSpace) -> tuple[int, ...]:
+    """Per point p, the mask of the points comparable to p: U_p ∪ cl{p}."""
+    return tuple(u | d for u, d in zip(s.ups, s.downs))
 
 
 def is_connected_set(s: TopSpace, A: PointSet) -> bool:
@@ -50,16 +42,14 @@ def is_connected_set(s: TopSpace, A: PointSet) -> bool:
 
 
 def connected_set_masks(s: TopSpace) -> frozenset[int]:
-    """Bitmasks of all connected subsets of the space, memoized on the
-    minimal opens they are decided from (``TopSpace`` equality compares the
-    opens only)."""
-    return _connected_masks(s.n, s.ups)
+    """Bitmasks of all connected subsets of the space, memoized on its
+    adjacency (see the module docstring)."""
+    return _connected_masks(_adjacency(s))
 
 
 @lru_cache(maxsize=None)
-def _connected_masks(n: int, mins: tuple[int, ...]) -> frozenset[int]:
-    adj = _adjacency_bits(mins)
-    return frozenset(m for m in range(1 << n) if reach_bits(adj, m & -m, m) == m)
+def _connected_masks(adj: tuple[int, ...]) -> frozenset[int]:
+    return frozenset(m for m in range(1 << len(adj)) if reach_bits(adj, m & -m, m) == m)
 
 
 # The memo's statistics and reset, under the public name.

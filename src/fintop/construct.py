@@ -29,11 +29,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .carrier import (
+    MAX_CARRIER,
     Family,
     Partition,
     PointSet,
     check_carrier,
     family_union,
+    reach_bits,
     same_carrier,
 )
 from .errors import (
@@ -44,7 +46,7 @@ from .errors import (
     SubbaseDoesNotCover,
 )
 from .maps import FiniteMap, image_bits, preimage_bits
-from .space import MAX_OPENS_LOG2, TopSpace, _build, _point_meets, _trusted_space
+from .space import MAX_OPENS_LOG2, TopSpace, _build, _point_meets
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,8 +221,8 @@ def product(s1: TopSpace, s2: TopSpace) -> tuple[TopSpace, PairEncoding]:
     """Binary product: the topology generated by the base {U x V}, from
     its minimal opens U_i x U_j (see the module docstring)."""
     n = s1.n * s2.n
-    if n > 24:
-        raise CarrierTooLarge(f"product carrier {s1.n}*{s2.n} exceeds 24")
+    if n > MAX_CARRIER:
+        raise CarrierTooLarge(f"product carrier {s1.n}*{s2.n} exceeds {MAX_CARRIER}")
     enc = PairEncoding(s1.n, s2.n)
     proj1, proj2 = enc.projection1().table, enc.projection2().table
     pre2 = [preimage_bits(proj2, v) for v in s2.ups]
@@ -237,6 +239,7 @@ def quotient(s: TopSpace, P: Partition) -> tuple[TopSpace, FiniteMap]:
     blocks; so the quotient opens are the images of the opens u with
     Pre(Img(u)) = u, found in O(|opens|·n) without the 2**k sets of blocks.
     Preimages preserve unions and intersections, so these form a topology.
+    Opens are up-sets, so U_b is what b reaches by its points' Img(U_p).
     """
     same_carrier(s.n, P.n)
     k = len(P.blocks)
@@ -246,7 +249,11 @@ def quotient(s: TopSpace, P: Partition) -> tuple[TopSpace, FiniteMap]:
         q = image_bits(index, u)
         if preimage_bits(index, q) == u:  # u is a union of blocks
             opens.add(q)
-    return _trusted_space(k, tuple(sorted(opens))), FiniteMap(s.n, k, index)
+    step = [0] * k
+    for p, u in enumerate(s.ups):
+        step[index[p]] |= image_bits(index, u)
+    ups = [reach_bits(step, 1 << b, (1 << k) - 1) for b in range(k)]
+    return _build(k, sorted(opens), ups), FiniteMap(s.n, k, index)
 
 
 @dataclass(frozen=True, slots=True)

@@ -35,7 +35,7 @@ from typing import Iterator, Optional
 
 from .carrier import PointSet, mask_points, same_carrier
 from .errors import NotALimitPoint
-from .space import TopSpace, _downs
+from .space import TopSpace
 
 
 def image_bits(table, mask: int) -> int:
@@ -150,8 +150,8 @@ def check_map(f: FiniteMap, s1: TopSpace, s2: TopSpace) -> MapReport:
     images = [image_bits(table, u) for u in ups1]
     continuous = all(img & ~ups2[v] == 0 for img, v in zip(images, table))
     open_map = all(_is_union(ups2, img) for img in images)
-    downs2 = _downs(ups2)
-    closed_map = all(_is_union(downs2, image_bits(table, d)) for d in _downs(ups1))
+    downs2 = s2.downs
+    closed_map = all(_is_union(downs2, image_bits(table, d)) for d in s1.downs)
     injective = f.is_injective()
     surjective = f.is_surjective()
     homeomorphism = injective and surjective and continuous and open_map

@@ -26,8 +26,8 @@ set holding p is cl{p}:
 
 Each predicate decides its axiom by the first criterion above, read from
 the U_p: T0 is one set of the n masks, T1 and T2 are O(n) mask tests, T3
-is O(n²) bit tests, and T4 is O(n²) mask pairs after one O(n²) transpose
-of the U_p into the cl{p}.  None reads the opens family, so every flag
+is O(n²) bit tests, and T4 is O(n²) mask pairs on the cached cl{p}
+(``TopSpace.downs``).  None reads the opens family, so every flag
 answers at the 24-point cap.  The second criteria (all but T2's read the
 cl{p}) and the literal definitions, which compare neighborhood families
 and closed-set families at a cost that grows with the number of opens,
@@ -48,7 +48,7 @@ from operator import and_, or_
 from .carrier import PointSet
 from .errors import CarrierTooLarge, CrossCheckFailure
 from .operators import closure
-from .space import TopSpace, _downs, meet_topologies
+from .space import TopSpace, meet_topologies
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,9 +113,7 @@ def is_t3(s: TopSpace) -> bool:
 
 def is_t4(s: TopSpace) -> bool:
     """T4: disjoint closed sets have disjoint neighborhoods."""
-    ups = s.ups
-    downs = _downs(ups)
-    n = s.n
+    ups, downs, n = s.ups, s.downs, s.n
     return all(
         downs[p] & downs[q] or not ups[p] & ups[q]
         for p in range(n)
@@ -220,8 +218,7 @@ def _second_criteria(s: TopSpace) -> tuple[bool, bool, bool, bool, bool]:
     """T0..T4 by the second criterion of the module docstring:
     U_p ∩ cl{p} = {p}, every cl{p} = {p}, every U_p = {p}, U_p = cl{p},
     and any two points of a cl{r} have meeting closures."""
-    ups, n = s.ups, s.n
-    downs = _downs(ups)
+    ups, downs, n = s.ups, s.downs, s.n
     per_point = all(
         downs[p] & downs[q]
         for d in downs
@@ -234,7 +231,7 @@ def _second_criteria(s: TopSpace) -> tuple[bool, bool, bool, bool, bool]:
         all(u & d == 1 << p for p, (u, d) in enumerate(zip(ups, downs))),
         all(d == 1 << p for p, d in enumerate(downs)),
         all(u == 1 << p for p, u in enumerate(ups)),
-        list(ups) == downs,
+        ups == downs,
         per_point,
     )
 

@@ -5,8 +5,9 @@ set and the carrier and closed under pairwise intersection and union
 (pairwise union closure is equivalent to arbitrary-union closure for
 finite families).  A space stores its opens (a ``Family``) and ``ups``,
 the mask of each point's minimal open U_p, which encodes the
-specialization preorder.  The closed-set family and the ``PointSet`` view
-of the U_p (``min_open``) are built on first read and cached.
+specialization preorder.  The closed-set family, the ``PointSet`` view of
+the U_p (``min_open``) and the down-sets cl{p} (``downs``) are built on
+first read and cached.
 
 Validity is decided in O(|F|·n) from the minimal opens.  Let F hold ∅ and
 the carrier X and no member outside X, and let U_p be the intersection of
@@ -22,14 +23,7 @@ iff ``m | U_p`` ∈ F for every member m and every point p:
   and under intersection because A ∩ B is the union of the U_r, r ∈ A ∩ B.
 
 A family already known to be a topology (one the generator or a
-constructor yields) is not validated again.  Where its U_p have no closed
-form, it gets them in one pass over its ascending opens: U_p is the first
-open that holds p.  U_p is open and lies inside every open that holds p, and a
-proper subset has a smaller mask, so U_p is the least such open as an
-integer.  Validation cannot use this: on a family that is not a topology
-the first member holding p need not be the intersection, and the
-``m | U_p`` test can then pass wrongly ({∅, {0,1}, {0,2}, X} passes it
-with the first members, yet {0,1} ∩ {0,2} is missing).
+constructor yields) is built with its U_p, not validated again.
 
 A rejected family is reported with the lexicographically least pair of
 members whose intersection, and whose union, is not a member.  Let G be
@@ -59,10 +53,12 @@ from operator import and_, or_
 from typing import Iterable, Sequence, Union
 
 from .carrier import (
+    MAX_CARRIER,
     Family,
     PointSet,
     check_carrier,
     mask_points,
+    reach_bits,
     same_carrier,
 )
 from .errors import CarrierTooLarge, EmptyList, InvalidTopology
@@ -98,15 +94,11 @@ class TopSpace:
 
     Construct via :func:`validate_topology` or :func:`space`.  A space is
     ``n``, its ``opens`` and ``ups``, the mask of each point's minimal open
-    set U_p.  ``closeds`` and ``min_open`` (the U_p as PointSets) are built
-    on first read and cached; the caches are not constructor arguments, so
-    ``dataclasses.replace`` never carries a stale one over.  Equality,
-    hashing and repr use ``n`` and ``opens`` only.
-
-    In a topology U_p is the first (least) open that holds p, which is how
-    :func:`_trusted_space` finds it in one pass.  Validation intersects the
-    members holding p instead: in a family that is not a topology the first
-    one need not be that intersection (see the module docstring).
+    set U_p.  ``closeds``, ``min_open`` (the U_p as PointSets) and
+    ``downs`` (the cl{p} masks) are built on first read and cached; the
+    caches are not constructor arguments, so ``dataclasses.replace`` never
+    carries a stale one over.  Equality, hashing and repr use ``n`` and
+    ``opens`` only.
     """
 
     n: int
@@ -114,6 +106,7 @@ class TopSpace:
     ups: tuple[int, ...] = field(compare=False)
     _closeds: Family | None = field(default=None, init=False, compare=False)
     _min_open: tuple[PointSet, ...] | None = field(default=None, init=False, compare=False)
+    _downs: tuple[int, ...] | None = field(default=None, init=False, compare=False)
 
     @property
     def closeds(self) -> Family:
@@ -131,6 +124,19 @@ class TopSpace:
             min_open = tuple(PointSet(u, self.n) for u in self.ups)
             object.__setattr__(self, "_min_open", min_open)
         return min_open
+
+    @property
+    def downs(self) -> tuple[int, ...]:
+        """cl{p} for every point p: the mask of the q with p ∈ U_q."""
+        downs = self._downs
+        if downs is None:
+            cl = [0] * self.n
+            for q, u in enumerate(self.ups):
+                for p in mask_points(u):
+                    cl[p] |= 1 << q
+            downs = tuple(cl)
+            object.__setattr__(self, "_downs", downs)
+        return downs
 
     def __repr__(self) -> str:
         return f"TopSpace(n={self.n}, opens={self.opens!r})"
@@ -162,7 +168,7 @@ def _canonical_masks(n: int, fam) -> tuple[list[int], list[AxiomViolation]]:
     if raw and (min(raw) < 0 or max(raw) > full):
         bad = next(m for m in sorted(raw) if m < 0 or m & ~full)
         # Witness the stray member over the smallest carrier that holds it.
-        wide = min(24, max(n, bad.bit_length())) if bad >= 0 else n
+        wide = min(MAX_CARRIER, max(n, bad.bit_length())) if bad >= 0 else n
         witness = (PointSet(bad & (1 << wide) - 1, wide),) if bad >= 0 else ()
         violations.append(AxiomViolation("MemberOutOfCarrier", witness))
         raw = [m for m in raw if 0 <= m <= full]
@@ -318,26 +324,6 @@ def _build(n: int, masks: Sequence[int], mins: Sequence[int]) -> TopSpace:
     return TopSpace(n, Family._from_masks(n, masks), tuple(mins))
 
 
-def _trusted_space(n: int, opens: tuple[int, ...]) -> TopSpace:
-    """The space of an ascending opens tuple already known to be a topology,
-    such as one the minimal-open generator yields, built without
-    :func:`validate_topology`'s ``m | U_p`` membership pass: U_p is the
-    first open that holds p (see the module docstring)."""
-    ups = [0] * n
-    left = (1 << n) - 1
-    for m in opens:
-        new = m & left
-        if new:
-            left ^= new
-            while new:
-                low = new & -new
-                ups[low.bit_length() - 1] = m
-                new ^= low
-            if not left:
-                break
-    return _build(n, opens, ups)
-
-
 def space(n: int, fam: Union[Family, Iterable]) -> TopSpace:
     """Like :func:`validate_topology` but raises :class:`InvalidTopology`."""
     result = validate_topology(n, fam)
@@ -393,15 +379,6 @@ def minimal_open(s: TopSpace, p: int) -> PointSet:
     return s.min_open[p]
 
 
-def _downs(ups: tuple[int, ...]) -> list[int]:
-    """cl{p} for every point p: the mask of the q with p ∈ U_q."""
-    downs = [0] * len(ups)
-    for q, u in enumerate(ups):
-        for p in mask_points(u):
-            downs[p] |= 1 << q
-    return downs
-
-
 #: Possible results of :func:`compare` (mutually exclusive).
 EQUAL = "equal"
 STRICTLY_FINER = "strictly_finer"
@@ -431,14 +408,17 @@ def compare(t1: TopSpace, t2: TopSpace) -> str:
 
 def meet_topologies(spaces: Sequence[TopSpace]) -> TopSpace:
     """Intersection of the opens families: a union or intersection of
-    members lies in every family, so in their intersection."""
+    members lies in every family, so in their intersection.  These are the
+    up-sets of every preorder, so U_p is what p reaches by every space's U_q."""
     if not spaces:
         raise EmptyList("meet of an empty list of topologies")
     n = same_carrier(*(s.n for s in spaces))
-    common = set(spaces[0].opens.masks)
+    common, step = set(spaces[0].opens.masks), spaces[0].ups
     for s in spaces[1:]:
         common &= s.opens.mask_set
-    return _trusted_space(n, tuple(sorted(common)))
+        step = [u | v for u, v in zip(step, s.ups)]
+    ups = [reach_bits(step, 1 << p, (1 << n) - 1) for p in range(n)]
+    return _build(n, sorted(common), ups)
 
 
 def one_point_extension(s: TopSpace) -> TopSpace:

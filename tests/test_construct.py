@@ -582,6 +582,9 @@ class TestTrustedConstructors:
                 assert_validates_to(one_point_extension(s))
                 for t in pool:
                     assert_validates_to(meet_topologies([s, t]))
+                    # Three spaces: U_p reaches along the union of all U_q.
+                    for u in pool:
+                        assert_validates_to(meet_topologies([u, s, t]))
 
     def test_discrete_and_indiscrete(self):
         for n in range(11):

@@ -27,7 +27,7 @@ from fintop.enumeration import (
     topologies_naive,
 )
 from fintop.errors import CrossCheckFailure
-from fintop.space import _build, _trusted_space
+from fintop.space import _build
 
 KNOWN_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355}
 
@@ -55,9 +55,6 @@ class TestGenerators:
             # n = -1: not the ValueError of a negative shift count
             with pytest.raises(CarrierTooLarge, match="^enumeration capped at n <= 5$"):
                 topologies_minopen(n)
-
-    def test_trusted_build_matches_validation(self):
-        assert _trusted_mismatch(_trusted_space) is None
 
     def test_last_open_mutant_is_killed(self):
         assert _trusted_mismatch(_last_open_space) == (2, (0b00, 0b01, 0b10, 0b11))

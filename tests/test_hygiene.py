@@ -40,6 +40,39 @@ def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
 
 
+def carrier_cap_literals(sources: dict[str, str]) -> list[str]:
+    """Places where the int literal 24, the carrier cap, is written other
+    than in the definition of ``MAX_CARRIER``."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defining = {
+            id(node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and [getattr(target, "id", None) for target in node.targets] == ["MAX_CARRIER"]
+        }
+        found.extend(
+            f"{module}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and type(node.value) is int
+            and node.value == 24
+            and id(node) not in defining
+        )
+    return sorted(found)
+
+
+def test_scan_flags_a_carrier_cap_literal():
+    source = 'MAX_CARRIER = 24\nx = min(24, n)\ny = "exceeds 24"  # 24\nz = 24.0\n'
+    assert carrier_cap_literals({"m": source}) == ["m:2"]
+
+
+def test_carrier_cap_is_written_once():
+    sources = {path.name: path.read_text() for path in PACKAGE}
+    assert carrier_cap_literals(sources) == []
+
+
 #: Module hooks that the interpreter calls by name (PEP 562).
 MODULE_HOOKS = {"__getattr__"}
 

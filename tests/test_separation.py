@@ -7,6 +7,7 @@ from fintop import (
     CarrierTooLarge,
     FiniteMap,
     PointSet,
+    TopSpace,
     check_map,
     classify_pair,
     closure,
@@ -207,11 +208,11 @@ class TestLiteralCrossCheck:
         # down-sets only for T4, so the literal cross-check must name every
         # axiom whose second criterion reads them, and never T2, whose
         # second criterion reads only the U_p.
-        downs = separation._downs
+        downs = TopSpace.downs.fget
         monkeypatch.setattr(
-            separation,
-            "_downs",
-            lambda ups: [d ^ (1 << (d.bit_length() - 1)) for d in downs(ups)],
+            TopSpace,
+            "downs",
+            property(lambda s: tuple(d ^ (1 << (d.bit_length() - 1)) for d in downs(s))),
         )
         named = set()
         for n in range(4):

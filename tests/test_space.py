@@ -10,10 +10,13 @@ from fintop import (
     EmptyList,
     Family,
     InvalidTopology,
+    Partition,
     PointSet,
     TopSpace,
+    alexandroff,
     clopen_sets,
     closed_sets,
+    closure,
     compare,
     count_topologies,
     discrete,
@@ -24,7 +27,10 @@ from fintop import (
     minimal_open,
     neighborhoods,
     one_point_extension,
+    product,
+    quotient,
     space,
+    subspace,
     validate_topology,
 )
 
@@ -255,21 +261,38 @@ class TestNeighborhoods:
         assert sierpinski.min_open[1].points() == (1,)
 
     def test_min_open_invariants(self):
-        from fintop.enumeration import all_spaces
-
-        for n in range(5):
-            for s in all_spaces(n):
-                for p in range(n):
-                    mo = minimal_open(s, p)
-                    assert mo.bits in s.opens
-                    assert p in mo
-                    assert mo == s.min_open[p]
+        for s in _spaces_and_constructions():
+            for p in range(s.n):
+                mo = minimal_open(s, p)
+                assert mo.bits in s.opens
+                assert p in mo
+                assert mo == s.min_open[p]
+                assert s.downs[p] == closure(s, PointSet.of(s.n, [p])).bits
 
     def test_neighborhood_intersection_contains(self, sierpinski):
         for m in range(4):
             A = PointSet(m, 2)
             nei = neighborhoods(sierpinski, A, "open")
             assert A <= family_intersection(nei)
+
+
+def _spaces_and_constructions():
+    """Every space with n <= 4, and what each constructor makes of it."""
+    from fintop.enumeration import all_spaces
+
+    sierpinski = space(2, [0b00, 0b10, 0b11])
+    for n in range(5):
+        full = (1 << n) - 1
+        merged = Partition.of(n, [b for b in (full & 0b11, *(1 << p for p in range(2, n))) if b])
+        pool = all_spaces(n)
+        for i, s in enumerate(pool):
+            yield s
+            yield subspace(s, PointSet(full & 0b1011, n))[0]
+            yield product(s, sierpinski)[0]
+            yield quotient(s, merged)[0]
+            yield meet_topologies([s, pool[i - 1]])
+            yield alexandroff(s)
+            yield one_point_extension(s)
 
 
 class TestCompare:
@@ -358,6 +381,7 @@ class TestMaskPrimary:
     def test_views_are_cached(self, sierpinski):
         assert sierpinski.closeds is sierpinski.closeds
         assert sierpinski.min_open is sierpinski.min_open
+        assert sierpinski.downs is sierpinski.downs
 
     def test_replaced_ups_reach_min_open(self, sierpinski):
         assert sierpinski.min_open == (PointSet(0b11, 2), PointSet(0b10, 2))
@@ -365,5 +389,7 @@ class TestMaskPrimary:
         assert bad == sierpinski and hash(bad) == hash(sierpinski)
         assert bad.min_open == (PointSet(0b01, 2), PointSet(0b10, 2))
         assert minimal_open(bad, 0).points() == (0,)
-        with pytest.raises(ValueError, match="init=False"):
-            dataclasses.replace(sierpinski, _min_open=())
+        assert sierpinski.downs == (0b01, 0b11) and bad.downs == (0b01, 0b10)
+        for cache in ("_min_open", "_downs"):
+            with pytest.raises(ValueError, match="init=False"):
+                dataclasses.replace(sierpinski, **{cache: ()})

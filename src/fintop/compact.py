@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import separation as separation_mod
 from .carrier import PointSet, same_carrier
 from .errors import CodomainNotHausdorff
 from .maps import FiniteMap, check_map
@@ -58,9 +59,7 @@ def hausdorff_compact_checks(s1: TopSpace, s2: TopSpace, f: FiniteMap) -> dict:
     Returns the truth values of: continuous => closed map, continuous
     bijection => homeomorphism, continuous injection => embedding.
     """
-    from .separation import is_t2
-
-    if not is_t2(s2):
+    if not separation_mod.is_t2(s2):
         raise CodomainNotHausdorff("codomain must be Hausdorff")
     rep = check_map(f, s1, s2)
     return {

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from . import compact as compact_mod
 from .carrier import (
     MAX_CARRIER,
     Family,
@@ -319,8 +320,6 @@ def alexandroff(s: TopSpace) -> TopSpace:
 
     The complement of an open is closed and, being finite, compact, so the
     opens are τ ∪ {U ∪ {∞} : U ∈ τ}: a topology, with U_∞ = {∞}."""
-    from .compact import is_compact_set  # cycle: compact builds on subspaces
-
     n = s.n
     check_carrier(n + 1)
     inf = 1 << n
@@ -330,6 +329,6 @@ def alexandroff(s: TopSpace) -> TopSpace:
         k = (1 << n) - 1 & ~u
         # The complement of an open is always closed and compact; both halves
         # are checked against the space's closed-set and minimal-open tables.
-        if k in closed and is_compact_set(s, PointSet(k, n)):
+        if k in closed and compact_mod.is_compact_set(s, PointSet(k, n)):
             at_inf.append(u | inf)
     return _build(n + 1, s.opens.masks + tuple(at_inf), (*s.ups, inf))

@@ -124,10 +124,9 @@ def minimal_subcover(s: TopSpace, C: Family, target: Optional[PointSet] = None) 
     best: Optional[tuple[int, ...]] = None
 
     def bound(uncovered: int) -> int:
-        # Each further member covers at most `biggest` uncovered points.
+        # Each further member covers at most `biggest` uncovered points; some
+        # member holds each point of the target, so biggest > 0.
         biggest = max((m & uncovered).bit_count() for m in masks)
-        if biggest == 0:
-            return 10**9
         return -(-uncovered.bit_count() // biggest)
 
     def search(chosen: list[int], uncovered: int) -> None:

@@ -38,6 +38,7 @@ from . import covers as covers_mod
 from . import separation as separation_mod
 from .carrier import PointSet
 from .maps import FiniteMap, image_bits, preimage_bits
+from .space import _point_meets
 
 if TYPE_CHECKING:
     from .theorems import _Ctx
@@ -109,27 +110,20 @@ def _space_families(c: _Ctx) -> dict:
         m for m in range(c.N) if compact_mod.is_compact_set(c.s, PointSet(m, c.n))
     )
     dense = [m for m in range(c.N) if c.cl[m] == c.full]
-    # The inclusion-least opens holding p (U_p alone in a topology).  The
-    # continuity and limit tests at p take the union, over opens u holding
-    # p, of the masks above the image of u (or of a trace of u); an open
-    # holding another adds nothing to it, so only these are read.
-    least = [
-        [
-            u
-            for u in c.opens
-            if u >> p & 1 and not any(v != u and v & ~u == 0 and v >> p & 1 for v in c.opens)
-        ]
-        for p in range(c.n)
-    ]
-    # Per limit point p of A: the traces u & A - p of the least opens u
-    # holding p; each distinct tuple of them is read once, and a lone trace
-    # through a table over its image.
-    traces = {
-        tuple(sorted({u & a & ~(1 << p) for u in least[p]}))
+    # U_p, the least open holding p.  The continuity and limit tests at p
+    # take the union, over opens u holding p, of the masks above the image
+    # of u (or of a trace of u); an open holding U_p adds nothing to it.
+    # Met from the opens, not read from ``ups``: the sweep must agree with
+    # the literal loops over the opens on a space whose ``ups`` is corrupted.
+    least = _point_meets(c.n, c.opens)
+    # Per limit point p of A: the trace U_p & A - p, each distinct one read
+    # once, through a table over its image.
+    traces = sorted({
+        least[p] & a & ~(1 << p)
         for a in range(c.N)
         for p in range(c.n)
         if c.cl[a & ~(1 << p)] >> p & 1
-    }
+    })
     not_rel = {
         S: _flags(set(range(c.N)) - covers_mod.relative_opens(c.s, S), c.N)
         for S in sorted({S for fams in covers for fam in fams for S in fam})
@@ -159,8 +153,7 @@ def _space_families(c: _Ctx) -> dict:
         "compact_bits": _family(compact),
         "dense": dense,
         "dense_bits": _family(dense),
-        "lone_traces": sorted(tr[0] for tr in traces if len(tr) == 1),
-        "traces": sorted(tr for tr in traces if len(tr) > 1),
+        "traces": traces,
         "t1": separation_mod.is_t1(c.s),
         # hausdorff_compact_checks raises unless the codomain is T2.
         "t2": separation_mod.is_t2(c.s),
@@ -248,24 +241,17 @@ class _Codomains:
         self.hold_it, self.miss_it = _operator_lookups([c.it for c in ctxs], n, everyone)
         self.t1 = sum(1 << i for i, e in enumerate(extras) if e["t1"])
         self.t2 = [i for i, e in enumerate(extras) if e["t2"]]
-        self.t1_opens = [(i, e["opens"]) for i, e in enumerate(extras) if e["t1"]]
-        self._multi: dict[int, int] = {}
-        # Per image mask x: the codomains with multiple limits when near is
-        # the masks above x.
-        self.multi_above = [self.multiple_limits(near) for near in self.above]
-
-    def multiple_limits(self, near: int) -> int:
-        """The T1 codomains with more than one point y such that every open
-        holding y is in `near`, memoized per near."""
-        got = self._multi.get(near)
-        if got is None:
-            got = 0
-            for i, opens in self.t1_opens:
-                limits = [y for y, h in enumerate(self.holds) if not opens & h & ~near]
-                if len(limits) > 1:
-                    got |= 1 << i
-            self._multi[near] = got
-        return got
+        # Per image mask x: the T1 codomains with more than one point y
+        # such that every open holding y holds x.
+        t1_opens = [(i, e["opens"]) for i, e in enumerate(extras) if e["t1"]]
+        self.multi_above = [
+            sum(
+                1 << i
+                for i, opens in t1_opens
+                if sum(not opens & h & ~near for h in self.holds) > 1
+            )
+            for near in self.above
+        ]
 
 
 class _Domain:
@@ -298,13 +284,12 @@ class _Domain:
         self.img_conn = images(e["conn"])
         self.img_compact = images(e["compact"])
         self.img_dense = images(e["dense"])
-        # near: the masks w holding img[u] for some open u with p in u.
-        # Every open w holding t[p] must be one, so f is continuous at each
-        # p iff no open of the codomain is in loc_bad.
+        # near: the masks w holding img[u] for some open u with p in u,
+        # those above img[U_p].  Every open w holding t[p] must be one, so
+        # f is continuous at each p iff no open of the codomain is in loc_bad.
         self.loc_bad = 0
-        for p, least in enumerate(e["least"]):
-            near = reduce(or_, map(above.__getitem__, map(at_img, least)), 0)
-            self.loc_bad |= k.holds[t[p]] & ~near
+        for p, u in enumerate(e["least"]):
+            self.loc_bad |= k.holds[t[p]] & ~above[img[u]]
         # bad[S]: the masks u with S & pre[u] not open in S, so f is
         # continuous on S iff no open of the codomain is in bad[S], and on
         # every member of a cover iff none is in the union of their bad[S].
@@ -386,12 +371,10 @@ def _map_sweep(n: int, ctxs) -> dict:
                     same &= reduce(and_, map(getitem, rows, (k.comp[img[m]] for m in c1.it)))
                 fails["homeomorphism_transport"] = homeo & ~same
             if k.t1 and results["hausdorff_limit_uniqueness"] is None:
-                lone = map(img.__getitem__, e1["lone_traces"])
-                multi = reduce(or_, map(k.multi_above.__getitem__, lone), 0)
-                for traces in e1["traces"]:
-                    near = reduce(or_, map(k.above.__getitem__, map(img.__getitem__, traces)))
-                    multi |= k.multiple_limits(near)
-                fails["hausdorff_limit_uniqueness"] = multi
+                traces = map(img.__getitem__, e1["traces"])
+                fails["hausdorff_limit_uniqueness"] = reduce(
+                    or_, map(k.multi_above.__getitem__, traces), 0
+                )
             if (n_values[ti] == n and not e1["t1"]) or (indiscrete1 and n_values[ti] > 1):
                 fails["t1_pullback_and_indiscrete_maps"] = k.t1 & cont
             if k.t2 and results["hausdorff_codomain_implications"] is None:

@@ -152,11 +152,11 @@ def _canonical_masks(n: int, fam) -> tuple[list[int], list[AxiomViolation]]:
         raw = list(fam.masks)
     else:
         for m in fam:
-            if isinstance(m, PointSet):
+            if isinstance(m, int):
+                raw.append(m)
+            elif isinstance(m, PointSet):
                 same_carrier(m.n, n)
                 raw.append(m.bits)
-            elif isinstance(m, int):
-                raw.append(m)
             else:
                 bits = 0
                 for p in m:
@@ -167,9 +167,10 @@ def _canonical_masks(n: int, fam) -> tuple[list[int], list[AxiomViolation]]:
     violations = []
     if raw and (min(raw) < 0 or max(raw) > full):
         bad = next(m for m in sorted(raw) if m < 0 or m & ~full)
-        # Witness the stray member over the smallest carrier that holds it.
-        wide = min(MAX_CARRIER, max(n, bad.bit_length())) if bad >= 0 else n
-        witness = (PointSet(bad & (1 << wide) - 1, wide),) if bad >= 0 else ()
+        # Witness the stray member over the smallest carrier that holds it;
+        # a negative member, or one wider than every carrier, has none.
+        wide = max(n, bad.bit_length())
+        witness = (PointSet(bad, wide),) if bad >= 0 and wide <= MAX_CARRIER else ()
         violations.append(AxiomViolation("MemberOutOfCarrier", witness))
         raw = [m for m in raw if 0 <= m <= full]
     return sorted(set(raw)), violations

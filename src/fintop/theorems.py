@@ -263,21 +263,13 @@ def _chk_neighborhood_intersection(c):
 
 def _two_partitions(full: int):
     # unordered pairs (a, b) of disjoint nonempty sets with union = full
-    seen = set()
-    for a in range(1, full + 1):
-        b = full & ~a
-        if b == 0 or (b, a) in seen:
-            continue
-        seen.add((a, b))
-        yield a, b
+    for a in range(1, full):
+        if a < full ^ a:
+            yield a, full ^ a
 
 
 def _chk_connectedness_equivalences(c):
-    if c.n == 0:
-        # the empty carrier has no 2-partitions and one subset
-        return None
-    s = c.s
-    conn = connect_mod.is_connected(s)
+    conn = connect_mod.is_connected(c.s)
     no_open = not any(
         a in c.opens and b in c.opens for a, b in _two_partitions(c.full)
     )
@@ -385,16 +377,14 @@ def _chk_subspace_operator_comparison(c):
 
 
 def _chk_indistinguishability_equivalences(c):
-    s = c.s
+    ups = c.s.ups
+    nei = [frozenset(m for m in c.opens if m >> p & 1) for p in range(c.n)]
+    cnei = [frozenset(m for m in c.closeds if m >> p & 1) for p in range(c.n)]
     for p in range(c.n):
         for q in range(c.n):
-            nei_p = frozenset(m for m in c.opens if m >> p & 1)
-            nei_q = frozenset(m for m in c.opens if m >> q & 1)
-            cnei_p = frozenset(m for m in c.closeds if m >> p & 1)
-            cnei_q = frozenset(m for m in c.closeds if m >> q & 1)
-            min_eq = s.ups[p] == s.ups[q]
+            min_eq = ups[p] == ups[q]
             cl_eq = c.cl[1 << p] == c.cl[1 << q]
-            if not ((nei_p == nei_q) == (cnei_p == cnei_q) == min_eq == cl_eq):
+            if not ((nei[p] == nei[q]) == (cnei[p] == cnei[q]) == min_eq == cl_eq):
                 return c.cx(f"indistinguishability equivalences differ p={p} q={q}")
 
 
@@ -533,10 +523,10 @@ def _chk_fundamental_cover_laws(c):
         coh[m] = sum(1 << u for u in range(c.N) if u & m in rel)
         cohc[m] = sum(1 << v for v in range(c.N) if v & m in relc)
     all_bits = (1 << c.N) - 1
-    for fam_masks, (C, rep) in reports.items():
+    for fam_masks, (_, rep) in reports.items():
         if rep.open_cover and not rep.fundamental:
             return c.cx(f"open cover not fundamental: {fam_masks}")
-        if rep.closed_cover and len(C) > 0 and not rep.fundamental:
+        if rep.closed_cover and not rep.fundamental:
             return c.cx(f"finite closed cover not fundamental: {fam_masks}")
         if rep.is_cover:
             # FCOV2-set equals tau exactly when fundamental

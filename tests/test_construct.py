@@ -6,6 +6,7 @@ import pytest
 
 from fintop import (
     CarrierTooLarge,
+    CrossCheckFailure,
     Family,
     FiniteMap,
     InvalidBase,
@@ -36,6 +37,7 @@ from fintop import (
     topology_from_subbase,
     validate_topology,
 )
+from fintop import construct as construct_mod
 from fintop.carrier import mask_points
 from fintop.enumeration import all_spaces
 
@@ -127,6 +129,14 @@ class TestBaseGeneratesSame:
             base_generates_same(2, sierpinski.opens, mirror_sierpinski.opens)
             == "incomparable"
         )
+
+    def test_criteria_disagreement_is_caught(self, monkeypatch):
+        # With every generated topology indiscrete the subset test says
+        # "equal", while the pointwise criterion on the bases says {0, 1}
+        # is coarser than {{0}, {1}} and not finer.
+        monkeypatch.setattr(construct_mod, "topology_from_base", lambda n, B: indiscrete(n))
+        with pytest.raises(CrossCheckFailure, match="^base comparison criteria disagree"):
+            base_generates_same(2, Family.of(2, [3]), Family.of(2, [1, 2]))
 
 
 class TestSubbase:

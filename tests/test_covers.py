@@ -224,6 +224,21 @@ class TestMinimalSubcover:
         with pytest.raises(NotACover):
             minimal_subcover(three_point, fam(3, [0]))
 
+    def test_bound_prune_keeps_the_least_cover(self):
+        # After (1, 14) is found, the branch that chose 5 and 2 leaves {3}
+        # uncovered and needs a third member, so the size bound cuts it.
+        s, members = discrete(4), (1, 2, 4, 5, 8, 13, 14)
+        best = min(
+            (
+                sub
+                for k in range(1, len(members) + 1)
+                for sub in itertools.combinations(members, k)
+                if classify_cover(s, Family.of(4, sub)).is_cover
+            ),
+            key=lambda sub: (len(sub), sub),
+        )
+        assert minimal_subcover(s, Family.of(4, members)).masks == best == (1, 14)
+
     def test_matches_exhaustive(self):
         for s in all_spaces(3):
             for size in (1, 2, 3, 4):

@@ -157,3 +157,64 @@ def test_scan_flags_an_unread_local():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_every_local_is_read(path):
     assert unread_locals(path.read_text()) == []
+
+
+#: The imports that a package function may make, each with its reason.
+FUNCTION_IMPORTS = {
+    "__init__.__getattr__: .cli": "PEP 562 lazy export: only a CLI export compiles cli",
+    "__init__.__getattr__: .theorems": "PEP 562 lazy export: only a sweep compiles theorems",
+    "cli._cmd_sweep: .theorems": "only a sweep compiles theorems",
+    "theorems._sweep: .mapsweep": "only a sweep of maps compiles mapsweep",
+    "separation.t1_minimum: .enumeration": "enumeration imports separation",
+}
+
+
+def function_imports(sources: dict[str, str]) -> list[str]:
+    """Imports inside a function body, as "function: target": the function
+    by its dotted path from the module, the target as written (an import
+    from a bare package names each imported module)."""
+    found = []
+
+    def visit(node, scope: str, in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = in_function or not isinstance(child, ast.ClassDef)
+                visit(child, f"{scope}.{child.name}", inner)
+            elif in_function and isinstance(child, ast.Import):
+                found.extend(f"{scope}: {alias.name}" for alias in child.names)
+            elif in_function and isinstance(child, ast.ImportFrom):
+                dots = "." * child.level
+                if child.module:
+                    found.append(f"{scope}: {dots}{child.module}")
+                else:
+                    found.extend(f"{scope}: {dots}{alias.name}" for alias in child.names)
+            else:
+                visit(child, scope, in_function)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, False)
+    return sorted(found)
+
+
+def test_scan_flags_a_function_import():
+    source = (
+        "import os\n"
+        "if os.name:\n"
+        "    from .x import y\n"
+        "def f():\n"
+        "    from . import a, b\n"
+        "    def g():\n"
+        "        import json\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        if self:\n"
+        "            from .b import c\n"
+    )
+    assert function_imports({"m": source}) == [
+        "m.C.m: .b", "m.f.g: json", "m.f: .a", "m.f: .b"
+    ]
+
+
+def test_function_imports_are_listed():
+    sources = {path.stem: path.read_text() for path in PACKAGE}
+    assert function_imports(sources) == sorted(FUNCTION_IMPORTS)

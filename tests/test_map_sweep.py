@@ -181,7 +181,9 @@ def test_domain_image_families_are_literal_images():
     # Each image family of _Domain is the family of the images of the
     # literal family, for every domain space and table at n = 3.  Its
     # pasting bitsets hold codomain i2 iff the opens of i2 miss the union
-    # of bad[S] over the members S of some fundamental cover.
+    # of bad[S] over the members S of some fundamental cover.  loc_bad holds
+    # the masks w with t[p] in w for some p such that no open u holding p
+    # has its image inside w: every open u holding p is read, not only U_p.
     n, N = 3, 8
     tables, imgs, pres = mapsweep._map_tables(n)
     spaces = enum_mod.all_spaces(n)
@@ -204,6 +206,16 @@ def test_domain_image_families_are_literal_images():
             for name, family in literal.items():
                 expected = mapsweep._family(image_bits(t, a) for a in family)
                 assert getattr(d, name) == expected, (name, s, t)
+            loc_bad = mapsweep._family(
+                w
+                for w in range(N)
+                if any(
+                    w >> t[p] & 1
+                    and not any(u >> p & 1 and imgs[ti][u] & ~w == 0 for u in s.opens.masks)
+                    for p in range(n)
+                )
+            )
+            assert d.loc_bad == loc_bad, (s, t)
             bad = {
                 S: mapsweep._family(
                     u

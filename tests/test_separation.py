@@ -96,6 +96,13 @@ class TestSeparationReport:
                 assert r.regular == (r.t2 and r.t3)
                 assert r.normal == (r.t2 and r.t4)
 
+    def test_ladder_check_fires(self):
+        # A discrete space whose U_p are swapped: no point is in its own
+        # U_p, so T2 holds while T1 fails, and the ladder check must say so.
+        s = dataclasses.replace(discrete(2), ups=(2, 1))
+        with pytest.raises(CrossCheckFailure, match="^separation ladder"):
+            separation_report(s)
+
     def test_identity_closure_breaks_cross_checks(self, monkeypatch):
         # With Cl(V) = V the T3/T4 equivalents hold on every space, so the
         # literal criteria must disagree with them somewhere.

@@ -5,6 +5,8 @@ import time
 import pytest
 
 from fintop import (
+    MAX_CARRIER,
+    AxiomViolation,
     CarrierMismatch,
     CarrierTooLarge,
     EmptyList,
@@ -68,6 +70,30 @@ class TestValidateTopology:
         # a PointSet over the wrong carrier is a usage error, not a violation
         with pytest.raises(CarrierMismatch):
             validate_topology(2, [PointSet.of(3, [2])])
+        # the stray member is witnessed over the smallest carrier that holds
+        # it, up to the cap; a wider or negative member has no witness
+        assert validate_topology(2, [[], [0, 1], [3]]) == [
+            AxiomViolation("MemberOutOfCarrier", (PointSet.of(4, [3]),))
+        ]
+        top = MAX_CARRIER - 1
+        assert validate_topology(2, [0, 3, 1 << top]) == [
+            AxiomViolation("MemberOutOfCarrier", (PointSet.of(MAX_CARRIER, [top]),))
+        ]
+        for member in (1 << MAX_CARRIER, 1 << 30, -4):
+            assert validate_topology(2, [0, 3, member]) == [
+                AxiomViolation("MemberOutOfCarrier")
+            ]
+
+    def test_member_forms(self):
+        # A Family, in-carrier PointSets and point lists are read as masks.
+        s = discrete(2)
+        assert validate_topology(2, s.opens) == s
+        assert validate_topology(2, [PointSet(m, 2) for m in range(4)]) == s
+        assert validate_topology(2, [[], [0], [1], [0, 1]]) == s
+        with pytest.raises(CarrierMismatch):
+            validate_topology(2, discrete(3).opens)
+        with pytest.raises(ValueError, match="negative point index"):
+            validate_topology(2, [[], [-1], [0, 1]])
 
     def test_space_raises(self):
         with pytest.raises(InvalidTopology) as err:

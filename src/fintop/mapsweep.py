@@ -342,7 +342,7 @@ def _map_sweep(n: int, ctxs) -> dict:
 
     for i1, c1 in enumerate(ctxs):
         e1 = extras[i1]
-        indiscrete1 = c1.opens == {0, c1.full} and n >= 1
+        indiscrete1 = c1.opens == {0, c1.full}
         first: dict[str, tuple[int, int]] = {}
         for ti, t in enumerate(tables):
             img = imgs[ti]

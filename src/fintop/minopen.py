@@ -96,11 +96,8 @@ def _minopen_index(n: int) -> tuple[tuple[tuple[int, ...], ...], array, array]:
     for code, opens in _minopen_scan(n):
         codes.append(code)
         found.append(opens)
-    all_opens = tuple(sorted(found))
-    code_at = array("I", [0]) * len(found)
-    for j, opens in enumerate(found):
-        code_at[bisect_left(all_opens, opens)] = j
-    return all_opens, codes, code_at
+    order = sorted(range(len(found)), key=found.__getitem__)
+    return tuple(map(found.__getitem__, order)), codes, array("I", order)
 
 
 @lru_cache(maxsize=None)

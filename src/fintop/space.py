@@ -162,7 +162,9 @@ def _canonical_masks(n: int, fam) -> tuple[list[int], list[AxiomViolation]]:
                 for p in m:
                     if p < 0:
                         raise ValueError(f"negative point index {p}")
-                    bits |= 1 << p
+                    # Any p >= MAX_CARRIER lies outside every carrier: clamp
+                    # it so that no int of p bits is built.
+                    bits |= 1 << min(p, MAX_CARRIER)
                 raw.append(bits)
     violations = []
     if raw and (min(raw) < 0 or max(raw) > full):

@@ -43,6 +43,15 @@ class TestPointSet:
         assert not a <= b
         assert (a & b) <= a
 
+    def test_strict_subset_and_disjointness(self):
+        a = PointSet.of(3, [0, 1])
+        b = PointSet.of(3, [1])
+        assert b < a and not a < a and not a < b
+        assert b.issubset(a) and a.issubset(a) and not a.issubset(b)
+        assert a.isdisjoint(PointSet.of(3, [2])) and not a.isdisjoint(b)
+        with pytest.raises(CarrierMismatch):
+            a.isdisjoint(PointSet.of(2, [0]))
+
     def test_complement_involution(self):
         for n in range(9):
             for m in range(1 << n):
@@ -154,3 +163,14 @@ class TestPartition:
             Partition.of(3, [[0, 1]])
         with pytest.raises(NotAPartition):
             Partition.of(2, [[0, 1], []])
+
+    def test_length_is_the_block_count(self):
+        assert len(Partition.of(4, [[3, 1], [0, 2]])) == 2
+        assert len(Partition.of(0, [])) == 0
+
+    def test_blocks_built_directly_are_checked(self):
+        # The constructor, not only Partition.of, checks carriers and order.
+        with pytest.raises(CarrierMismatch, match="block carrier mismatch"):
+            Partition((PointSet.of(3, [0, 1]), PointSet.of(2, [0])), 3)
+        with pytest.raises(NotAPartition, match="ordered by smallest member"):
+            Partition((PointSet.of(2, [1]), PointSet.of(2, [0])), 2)

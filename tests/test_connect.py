@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 
+import pytest
+
 from fintop import (
     Partition,
     PointSet,
@@ -196,6 +198,11 @@ class TestLocallyConnected:
             assert is_locally_connected(s) == all(
                 is_locally_connected_at(s, p) for p in range(3)
             )
+
+    def test_point_outside_carrier(self, sierpinski):
+        for p in (-1, 2):
+            with pytest.raises(ValueError, match=rf"^point {p} outside carrier of size 2$"):
+                is_locally_connected_at(sierpinski, p)
 
 
 def _corrupt(s, p, u):

@@ -341,6 +341,15 @@ class TestProduct:
             for j in range(3):
                 assert enc.decode(enc.encode(i, j)) == (i, j)
 
+    def test_encoding_rejects_out_of_range(self):
+        _, enc = product(discrete(2), discrete(3))
+        for i, j in ((2, 0), (0, 3), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="outside 2x3"):
+                enc.encode(i, j)
+        for k in (-1, 6):
+            with pytest.raises(ValueError, match="outside product carrier"):
+                enc.decode(k)
+
     def test_unit_law(self, sierpinski):
         p, enc = product(sierpinski, space(1, [0, 1]))
         assert find_homeomorphism(p, sierpinski) is not None
@@ -457,6 +466,12 @@ class TestMetric:
             MetricTable.of([[1]])  # d(i,i) != 0
         with pytest.raises(InvalidMetric):
             MetricTable.of([[0, 1, 5], [1, 0, 1], [5, 1, 0]])  # triangle
+
+    def test_wrong_shape(self):
+        for rows in ([[0, 1]], [[0, 1], [1]], [[0, 1, 2], [1, 0, 1]]):
+            with pytest.raises(InvalidMetric) as info:
+                MetricTable.of(rows)
+            assert info.value.axiom == "shape"
 
 
 class TestMetrizable:

@@ -55,6 +55,10 @@ class TestGenerators:
             # n = -1: not the ValueError of a negative shift count
             with pytest.raises(CarrierTooLarge, match="^enumeration capped at n <= 5$"):
                 topologies_minopen(n)
+        with pytest.raises(CarrierTooLarge, match="^naive filter capped at n <= 4$"):
+            topologies_naive(5)
+        with pytest.raises(ValueError, match="^unknown mode 'classes'$"):
+            EnumConfig(3, "classes")
 
     def test_last_open_mutant_is_killed(self):
         assert _trusted_mismatch(_last_open_space) == (2, (0b00, 0b01, 0b10, 0b11))
@@ -238,6 +242,13 @@ class TestSweep:
         assert "closure_idempotent" in failed
         for name in failed:
             assert out[name]["counterexample"]
+
+    def test_unknown_override_key_raises(self):
+        # A misspelt operator name must not run the clean sweep unnoticed.
+        from fintop import closure
+
+        with pytest.raises(ValueError, match=r"^unknown operator overrides: \['clsoure'\]$"):
+            sweep_theorems(1, overrides={"clsoure": closure, "interior": lambda s, A: A})
 
 
 

@@ -316,6 +316,19 @@ def test_t1_pullback_reads_the_domain_t1_flag():
     )
 
 
+def test_t1_pullback_names_the_indiscrete_witness(monkeypatch):
+    # Every codomain counts as T1, so the identity on the indiscrete space
+    # is a non-constant continuous map from an indiscrete space into T1.
+    monkeypatch.setattr(separation_mod, "is_t1", lambda s: True)
+    _failed_as_reference(3, enum_mod.all_spaces(3), "t1_pullback_and_indiscrete_maps")
+    cx = _failed_as_reference(2, enum_mod.all_spaces(2), "t1_pullback_and_indiscrete_maps")
+    indiscrete_2 = '{"n": 2, "opens": [[], [0, 1]]}'
+    assert cx == (
+        f"s1={indiscrete_2} s2={indiscrete_2} f=[0, 1]: "
+        "non-constant continuous map from indiscrete to T1"
+    )
+
+
 def test_hausdorff_implication_fault_is_caught(monkeypatch):
     # hausdorff_compact_checks answers False for the swap of the two points.
     checks = compact_mod.hausdorff_compact_checks

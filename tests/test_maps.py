@@ -66,6 +66,13 @@ class TestCheckMap:
         with pytest.raises(CarrierMismatch):
             check_map(FiniteMap.identity(3), sierpinski, sierpinski)
 
+    def test_table_is_checked(self):
+        with pytest.raises(ValueError, match=r"^table length 1 != domain size 2$"):
+            FiniteMap.of(2, 2, (0,))
+        for v in (-1, 2):
+            with pytest.raises(ValueError, match=rf"^table entry {v} outside codomain of size 2$"):
+                FiniteMap.of(2, 2, (0, v))
+
 
 def _literal_report(f, s1, s2):
     """(continuous, open, closed, embedding) from the definitions: every
@@ -174,6 +181,11 @@ class TestLocalContinuity:
                     )
                     assert everywhere == check_map(f, s1, s2).continuous
 
+    def test_point_outside_domain(self, sierpinski):
+        for p in (-1, 2):
+            with pytest.raises(ValueError, match=rf"^point {p} outside carrier of size 2$"):
+                is_continuous_at(FiniteMap.identity(2), sierpinski, sierpinski, p)
+
 
 class TestRestrict:
     def test_identity_full(self, sierpinski):
@@ -225,6 +237,9 @@ class TestLimits:
         # 1 is in A, but A holds no point of U_1 other than 1 itself.
         with pytest.raises(NotALimitPoint, match=r"^1 is not a limit point of the set$"):
             limits_at(space(2, [0, 1, 3]), A, f, discrete(2), 1)
+        # f must be defined on A: one value per point of A.
+        with pytest.raises(ValueError, match=r"^map domain must match \|A\|$"):
+            limits_at(discrete(2), A, FiniteMap.of(2, 2, (0, 1)), discrete(2), 0)
 
     def test_hausdorff_uniqueness(self):
         from fintop import separation_report
@@ -351,6 +366,11 @@ class TestCompositionLaws:
         w = find_homeomorphism(sierpinski, mirror_sierpinski)
         r = check_map(w.inverse(), mirror_sierpinski, sierpinski)
         assert r.homeomorphism
+
+    def test_only_bijections_invert(self):
+        for f in (FiniteMap.of(2, 2, (0, 0)), FiniteMap.of(1, 2, (0,)), FiniteMap.of(2, 1, (0, 0))):
+            with pytest.raises(ValueError, match="only bijections have an inverse"):
+                f.inverse()
 
 
 class TestEmbeddings:

@@ -40,6 +40,12 @@ class TestClassifyPair:
         c = classify_pair(sierpinski, 0, 1)
         assert c.partially_distinguishable and not c.separated
 
+    def test_point_outside_carrier(self, sierpinski):
+        for p, q in ((2, 0), (0, 2), (-1, 1)):
+            bad = p if not 0 <= p < 2 else q
+            with pytest.raises(ValueError, match=rf"^point {bad} outside carrier of size 2$"):
+                classify_pair(sierpinski, p, q)
+
     def test_flag_invariants(self):
         for s in all_spaces(3):
             for p in range(3):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import time
+import tracemalloc
 
 import pytest
 
@@ -81,6 +82,26 @@ class TestValidateTopology:
         ]
         for member in (1 << MAX_CARRIER, 1 << 30, -4):
             assert validate_topology(2, [0, 3, member]) == [
+                AxiomViolation("MemberOutOfCarrier")
+            ]
+
+    def test_large_point_index_allocates_nothing(self):
+        # A point past every carrier is reported without building an int of
+        # that many bits; point lists are witnessed as masks are.
+        tracemalloc.start()
+        try:
+            result = validate_topology(2, [[], [0, 1], [10**8]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == [AxiomViolation("MemberOutOfCarrier")]
+        assert peak < 100_000
+        top = MAX_CARRIER - 1
+        assert validate_topology(2, [[], [0, 1], [0, top]]) == [
+            AxiomViolation("MemberOutOfCarrier", (PointSet.of(MAX_CARRIER, [0, top]),))
+        ]
+        for point in (MAX_CARRIER, 40):
+            assert validate_topology(2, [[], [0, 1], [0, point]]) == [
                 AxiomViolation("MemberOutOfCarrier")
             ]
 
@@ -285,6 +306,15 @@ class TestNeighborhoods:
         assert minimal_open(indiscrete(3), 1).points() == (0, 1, 2)
         assert minimal_open(sierpinski, 0).points() == (0, 1)
         assert sierpinski.min_open[1].points() == (1,)
+
+    def test_bad_arguments(self, sierpinski):
+        for p in (-1, 2):
+            with pytest.raises(ValueError, match=rf"^point {p} outside carrier of size 2$"):
+                minimal_open(sierpinski, p)
+        with pytest.raises(ValueError, match="kind must be 'open' or 'closed', got 'clopen'"):
+            neighborhoods(sierpinski, PointSet.of(2, [0]), "clopen")
+        with pytest.raises(ValueError, match="unknown violation kind 'NotClosed'"):
+            AxiomViolation("NotClosed")
 
     def test_min_open_invariants(self):
         for s in _spaces_and_constructions():

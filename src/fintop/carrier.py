@@ -4,8 +4,8 @@ Subsets are stored as bitmasks (bit i set iff point i is a member), so all
 set operations are single machine-word operations.  Families of subsets are
 canonicalized on construction (sorted ascending by bitmask, deduplicated),
 which makes family equality plain sequence equality.  A family stores its
-canonical masks; its ``PointSet`` members and its set of masks are views
-built on first read.
+canonical masks; its ``PointSet`` members are built on each read, and its
+set of masks on first read and cached.
 """
 
 from __future__ import annotations
@@ -132,15 +132,14 @@ class PointSet:
 class Family:
     """A canonical (sorted, deduplicated) sequence of subsets of one carrier.
 
-    The family is its ascending masks; ``members`` (a view of them as
-    PointSets) and ``mask_set`` are built on first read and excluded from
-    equality, hashing and repr.
+    The family is its ascending masks.  ``members`` (the masks as
+    PointSets) is built on each read; ``mask_set`` is built on first read,
+    cached, and excluded from equality, hashing and repr.
     """
 
     n: int
     _masks: tuple[int, ...] = field(repr=False)
     _mask_set: frozenset[int] | None = field(compare=False, repr=False)
-    _members: tuple[PointSet, ...] | None = field(compare=False, repr=False)
 
     def __init__(self, members: Iterable[PointSet], n: int) -> None:
         check_carrier(n)
@@ -152,20 +151,19 @@ class Family:
             if m.bits <= prev:
                 raise ValueError("family members must be strictly increasing by bitmask")
             prev = m.bits
-        self._fill(n, tuple(m.bits for m in members), members)
+        self._fill(n, tuple(m.bits for m in members))
 
-    def _fill(self, n: int, masks: tuple[int, ...], members) -> None:
+    def _fill(self, n: int, masks: tuple[int, ...]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_mask_set", None)
-        object.__setattr__(self, "_members", members)
 
     @classmethod
     def _from_masks(cls, n: int, masks: Sequence[int]) -> "Family":
         """The family of strictly ascending masks inside carrier ``n``;
         neither fact is checked."""
         fam = object.__new__(cls)
-        fam._fill(n, tuple(masks), None)
+        fam._fill(n, tuple(masks))
         return fam
 
     @classmethod
@@ -188,11 +186,7 @@ class Family:
 
     @property
     def members(self) -> tuple[PointSet, ...]:
-        members = self._members
-        if members is None:
-            members = tuple(PointSet(m, self.n) for m in self._masks)
-            object.__setattr__(self, "_members", members)
-        return members
+        return tuple(PointSet(m, self.n) for m in self._masks)
 
     @property
     def masks(self) -> tuple[int, ...]:

@@ -5,9 +5,8 @@ set and the carrier and closed under pairwise intersection and union
 (pairwise union closure is equivalent to arbitrary-union closure for
 finite families).  A space stores its opens (a ``Family``) and ``ups``,
 the mask of each point's minimal open U_p, which encodes the
-specialization preorder.  The closed-set family, the ``PointSet`` view of
-the U_p (``min_open``) and the down-sets cl{p} (``downs``) are built on
-first read and cached.
+specialization preorder.  The closed-set family and the down-sets cl{p}
+(``downs``) are built on first read and cached.
 
 Validity is decided in O(|F|·n) from the minimal opens.  Let F hold ∅ and
 the carrier X and no member outside X, and let U_p be the intersection of
@@ -94,19 +93,17 @@ class TopSpace:
 
     Construct via :func:`validate_topology` or :func:`space`.  A space is
     ``n``, its ``opens`` and ``ups``, the mask of each point's minimal open
-    set U_p.  ``closeds``, ``min_open`` (the U_p as PointSets) and
-    ``downs`` (the cl{p} masks) are built on first read and cached; the
-    caches are not constructor arguments, so ``dataclasses.replace`` never
-    carries a stale one over.  Equality, hashing and repr use ``n`` and
-    ``opens`` only.
+    set U_p.  ``closeds`` and ``downs`` (the cl{p} masks) are built on
+    first read and cached; the caches are not constructor arguments, so
+    ``dataclasses.replace`` never carries a stale one over.  Equality,
+    hashing and repr use ``n`` and ``opens`` only.
     """
 
     n: int
     opens: Family
-    ups: tuple[int, ...] = field(compare=False)
-    _closeds: Family | None = field(default=None, init=False, compare=False)
-    _min_open: tuple[PointSet, ...] | None = field(default=None, init=False, compare=False)
-    _downs: tuple[int, ...] | None = field(default=None, init=False, compare=False)
+    ups: tuple[int, ...] = field(compare=False, repr=False)
+    _closeds: Family | None = field(default=None, init=False, compare=False, repr=False)
+    _downs: tuple[int, ...] | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def closeds(self) -> Family:
@@ -116,14 +113,6 @@ class TopSpace:
             closeds = Family._from_masks(self.n, [full ^ m for m in reversed(self.opens.masks)])
             object.__setattr__(self, "_closeds", closeds)
         return closeds
-
-    @property
-    def min_open(self) -> tuple[PointSet, ...]:
-        min_open = self._min_open
-        if min_open is None:
-            min_open = tuple(PointSet(u, self.n) for u in self.ups)
-            object.__setattr__(self, "_min_open", min_open)
-        return min_open
 
     @property
     def downs(self) -> tuple[int, ...]:
@@ -137,9 +126,6 @@ class TopSpace:
             downs = tuple(cl)
             object.__setattr__(self, "_downs", downs)
         return downs
-
-    def __repr__(self) -> str:
-        return f"TopSpace(n={self.n}, opens={self.opens!r})"
 
 
 def _canonical_masks(n: int, fam) -> tuple[list[int], list[AxiomViolation]]:
@@ -379,7 +365,7 @@ def minimal_open(s: TopSpace, p: int) -> PointSet:
     """Intersection of all open neighborhoods of {p}; itself open."""
     if not 0 <= p < s.n:
         raise ValueError(f"point {p} outside carrier of size {s.n}")
-    return s.min_open[p]
+    return PointSet(s.ups[p], s.n)
 
 
 #: Possible results of :func:`compare` (mutually exclusive).

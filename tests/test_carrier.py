@@ -82,12 +82,10 @@ class TestFamily:
         assert 0b1000 not in fam and -1 not in fam
         same = Family(tuple(PointSet(m, 3) for m in (0b000, 0b001, 0b111)), 3)
         assert same == fam and hash(same) == hash(fam)
-        # The PointSet members are a view of the masks, built once on read.
-        assert fam.members is fam.members
+        # The PointSet members are a view of the masks, built on each read.
+        assert fam.members == fam.members
         assert all(isinstance(m, PointSet) and m.n == 3 for m in fam.members)
         assert [m.bits for m in fam.members] == [0b000, 0b001, 0b111]
-        # The cached members take no part in equality, hashing or repr.
-        object.__setattr__(same, "_members", ())
         assert same == fam and hash(same) == hash(fam)
         assert repr(same) == repr(fam) == "Family([{},{0},{0,1,2}], n=3)"
 

@@ -27,6 +27,7 @@ from fintop import (
     space,
     subspace,
 )
+from fintop.carrier import mask_points
 from fintop.enumeration import all_spaces
 from fintop.maps import FiniteMap
 
@@ -229,10 +230,10 @@ class TestMinimalOpenWitnesses:
         assert not is_locally_connected(bad)
         for n in range(4):
             for s in all_spaces(n):
-                for p, u in enumerate(s.min_open):
-                    for q in u:
+                for p, u in enumerate(s.ups):
+                    for q in mask_points(u):
                         if q != p:
-                            bad = _corrupt(s, p, u.bits & ~(1 << q))
+                            bad = _corrupt(s, p, u & ~(1 << q))
                             assert not is_locally_connected_at(bad, p)
 
     def test_connected_set_memo_keyed_on_minimal_opens(self, sierpinski):

@@ -112,7 +112,7 @@ class TestIsBaseFor:
 
     def test_min_open_base(self):
         for s in all_spaces(3):
-            assert is_base_for(s, Family.of(3, (mo.bits for mo in s.min_open)))
+            assert is_base_for(s, Family.of(3, s.ups))
 
 
 class TestBaseGeneratesSame:

@@ -6,6 +6,7 @@ import pytest
 from fintop import (
     CarrierTooLarge,
     EnumConfig,
+    Family,
     PointSet,
     count_topologies,
     discrete,
@@ -95,12 +96,12 @@ def _trusted_mismatch(build):
 
 def _first_mismatch(spaces):
     """(n, opens) of the first space that differs from ``validate_topology``
-    of its opens in equality, hash, ups, closeds or min_open, or None."""
+    of its opens in equality, hash, ups or closeds, or None."""
     for built in spaces:
         n, opens = built.n, built.opens.masks
         views = []
         for s in (built, validate_topology(n, opens)):
-            views.append((s, hash(s), s.ups, s.closeds, s.min_open))
+            views.append((s, hash(s), s.ups, s.closeds))
         if views[0] != views[1]:
             return n, opens
     return None
@@ -217,7 +218,7 @@ class TestSweep:
 
         def mutant(s, p):
             # a witness U_p is also required to be a singleton
-            u = s.min_open[p]
+            u = PointSet(s.ups[p], s.n)
             return p in u and u.bits in s.opens and len(u) == 1
 
         monkeypatch.setattr(connect, "is_locally_connected_at", mutant)
@@ -408,3 +409,81 @@ class TestFundamentalCoverLawFaults:
     def test_clean(self):
         for n in range(4):
             assert _cover_laws_cx(n) is None
+
+
+def _failed_theorems(n=2):
+    out = sweep_theorems(n, include_maps=False)
+    return {name: rec["counterexample"] for name, rec in out.items() if not rec["ok"]}
+
+
+class TestSweepLibraryFaults:
+    """A fault in the library fails a named theorem: a library error raised
+    inside a check is that theorem's counterexample, and each of the four
+    theorems below is falsified by one fault at n = 2."""
+
+    def test_cross_check_error_fails_its_theorems(self, monkeypatch):
+        # separation_report's ladder check raises on the discrete space.
+        monkeypatch.setattr(separation, "is_t1", lambda s: False)
+        ladder = _DISCRETE2 + "separation ladder T2 => T1 => T0 broken"
+        assert _failed_theorems() == {
+            "neighborhood_intersection": _DISCRETE2 + "nei-intersection equality iff T1 broken",
+            "finite_t1_rigidity": ladder,
+            "separation_hereditary": ladder,
+        }
+
+    def test_invalid_base_fails_the_metric_theorem(self, monkeypatch):
+        # Closed balls in place of open ones are not a base in general.
+        from fintop import construct
+
+        def closed_balls(m):
+            radii = {v for row in m.d for v in row if v > 0}
+            balls = {
+                sum(1 << x for x in range(m.n) if m.d[p][x] <= r)
+                for p in range(m.n)
+                for r in radii
+            }
+            return construct.topology_from_base(m.n, Family.of(m.n, balls))
+
+        monkeypatch.setattr(construct, "metric_topology", closed_balls)
+        failed = _failed_theorems()
+        assert list(failed) == ["metric_topology_discrete"]
+        assert failed["metric_topology_discrete"].startswith(
+            "not a base: BaseProblem(kind='IntersectionNotUnion'"
+        )
+
+    def test_cap_inside_a_check_still_raises(self, monkeypatch):
+        from fintop import construct
+
+        def capped(m):
+            raise CarrierTooLarge("metric capped")
+
+        monkeypatch.setattr(construct, "metric_topology", capped)
+        with pytest.raises(CarrierTooLarge, match="^metric capped$"):
+            sweep_theorems(2, theorems=["metric_topology_discrete"], include_maps=False)
+
+    def test_t1_fault_fails_the_t1_theorems(self, monkeypatch):
+        monkeypatch.setattr(separation, "is_t1", lambda s: True)
+        failed = _failed_theorems()
+        assert failed["neighborhood_intersection"] == (
+            _SIERPINSKI + "nei-intersection equality iff T1 broken"
+        )
+        assert failed["finite_t1_rigidity"] == _SIERPINSKI + "finite T1/T2 iff discrete broken"
+
+    def test_base_fault_fails_base_laws(self, monkeypatch):
+        # A base that must hold every open.
+        from fintop import construct
+
+        monkeypatch.setattr(
+            construct, "is_base_for", lambda s, B: set(s.opens.masks) <= set(B.masks)
+        )
+        assert _failed_theorems()["base_laws"] == (
+            _DISCRETE2 + "minimal-open family not a base"
+        )
+
+    def test_metric_fault_fails_the_metric_theorem(self, monkeypatch):
+        from fintop import construct
+
+        monkeypatch.setattr(construct, "metric_topology", lambda m: indiscrete(m.n))
+        cx = _failed_theorems()["metric_topology_discrete"]
+        assert cx.startswith("metric table [[0, 6, 7, 5, 7, 9], ")
+        assert cx.endswith("] induced a non-discrete topology")

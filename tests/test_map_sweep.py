@@ -54,7 +54,7 @@ def _up_closure(s, A):
     # The union of the minimal opens: the specialization order reversed.
     bits = 0
     for p in A.points():
-        bits |= s.min_open[p].bits
+        bits |= s.ups[p]
     return PointSet(bits, s.n)
 
 

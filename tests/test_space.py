@@ -171,7 +171,7 @@ class TestValidateTopology:
                         "ok",
                         got.opens.masks,
                         got.closeds.masks,
-                        tuple(u.bits for u in got.min_open),
+                        got.ups,
                     )
                 else:
                     actual = (
@@ -187,7 +187,7 @@ class TestValidateTopology:
         s = discrete(14)
         assert time.perf_counter() - start < 1.0
         assert len(s.opens) == 1 << 14
-        assert [u.bits for u in s.min_open] == [1 << p for p in range(14)]
+        assert s.ups == tuple(1 << p for p in range(14))
 
     @pytest.mark.parametrize(
         "members, expected",
@@ -305,7 +305,7 @@ class TestNeighborhoods:
         assert minimal_open(discrete(3), 1).points() == (1,)
         assert minimal_open(indiscrete(3), 1).points() == (0, 1, 2)
         assert minimal_open(sierpinski, 0).points() == (0, 1)
-        assert sierpinski.min_open[1].points() == (1,)
+        assert sierpinski.ups[1] == 0b10
 
     def test_bad_arguments(self, sierpinski):
         for p in (-1, 2):
@@ -322,7 +322,7 @@ class TestNeighborhoods:
                 mo = minimal_open(s, p)
                 assert mo.bits in s.opens
                 assert p in mo
-                assert mo == s.min_open[p]
+                assert mo.bits == s.ups[p]
                 assert s.downs[p] == closure(s, PointSet.of(s.n, [p])).bits
 
     def test_neighborhood_intersection_contains(self, sierpinski):
@@ -410,7 +410,7 @@ class TestOnePointExtension:
 
 class TestMaskPrimary:
     """A space stores masks: validating or trusting one builds no PointSet,
-    and its closeds and min_open are views built on first read."""
+    and its closeds and downs are views built on first read."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -436,16 +436,13 @@ class TestMaskPrimary:
 
     def test_views_are_cached(self, sierpinski):
         assert sierpinski.closeds is sierpinski.closeds
-        assert sierpinski.min_open is sierpinski.min_open
         assert sierpinski.downs is sierpinski.downs
 
     def test_replaced_ups_reach_min_open(self, sierpinski):
-        assert sierpinski.min_open == (PointSet(0b11, 2), PointSet(0b10, 2))
         bad = dataclasses.replace(sierpinski, ups=(0b01, 0b10))
         assert bad == sierpinski and hash(bad) == hash(sierpinski)
-        assert bad.min_open == (PointSet(0b01, 2), PointSet(0b10, 2))
         assert minimal_open(bad, 0).points() == (0,)
         assert sierpinski.downs == (0b01, 0b11) and bad.downs == (0b01, 0b10)
-        for cache in ("_min_open", "_downs"):
-            with pytest.raises(ValueError, match="init=False"):
+        for cache in ("_closeds", "_downs"):
+            with pytest.raises((TypeError, ValueError), match="init=False"):
                 dataclasses.replace(sierpinski, **{cache: ()})

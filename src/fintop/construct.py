@@ -12,6 +12,8 @@ of the generator's members holding p:
   the base condition to one member holding p at a time gives a member c
   with p ∈ c ⊆ M_p, and M_p ⊆ c as c holds p.  Every member b is the union
   of the M_p with p ∈ b, so B and {M_p} have the same unions: U_p = M_p.
+  So when some M_p is not a member, some pair a, b holding p has no member
+  holding p inside a ∩ b: the base condition fails at a pair.
 - *Sub-base.*  The base it generates is the intersections of its nonempty
   finite subfamilies, and the least of them holding p is M_p: U_p = M_p,
   with no intersection closure and no base check.
@@ -75,17 +77,18 @@ def check_base_conditions(n: int, B: Family) -> Optional[BaseProblem]:
     masks = B.masks
     if B.mask_set.issuperset(_point_meets(n, masks)):
         return None
-    for i, a in enumerate(masks):
-        for b in masks[i:]:
-            inter = a & b
-            for p in range(n):
-                if not inter >> p & 1:
-                    continue
-                if not any(m >> p & 1 and m & ~inter == 0 for m in masks):
-                    return BaseProblem(
-                        "IntersectionNotUnion", (PointSet(a, n), PointSet(b, n))
-                    )
-    return None
+    # Some M_p is not a member, so some pair fails (module docstring): the
+    # scan always finds one.
+    a, b = next(
+        (a, b)
+        for i, a in enumerate(masks)
+        for b in masks[i:]
+        if any(
+            (a & b) >> p & 1 and not any(m >> p & 1 and m & ~(a & b) == 0 for m in masks)
+            for p in range(n)
+        )
+    )
+    return BaseProblem("IntersectionNotUnion", (PointSet(a, n), PointSet(b, n)))
 
 
 def _unions(n: int, ups: Sequence[int]) -> TopSpace:

@@ -152,12 +152,20 @@ def enumerate_topologies(cfg: EnumConfig) -> Iterator[TopSpace]:
 
 
 def count_topologies(n: int, predicate: Predicate = None) -> int:
-    """Labeled count; with no predicate, the generator's opens tuples are
-    counted and no space is built."""
+    """Labeled count.  With no predicate the generator's opens tuples are
+    counted; a predicate named in ``separation.UPS_CRITERIA`` is tested on
+    the U_p unpacked from each code.  Neither builds a space."""
     cfg = EnumConfig(n, predicate=predicate)
     if predicate is None:
         return len(topologies_minopen(n))
-    return sum(1 for _ in enumerate_topologies(cfg))
+    ups_test = (
+        separation_mod.UPS_CRITERIA.get(predicate) if isinstance(predicate, str) else None
+    )
+    if ups_test is None:
+        return sum(1 for _ in enumerate_topologies(cfg))
+    shifts = _code_shifts(n)
+    width = (1 << n) - 1
+    return sum(1 for code in _minopen_index(n)[1] if ups_test([code >> s & width for s in shifts]))
 
 
 @lru_cache(maxsize=None)

@@ -28,15 +28,18 @@ Each predicate decides its axiom by the first criterion above, read from
 the U_p: T0 is one set of the n masks, T1 and T2 are O(n) mask tests, T3
 is O(n²) bit tests, and T4 is O(n²) mask pairs on the cached cl{p}
 (``TopSpace.downs``).  None reads the opens family, so every flag
-answers at the 24-point cap.  The second criteria (all but T2's read the
-cl{p}) and the literal definitions, which compare neighborhood families
-and closed-set families at a cost that grows with the number of opens,
-run only as cross-checks (:func:`_literal_cross_check`, through
-:func:`_second_criteria`, :func:`_literal_report` and
-:func:`_literal_classify`): the theorem sweep compares them with the
-predicates on every space it visits (``separation_hereditary``,
-``indistinguishability_equivalences``), and the tests on every space with
-n ≤ 5.
+answers at the 24-point cap.  The criteria of T0-T3 and regularity read
+the U_p alone: each is one function of the U_p in point order, listed in
+:data:`UPS_CRITERIA`, which ``is_t0`` etc. apply to ``TopSpace.ups`` and
+``enumeration.count_topologies`` to the U_p of each minimal-open code.
+The second criteria (all but T2's read the cl{p}) and the literal
+definitions, which compare neighborhood families and closed-set families
+at a cost that grows with the number of opens, run only as cross-checks
+(:func:`_literal_cross_check`, through :func:`_second_criteria`,
+:func:`_literal_report` and :func:`_literal_classify`): the theorem sweep
+compares them with the predicates on every space it visits
+(``separation_hereditary``, ``indistinguishability_equivalences``), and
+the tests on every space with n ≤ 5.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
+from typing import Sequence
 
 from .carrier import PointSet
 from .errors import CarrierTooLarge, CrossCheckFailure
@@ -87,28 +91,54 @@ def _cross(name: str, first: bool, second: bool) -> bool:
     return first
 
 
+def _t0(ups: Sequence[int]) -> bool:
+    return len(set(ups)) == len(ups)
+
+
+def _t1(ups: Sequence[int]) -> bool:
+    return all(u == 1 << p for p, u in enumerate(ups))
+
+
+def _t2(ups: Sequence[int]) -> bool:
+    """The U_p are pairwise disjoint: their sizes add up to their union's."""
+    return sum(u.bit_count() for u in ups) == reduce(or_, ups, 0).bit_count()
+
+
+def _t3(ups: Sequence[int]) -> bool:
+    """The preorder is symmetric: q in U_p implies p in U_q."""
+    return all(
+        ups[q] >> p & 1 for p, u in enumerate(ups) for q in range(len(ups)) if u >> q & 1
+    )
+
+
+def _regular(ups: Sequence[int]) -> bool:
+    return _t2(ups) and _t3(ups)
+
+
+#: The axioms decided from the U_p alone, by predicate name, each a test of
+#: the U_p in point order: ``enumeration.count_topologies`` runs them on the
+#: U_p unpacked from each minimal-open code, without building a space.
+UPS_CRITERIA = {"t0": _t0, "t1": _t1, "t2": _t2, "t3": _t3, "regular": _regular}
+
+
 def is_t0(s: TopSpace) -> bool:
     """T0: distinct points are partially distinguishable."""
-    return len(set(s.ups)) == s.n
+    return _t0(s.ups)
 
 
 def is_t1(s: TopSpace) -> bool:
     """T1: distinct points are distinguishable."""
-    return all(u == 1 << p for p, u in enumerate(s.ups))
+    return _t1(s.ups)
 
 
 def is_t2(s: TopSpace) -> bool:
     """T2 (Hausdorff): distinct points are separated."""
-    ups = s.ups
-    return sum(u.bit_count() for u in ups) == reduce(or_, ups, 0).bit_count()
+    return _t2(s.ups)
 
 
 def is_t3(s: TopSpace) -> bool:
     """T3: every closed set and outside point have disjoint neighborhoods."""
-    ups = s.ups
-    return all(
-        ups[q] >> p & 1 for p, u in enumerate(ups) for q in range(s.n) if u >> q & 1
-    )
+    return _t3(s.ups)
 
 
 def is_t4(s: TopSpace) -> bool:
@@ -123,7 +153,7 @@ def is_t4(s: TopSpace) -> bool:
 
 def is_regular(s: TopSpace) -> bool:
     """Regular: T2 and T3."""
-    return is_t2(s) and is_t3(s)
+    return _regular(s.ups)
 
 
 def is_normal(s: TopSpace) -> bool:

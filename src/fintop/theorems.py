@@ -680,23 +680,6 @@ SINGLE_SPACE_THEOREMS = [
     ("product_quotient_preservation", _chk_product_quotient_preservation, "run"),
 ]
 
-#: The operator identities: theorem ids read from the operator tables alone.
-OPERATOR_IDENTITY_CHECKS = [name for name, _, _ in SINGLE_SPACE_THEOREMS[:12]]
-
-#: Theorem ids forming the timed single-space regression core.
-SWEEP_CORE = OPERATOR_IDENTITY_CHECKS + [
-    "dense_laws",
-    "nowhere_dense_laws",
-    "dense_only_full_iff_discrete",
-    "connectedness_equivalences",
-    "indistinguishability_equivalences",
-    "t0_closure_injective",
-    "finite_t1_rigidity",
-    "compactness_facts",
-    "alexandroff_facts",
-    "metric_topology_discrete",
-]
-
 
 def sweep_theorems(
     n: int,

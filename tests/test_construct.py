@@ -38,8 +38,9 @@ from fintop import (
     validate_topology,
 )
 from fintop import construct as construct_mod
-from fintop.carrier import mask_points
+from fintop.carrier import family_union, mask_points
 from fintop.enumeration import all_spaces
+from fintop.space import _point_meets
 
 
 def fam(n, *point_lists):
@@ -210,6 +211,20 @@ class TestGenerationKernel:
             if got is not None:
                 got = (got.kind, tuple(w.bits for w in got.witness))
             assert got == reference_base_problem(n, B.masks), B
+
+    def test_pair_scan_finds_every_meet_failure(self):
+        # A covering family with some point meet M_p outside it always has a
+        # failing pair (construct's module docstring), so the pair scan
+        # behind the fast meet test returns a problem for each.
+        failing = 0
+        for n, B in SMALL_FAMILIES:
+            if family_union(B).bits != (1 << n) - 1:
+                continue
+            if B.mask_set.issuperset(_point_meets(n, B.masks)):
+                continue
+            failing += 1
+            assert check_base_conditions(n, B).kind == "IntersectionNotUnion", B
+        assert failing == 76
 
     def test_base_generates_its_union_closure(self):
         for n, B in SMALL_FAMILIES:

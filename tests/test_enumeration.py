@@ -16,11 +16,12 @@ from fintop import (
     sweep_theorems,
     validate_topology,
 )
-from fintop import separation
+from fintop import enumeration, separation
 from fintop.enumeration import (
     CLASS_CAP,
     PREDICATES,
     _class_leaders,
+    _minopen_index,
     _perm_table,
     all_spaces,
     canonical_form,
@@ -31,6 +32,25 @@ from fintop.errors import CrossCheckFailure
 from fintop.space import _build
 
 KNOWN_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355}
+
+#: Labeled counts for n = 0..5 of each named predicate.  T0 is OEIS A001035
+#: and T3 the Bell numbers (a finite T3 space is a partition of the carrier
+#: into clopen blocks); the others pin the values the space path gives.
+PREDICATE_COUNTS = {
+    "t0": [1, 1, 3, 19, 219, 4231],
+    "t1": [1, 1, 1, 1, 1, 1],
+    "t2": [1, 1, 1, 1, 1, 1],
+    "t3": [1, 1, 2, 5, 15, 52],
+    "t4": [1, 1, 4, 26, 255, 3642],
+    "regular": [1, 1, 1, 1, 1, 1],
+    "normal": [1, 1, 1, 1, 1, 1],
+    "connected": [1, 1, 3, 19, 233, 4851],
+    "compact": [1, 1, 4, 29, 355, 6942],
+    "metrizable": [1, 1, 1, 1, 1, 1],
+    "locally_connected": [1, 1, 4, 29, 355, 6942],
+    "totally_disconnected": [1, 1, 1, 1, 1, 1],
+    "locally_compact": [1, 1, 4, 29, 355, 6942],
+}
 
 
 class TestGenerators:
@@ -43,9 +63,16 @@ class TestGenerators:
             assert topologies_minopen(n) == topologies_naive(n)
 
     def test_yield_order_and_uniqueness(self):
-        for n in range(4):
+        for n in range(6):
             seen = topologies_minopen(n)
             assert seen == tuple(sorted(set(seen)))
+
+    def test_codes_strictly_ascending(self):
+        # _class_leaders finds a relabeled code by bisection.
+        for n in range(6):
+            codes = _minopen_index(n)[1]
+            assert all(a < b for a, b in zip(codes, codes[1:]))
+            assert len(codes) == len(topologies_minopen(n))
 
     def test_caps(self):
         with pytest.raises(CarrierTooLarge):
@@ -166,6 +193,9 @@ class TestPredicates:
         assert count_topologies(3, "connected") == sum(
             1 for s in all_spaces(3) if PREDICATES["connected"](s)
         )
+        assert {name: [count_topologies(n, name) for n in range(6)] for name in PREDICATES} == (
+            PREDICATE_COUNTS
+        )
 
     def test_callable_predicate(self):
         assert count_topologies(2, lambda s: s == discrete(2)) == 1
@@ -183,6 +213,52 @@ class TestPredicates:
                 rep = separation_report(s)
                 for name in names:
                     assert PREDICATES[name](s) == getattr(rep, name), (name, s)
+
+    def test_code_counts_match_the_space_path(self, monkeypatch):
+        # The predicates read from the U_p are counted from the codes with no
+        # space built.  Each count equals the generated spaces passing the
+        # predicate, and those passing its second criterion (the positions
+        # in _second_criteria's tuple), which reads the cl{p} as well.
+        seconds_at = {"t0": (0,), "t1": (1,), "t2": (2,), "t3": (3,), "regular": (2, 3)}
+        assert set(separation.UPS_CRITERIA) == set(seconds_at)
+        by_space, by_second = {}, {}
+        for name, at in seconds_at.items():
+            by_space[name] = [
+                sum(1 for _ in enumerate_topologies(EnumConfig(n, predicate=name)))
+                for n in range(6)
+            ]
+            by_second[name] = [
+                sum(all(c[i] for i in at) for c in map(separation._second_criteria, all_spaces(n)))
+                for n in range(6)
+            ]
+
+        def no_space(*args):
+            raise AssertionError("a space was built")
+
+        monkeypatch.setattr("fintop.enumeration._build", no_space)
+        for name in seconds_at:
+            counts = [count_topologies(n, name) for n in range(6)]
+            assert counts == by_space[name] == by_second[name] == PREDICATE_COUNTS[name], name
+
+    def test_callable_takes_the_space_path(self, monkeypatch):
+        built = []
+        build = enumeration._build
+        monkeypatch.setattr(
+            "fintop.enumeration._build", lambda *args: built.append(1) or build(*args)
+        )
+        assert count_topologies(5, separation.is_t0) == 4231
+        assert len(built) == 6942
+
+    def test_cap_and_name_checked_before_the_index(self, monkeypatch):
+        def no_index(n):
+            raise AssertionError("_minopen_index was called")
+
+        monkeypatch.setattr("fintop.enumeration._minopen_index", no_index)
+        for n in (6, -1):
+            with pytest.raises(CarrierTooLarge, match="^enumeration capped at n <= 5$"):
+                count_topologies(n, "t0")
+        with pytest.raises(ValueError, match="^unknown predicate 'T0'$"):
+            count_topologies(5, "T0")
 
     def test_t0_entry_cross_checks_min_open(self):
         # Give a second point the minimal open of point 0: the literal T0

@@ -329,9 +329,14 @@ def _map_sweep(n: int, ctxs) -> dict:
     fails on codomain i2 where its tests disagree (or, for the image and
     Hausdorff theorems, where f is continuous and a test fails).  Pasting
     fails where f is not continuous yet continuous on every member of a
-    fundamental cover: bit i2 of ``paste``.  Still-open theorems keep
-    their first failing (i2, t) per c1; after c1, :func:`_witness` names
-    the counterexample on that one triple.
+    fundamental cover: bit i2 of ``paste``.  Each clause of
+    ``compact.hausdorff_compact_checks`` reads "continuous => ...", so the
+    literal call is made only on the T2 codomains in ``cont``: on the others
+    it answers all True.  The gate is exact for valid spaces.  On a space
+    whose ``ups`` disagree with its opens, ``cont`` (read from the opens) can
+    differ from the continuity ``check_map`` reads from the ``ups``.
+    Still-open theorems keep their first failing (i2, t) per c1; after c1,
+    :func:`_witness` names the counterexample on that one triple.
     """
     results: dict[str, Optional[str]] = {k: None for k in MAP_SWEEP_CHECKS}
     tables, imgs, pres = _map_tables(n)
@@ -381,7 +386,8 @@ def _map_sweep(n: int, ctxs) -> dict:
                 fails["hausdorff_codomain_implications"] = sum(
                     1 << i2
                     for i2 in k.t2
-                    if not all(
+                    if cont >> i2 & 1
+                    and not all(
                         compact_mod.hausdorff_compact_checks(c1.s, ctxs[i2].s, fmaps[ti]).values()
                     )
                 )

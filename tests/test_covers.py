@@ -70,6 +70,31 @@ class TestClassifyCover:
                         # locally-finite closed-cover theorem
                         assert r.fundamental
 
+    def test_flags_match_the_member_masks(self):
+        # fundamental_cover_laws decides these four flags from the member
+        # masks and calls no classify_cover: the two routes must agree on
+        # every family of at most 3 nonempty masks with n <= 3.
+        checked = 0
+        for n in range(4):
+            full = (1 << n) - 1
+            for s in all_spaces(n):
+                opens, closeds = s.opens.mask_set, s.closeds.mask_set
+                for size in (1, 2, 3):
+                    for members in itertools.combinations(range(1, full + 1), size):
+                        r = classify_cover(s, Family.of(n, members))
+                        union = 0
+                        for S in members:
+                            union |= S
+                        is_cover = union == full
+                        assert r.is_cover == is_cover
+                        assert r.open_cover == (is_cover and all(m in opens for m in members))
+                        assert r.closed_cover == (
+                            is_cover and all(m in closeds for m in members)
+                        )
+                        assert r.fundamental == (is_cover and _is_fundamental(s, members))
+                        checked += 1
+        assert checked == 1 + 4 * 7 + 29 * 63
+
 
 class TestSubcoverRefinement:
     def test_subcover_of_itself(self, sierpinski):

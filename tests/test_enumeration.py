@@ -396,9 +396,11 @@ _CHAIN3 = '{"n": 3, "opens": [[], [0], [1], [0, 1], [0, 2], [0, 1, 2]]} sets : '
 _DISCRETE3 = (
     '{"n": 3, "opens": [[], [0], [1], [0, 1], [2], [0, 2], [1, 2], [0, 1, 2]]} sets : '
 )
+# {0} and {1} open, 2 in the closure of both.
+_V3 = '{"n": 3, "opens": [[], [0], [1], [0, 1], [0, 1, 2]]} sets : '
 
 #: covers._is_fundamental faults and the fundamental_cover_laws
-#: counterexample each gives at n = 2 and n = 3.
+#: counterexample each gives at n = 2 and n = 3 (None: the theorem holds).
 _FUNDAMENTAL_FAULTS = {
     "always_true": (
         lambda real, s, m: True,
@@ -429,6 +431,16 @@ _FUNDAMENTAL_FAULTS = {
         lambda real, s, m: not real(s, m),
         _DISCRETE2 + "open cover not fundamental: (3,)",
         _DISCRETE3 + "open cover not fundamental: (7,)",
+    ),
+    "only_open_covers": (
+        lambda real, s, m: all(x in s.opens.mask_set for x in m) and real(s, m),
+        _SIERPINSKI + "finite closed cover not fundamental: (2, 3)",
+        _CHAIN3 + "finite closed cover not fundamental: (4, 7)",
+    ),
+    "ignores_non_open_members": (
+        lambda real, s, m: real(s, [x for x in m if x in s.opens.mask_set]),
+        None,
+        _V3 + "finite closed cover not fundamental: (5, 6)",
     ),
 }
 

@@ -13,6 +13,7 @@ the tables of each.
 """
 
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
@@ -20,7 +21,9 @@ import pytest
 
 import map_sweep_reference as reference
 from fintop import (
+    FiniteMap,
     PointSet,
+    check_map,
     closure,
     interior,
     is_connected,
@@ -347,6 +350,36 @@ def test_hausdorff_implication_fault_is_caught(monkeypatch):
         "'continuous_bijection_implies_homeomorphism': True, "
         "'continuous_injection_implies_embedding': True}"
     )
+
+
+@pytest.mark.parametrize("n, calls", [(1, 1), (2, 10), (3, 165), (4, 612)])
+def test_hausdorff_gate_skips_only_vacuous_pairs(monkeypatch, n, calls):
+    # The sweep calls hausdorff_compact_checks only where f is continuous
+    # into the T2 codomain.  Each of its clauses reads "continuous => ...",
+    # so on every skipped triple the literal call answers all True.
+    spaces = REPRESENTATIVES_4 if n == 4 else enum_mod.all_spaces(n)
+    checks = compact_mod.hausdorff_compact_checks
+    made = []
+
+    def counted(s1, s2, f):
+        made.append((id(s1), id(s2), f.table))
+        return checks(s1, s2, f)
+
+    monkeypatch.setattr(compact_mod, "hausdorff_compact_checks", counted)
+    report = theorems_mod._sweep(n, spaces, theorems=[])
+    assert all(rec["ok"] for rec in report.values())
+    t2 = [s2 for s2 in spaces if separation_mod.is_t2(s2)]
+    continuous = []
+    for s1 in spaces:
+        for t in itertools.product(range(n), repeat=n):
+            f = FiniteMap.of(n, n, t)
+            for s2 in t2:
+                if check_map(f, s1, s2).continuous:
+                    continuous.append((id(s1), id(s2), t))
+                else:
+                    assert all(checks(s1, s2, f).values()), (s1, s2, t)
+    assert made == continuous
+    assert len(made) == calls
 
 
 #: The one fault whose verdicts change under relabeling: the interior

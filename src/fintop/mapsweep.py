@@ -69,9 +69,12 @@ def _map_tables(n: int) -> tuple[list, list, list]:
     return tables, imgs, pres
 
 
-def _fundamental_covers(c: _Ctx) -> tuple[list, list]:
-    """Fundamental covers of the carrier: open-member families of size <= 3
-    and closed-member families of size <= 2."""
+def _minimal_covers(c: _Ctx) -> tuple[list, list]:
+    """The minimal fundamental covers of the carrier in (size, members)
+    order: open-member families of size <= 3 and closed-member families of
+    size <= 2 holding no other.  A family holding a listed cover is skipped
+    before ``_is_fundamental`` runs; by induction on size, the list is the
+    full one filtered, whatever ``_is_fundamental`` answers."""
     open_covers, closed_covers = [], []
     for pool, sizes, out in (
         (sorted(c.opens), (1, 2, 3), open_covers),
@@ -79,10 +82,11 @@ def _fundamental_covers(c: _Ctx) -> tuple[list, list]:
     ):
         for size in sizes:
             for fam in itertools.combinations(pool, size):
-                union = 0
-                for m in fam:
-                    union |= m
-                if union == c.full and covers_mod._is_fundamental(c.s, fam):
+                if reduce(or_, fam) != c.full or any(
+                    sub in out for r in range(1, size) for sub in itertools.combinations(fam, r)
+                ):
+                    continue
+                if covers_mod._is_fundamental(c.s, fam):
                     out.append(fam)
     return open_covers, closed_covers
 
@@ -103,9 +107,10 @@ def _flags(family, N: int) -> bytes:
 
 def _space_families(c: _Ctx) -> dict:
     """The families of one space the map sweep reads: as the literal loops
-    read them, as byte-lane families and as per-mask flags."""
+    read them, as byte-lane families and as per-mask flags.  Of the
+    fundamental covers only the minimal ones are kept (see :func:`_map_sweep`)."""
     conn = connect_mod.connected_set_masks(c.s)
-    covers = _fundamental_covers(c)
+    covers = _minimal_covers(c)
     compact = frozenset(
         m for m in range(c.N) if compact_mod.is_compact_set(c.s, PointSet(m, c.n))
     )
@@ -128,18 +133,6 @@ def _space_families(c: _Ctx) -> dict:
         S: _flags(set(range(c.N)) - covers_mod.relative_opens(c.s, S), c.N)
         for S in sorted({S for fams in covers for fam in fams for S in fam})
     }
-    # A cover holding another cover of its list adds nothing to paste: its
-    # union of bad[S] holds the other's.
-    minimal = []
-    for fams in covers:
-        found = set(fams)
-        minimal.append([
-            fam
-            for fam in fams
-            if not any(
-                sub in found for r in range(1, len(fam)) for sub in itertools.combinations(fam, r)
-            )
-        ])
     return {
         "opens": _family(c.opens),
         "closeds": _family(c.closeds),
@@ -159,13 +152,8 @@ def _space_families(c: _Ctx) -> dict:
         "t2": separation_mod.is_t2(c.s),
         "minbase": _family(c.s.ups),
         "covers": covers,
-        "minimal_covers": minimal,
         # Per cover member S, flag m is set iff m is not a relative open of S.
         "not_rel": not_rel,
-        "paste_members": [
-            (S, not_rel[S])
-            for S in sorted({S for fams in minimal for fam in fams for S in fam})
-        ],
     }
 
 
@@ -261,7 +249,7 @@ class _Domain:
 
     __slots__ = (
         "img_opens", "img_closeds", "img_conn", "img_compact", "img_dense",
-        "loc_bad", "paste", "cont", "c_closed", "c_cl", "c_img", "c_it",
+        "loc_bad", "bad", "paste", "cont", "c_closed", "c_cl", "c_img", "c_it",
         "base", "omap", "ochar", "cmap", "cchar",
     )
 
@@ -295,14 +283,14 @@ class _Domain:
         # every member of a cover iff none is in the union of their bad[S].
         # paste[j]: the codomains whose opens miss one such union of cover
         # list j (open covers, closed covers).
-        bad = {S: _bad(S, flags, pre) for S, flags in e["paste_members"]}
+        self.bad = bad = {S: _bad(S, flags, pre) for S, flags in e["not_rel"].items()}
         self.paste = [
             reduce(
                 or_,
                 (k.missed(reduce(or_, map(bad.__getitem__, fam))) for fam in covers),
                 0,
             )
-            for covers in e["minimal_covers"]
+            for covers in e["covers"]
         ]
         self.cont = k.missed(k.all_masks ^ pre_open)
         self.c_closed = k.missed_closed(k.all_masks ^ preimages(e["closed_flags"]))
@@ -329,14 +317,19 @@ def _map_sweep(n: int, ctxs) -> dict:
     fails on codomain i2 where its tests disagree (or, for the image and
     Hausdorff theorems, where f is continuous and a test fails).  Pasting
     fails where f is not continuous yet continuous on every member of a
-    fundamental cover: bit i2 of ``paste``.  Each clause of
+    fundamental cover: bit i2 of ``paste``.  Only the minimal covers are
+    read: a cover holding a smaller cover G adds nothing, as f is continuous
+    on G's members whenever it is on all of the cover's, and G comes first
+    in (size, members) order, so the pasting witness is minimal too.  Each
+    clause of
     ``compact.hausdorff_compact_checks`` reads "continuous => ...", so the
     literal call is made only on the T2 codomains in ``cont``: on the others
     it answers all True.  The gate is exact for valid spaces.  On a space
     whose ``ups`` disagree with its opens, ``cont`` (read from the opens) can
     differ from the continuity ``check_map`` reads from the ``ups``.
-    Still-open theorems keep their first failing (i2, t) per c1; after c1,
-    :func:`_witness` names the counterexample on that one triple.
+    Still-open theorems keep their first failing (i2, t) per c1, with its
+    :class:`_Domain`; after c1, :func:`_witness` names the counterexample on
+    that one triple.
     """
     results: dict[str, Optional[str]] = {k: None for k in MAP_SWEEP_CHECKS}
     tables, imgs, pres = _map_tables(n)
@@ -348,7 +341,7 @@ def _map_sweep(n: int, ctxs) -> dict:
     for i1, c1 in enumerate(ctxs):
         e1 = extras[i1]
         indiscrete1 = c1.opens == {0, c1.full}
-        first: dict[str, tuple[int, int]] = {}
+        first: dict[str, tuple[int, int, _Domain]] = {}
         for ti, t in enumerate(tables):
             img = imgs[ti]
             d = _Domain(c1, e1, t, img, pres[ti], k)
@@ -397,18 +390,15 @@ def _map_sweep(n: int, ctxs) -> dict:
                 if bits and results[name] is None:
                     i2 = (bits & -bits).bit_length() - 1
                     if name not in first or i2 < first[name][0]:
-                        first[name] = (i2, ti)
-        for name, (i2, ti) in first.items():
+                        first[name] = (i2, ti, d)
+        for name, (i2, ti, d) in first.items():
             c2, t = ctxs[i2], tables[ti]
-            d = _Domain(c1, e1, t, imgs[ti], pres[ti], k)
-            detail = _witness(
-                name, c1, e1, c2, extras[i2], i2, t, imgs[ti], pres[ti], d, k, fmaps[ti]
-            )
+            detail = _witness(name, c1, e1, c2, extras[i2], i2, t, imgs[ti], d, k, fmaps[ti])
             results[name] = f"s1={c1.ser} s2={c2.ser} f={list(t)}: {detail}"
     return results
 
 
-def _witness(name, c1, e1, c2, e2, i2, t, img, pre, d, k, fmap) -> str:
+def _witness(name, c1, e1, c2, e2, i2, t, img, d, k, fmap) -> str:
     """The counterexample detail of theorem `name` on the triple (c1, c2, t),
     named by the literal loops of the per-triple sweep."""
 
@@ -427,8 +417,7 @@ def _witness(name, c1, e1, c2, e2, i2, t, img, pre, d, k, fmap) -> str:
         return f"open {on(d.omap)}/{on(d.ochar)} closed {on(d.cmap)}/{on(d.cchar)}"
     if name in ("pasting_open_covers", "pasting_closed_covers"):
         covers = e1["covers"][name == "pasting_closed_covers"]
-        bad = {S: _bad(S, flags, pre) for S, flags in e1["not_rel"].items()}
-        fam = next(f for f in covers if not any(opens2 & bad[S] for S in f))
+        fam = next(f for f in covers if not any(opens2 & d.bad[S] for S in f))
         return f"pasting failed for cover {fam}"
     if name == "image_of_connected":
         a = next(a for a in e1["conn"] if img[a] not in e2["conn"])

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import map_sweep_reference as reference
+from test_enumeration import _FUNDAMENTAL_FAULTS
 from fintop import (
     FiniteMap,
     PointSet,
@@ -204,6 +205,9 @@ def test_domain_image_families_are_literal_images():
             "img_compact": range(N),  # every subset of a finite space is compact
             "img_dense": [a for a in range(N) if closure(s, PointSet(a, n)).bits == N - 1],
         }
+        # Every fundamental cover, not only the minimal ones the sweep keeps.
+        full_covers = reference._fundamental_covers(c)
+        members = {S for covers in full_covers for fam in covers for S in fam}
         for ti, t in enumerate(tables):
             d = mapsweep._Domain(c, e, t, imgs[ti], pres[ti], k)
             for name, family in literal.items():
@@ -225,9 +229,9 @@ def test_domain_image_families_are_literal_images():
                     for u in range(N)
                     if S & pres[ti][u] not in covers_mod.relative_opens(s, S)
                 )
-                for S in e["not_rel"]
+                for S in members
             }
-            for covers, hit in zip(e["covers"], d.paste):
+            for covers, hit in zip(full_covers, d.paste):
                 expected = sum(
                     1 << i2
                     for i2, opens2 in enumerate(codomain_opens)
@@ -250,6 +254,36 @@ def _both(n, spaces):
 REPRESENTATIVES_4 = tuple(
     enum_mod.enumerate_topologies(enum_mod.EnumConfig(4, "up_to_homeomorphism"))
 )
+
+
+def _filtered_full_lists(c):
+    """The cover lists as the sweep once built them: every fundamental
+    cover (the reference's lists), less each cover holding another."""
+    out = []
+    for covers in reference._fundamental_covers(c):
+        found = set(covers)
+        out.append([
+            fam
+            for fam in covers
+            if not any(
+                sub in found for r in range(1, len(fam)) for sub in itertools.combinations(fam, r)
+            )
+        ])
+    return tuple(out)
+
+
+@pytest.mark.parametrize("fault", ["clean", *sorted(_FUNDAMENTAL_FAULTS)])
+def test_cover_walk_matches_the_filtered_full_lists(monkeypatch, fault):
+    # Every labeled space with n <= 3 and the 33 representatives at n = 4,
+    # under each _is_fundamental fault too, the non-monotone ones included:
+    # the walk skips families holding a listed cover before asking.
+    if fault != "clean":
+        real, wrong = covers_mod._is_fundamental, _FUNDAMENTAL_FAULTS[fault][0]
+        monkeypatch.setattr(covers_mod, "_is_fundamental", lambda s, m: wrong(real, s, m))
+    spaces = [*(s for n in range(4) for s in enum_mod.all_spaces(n)), *REPRESENTATIVES_4]
+    for s in spaces:
+        c = theorems_mod._Ctx(s, theorems_mod._default_ops(None))
+        assert mapsweep._minimal_covers(c) == _filtered_full_lists(c), s
 
 
 @pytest.mark.parametrize("name", [*FAULTS, *PATCHES])

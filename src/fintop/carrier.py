@@ -6,11 +6,13 @@ canonicalized on construction (sorted ascending by bitmask, deduplicated),
 which makes family equality plain sequence equality.  A family stores its
 canonical masks; its ``PointSet`` members are built on each read, and its
 set of masks on first read and cached.
+
+Every record class of the package derives from :class:`_Record`, defined
+here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -23,6 +25,64 @@ from .errors import (
 #: Largest supported carrier: a subset fits one machine word and a full
 #: power-set scan stays at most 2**24 iterations.
 MAX_CARRIER = 24
+
+
+#: Sets a field of a record past its frozen ``__setattr__``.
+_set = object.__setattr__
+
+
+def _setters(cls: type) -> tuple:
+    """The slot setters of a record class, in ``__slots__`` order: a faster
+    way than ``_set`` past the frozen ``__setattr__``, for hot classes."""
+    return tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+
+def _rebuild(cls: type, values: tuple) -> "_Record":
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        _set(obj, name, value)
+    return obj
+
+
+class _Record:
+    """An immutable record over the fields in ``__slots__``.
+
+    Each subclass writes its own ``__init__``, which sets every field with
+    ``_set`` or a slot setter.  Equality (between instances of one class
+    only), hashing and repr read the fields named in ``_compared``: all of
+    ``__slots__`` unless the class names fewer.  The hash is the hash of
+    the tuple of those fields, and the repr is ``Cls(field=value, ...)``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._compared = vars(cls).get("_compared", cls.__slots__)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild the fields, caches included, past __init__.
+        return _rebuild, (self.__class__, tuple(getattr(self, name) for name in self.__slots__))
 
 
 def check_carrier(n: int) -> None:
@@ -54,12 +114,15 @@ def mask_points(mask: int) -> list[int]:
     return points
 
 
-@dataclass(frozen=True, slots=True)
-class PointSet:
+class PointSet(_Record):
     """A subset of the carrier {0..n-1}, stored as a bitmask."""
 
-    bits: int
-    n: int
+    __slots__ = ("bits", "n")
+
+    def __init__(self, bits: int, n: int) -> None:
+        _set_bits(self, bits)
+        _set_n(self, n)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_carrier(self.n)
@@ -124,12 +187,22 @@ class PointSet:
     def complement(self) -> "PointSet":
         return PointSet(~self.bits & (1 << self.n) - 1, self.n)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bits == other.bits and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.bits, self.n))
+
     def __repr__(self) -> str:
         return f"PointSet({{{','.join(map(str, self.points()))}}}, n={self.n})"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Family:
+_set_bits, _set_n = _setters(PointSet)
+
+
+class Family(_Record):
     """A canonical (sorted, deduplicated) sequence of subsets of one carrier.
 
     The family is its ascending masks.  ``members`` (the masks as
@@ -137,9 +210,7 @@ class Family:
     cached, and excluded from equality, hashing and repr.
     """
 
-    n: int
-    _masks: tuple[int, ...] = field(repr=False)
-    _mask_set: frozenset[int] | None = field(compare=False, repr=False)
+    __slots__ = ("n", "_masks", "_mask_set")
 
     def __init__(self, members: Iterable[PointSet], n: int) -> None:
         check_carrier(n)
@@ -154,9 +225,9 @@ class Family:
         self._fill(n, tuple(m.bits for m in members))
 
     def _fill(self, n: int, masks: tuple[int, ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "_mask_set", None)
+        _fam_set_n(self, n)
+        _fam_set_masks(self, masks)
+        _fam_set_mask_set(self, None)
 
     @classmethod
     def _from_masks(cls, n: int, masks: Sequence[int]) -> "Family":
@@ -198,7 +269,7 @@ class Family:
         mask_set = self._mask_set
         if mask_set is None:
             mask_set = frozenset(self._masks)
-            object.__setattr__(self, "_mask_set", mask_set)
+            _fam_set_mask_set(self, mask_set)
         return mask_set
 
     def __iter__(self) -> Iterator[PointSet]:
@@ -211,12 +282,23 @@ class Family:
         bits = item.bits if isinstance(item, PointSet) else item
         return bits in self.mask_set
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self._masks == other._masks
+
+    def __hash__(self) -> int:
+        return hash((self.n, self._masks))
+
     def __repr__(self) -> str:
         inner = ",".join(
             "{%s}" % ",".join(str(p) for p in range(self.n) if m >> p & 1)
             for m in self._masks
         )
         return f"Family([{inner}], n={self.n})"
+
+
+_fam_set_n, _fam_set_masks, _fam_set_mask_set = _setters(Family)
 
 
 def family_union(fam: Family) -> PointSet:
@@ -260,33 +342,33 @@ def subsets_iter(n: int) -> Iterator[PointSet]:
         yield PointSet(bits, n)
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
+class Partition(_Record):
     """Pairwise-disjoint nonempty blocks covering the carrier.
 
     Blocks are ordered by their smallest member, which fixes the block
     indexing used by quotients and component decompositions.
     """
 
-    blocks: tuple[PointSet, ...]
-    n: int
+    __slots__ = ("blocks", "n")
 
-    def __post_init__(self) -> None:
-        check_carrier(self.n)
+    def __init__(self, blocks: tuple[PointSet, ...], n: int) -> None:
+        check_carrier(n)
         seen = 0
-        for b in self.blocks:
-            if b.n != self.n:
+        for b in blocks:
+            if b.n != n:
                 raise CarrierMismatch("block carrier mismatch")
             if b.bits == 0:
                 raise NotAPartition("empty block")
             if seen & b.bits:
                 raise NotAPartition("blocks overlap")
             seen |= b.bits
-        if seen != (1 << self.n) - 1:
+        if seen != (1 << n) - 1:
             raise NotAPartition("blocks do not cover the carrier")
-        lows = [(b.bits & -b.bits) for b in self.blocks]
+        lows = [(b.bits & -b.bits) for b in blocks]
         if lows != sorted(lows):
             raise NotAPartition("blocks must be ordered by smallest member")
+        _set(self, "blocks", blocks)
+        _set(self, "n", n)
 
     @classmethod
     def of(cls, n: int, blocks: Iterable[PointSet | int | Iterable[int]]) -> "Partition":

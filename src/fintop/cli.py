@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import compact as compact_mod
@@ -138,6 +137,11 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 64 instead of argparse's 2
         raise _UsageError(message)
+
+
+def _fields(report) -> dict:
+    """A report record's fields by name, in ``__slots__`` order."""
+    return {name: getattr(report, name) for name in report.__slots__}
 
 
 def _read(path: str) -> str:
@@ -329,11 +333,11 @@ def _cmd_ops(args):
         if getattr(args, name):
             out[name] = _pl(op(s, A))
     if args.density:
-        out["density"] = asdict(operators_mod.density_report(s, A))
+        out["density"] = _fields(operators_mod.density_report(s, A))
     if args.roles:
         if args.point is None:
             raise _UsageError("--roles requires --point")
-        out["roles"] = asdict(operators_mod.point_roles(s, A, args.point))
+        out["roles"] = _fields(operators_mod.point_roles(s, A, args.point))
     if args.relation:
         if B is None:
             raise _UsageError("--relation requires --set2")
@@ -365,14 +369,14 @@ def _cmd_check(args):
     wanted = [name for name in enum_mod.PREDICATES if getattr(args, name)]
     sep = {}
     if args.full or any(name in separation_mod.SeparationReport.__slots__ for name in wanted):
-        sep = asdict(separation_mod.separation_report(s))
+        sep = _fields(separation_mod.separation_report(s))
     out = {
         name: sep[name] if name in sep else enum_mod.PREDICATES[name](s)
         for name in wanted
     }
     if args.full:
         out["separation"] = sep
-        out["compactness"] = asdict(compact_mod.compactness_report(s))
+        out["compactness"] = _fields(compact_mod.compactness_report(s))
     if args.t1_minimum:
         out["t1_minimum"] = docio.space_obj(separation_mod.t1_minimum(s.n))
     if not out:
@@ -467,7 +471,7 @@ def _cmd_homeo(args):
             return {"homeomorphic": False}, EXIT_FALSE
         return {"homeomorphic": True, "witness": list(witness.table)}, EXIT_TRUE
     f = _parse_table(args.map_, s1.n, s2.n)
-    out = asdict(maps_mod.check_map(f, s1, s2))
+    out = _fields(maps_mod.check_map(f, s1, s2))
     out["map"] = docio.map_obj(s1, s2, f)
     out["continuous_at"] = [
         p for p in range(s1.n) if maps_mod.is_continuous_at(f, s1, s2, p)
@@ -492,7 +496,7 @@ def _cmd_cover(args):
     target = (
         _pset(s.n, _points_arg(args.target)) if args.target is not None else None
     )
-    out = asdict(covers_mod.classify_cover(s, C, target))
+    out = _fields(covers_mod.classify_cover(s, C, target))
     if args.minimal:
         sub = covers_mod.minimal_subcover(s, C, target)
         out["minimal_subcover"] = [_pl(m) for m in sub]

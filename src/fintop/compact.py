@@ -12,10 +12,8 @@ corrupted table makes it fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import separation as separation_mod
-from .carrier import PointSet, same_carrier
+from .carrier import PointSet, _Record, _set, same_carrier
 from .errors import CodomainNotHausdorff
 from .maps import FiniteMap, check_map
 from .space import TopSpace
@@ -34,10 +32,12 @@ def is_compact_set(s: TopSpace, A: PointSet) -> bool:
     return all(s.ups[p] >> p & 1 and s.ups[p] in opens for p in A.points())
 
 
-@dataclass(frozen=True, slots=True)
-class CompactnessReport:
-    compact: bool
-    locally_compact: bool
+class CompactnessReport(_Record):
+    __slots__ = ("compact", "locally_compact")
+
+    def __init__(self, compact: bool, locally_compact: bool) -> None:
+        _set(self, "compact", compact)
+        _set(self, "locally_compact", locally_compact)
 
 
 def compactness_report(s: TopSpace) -> CompactnessReport:

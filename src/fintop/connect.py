@@ -18,10 +18,9 @@ the adjacency U_p ∪ cl{p}, which ``ups`` determines, so it is never stale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .carrier import Partition, PointSet, reach_bits, same_carrier
+from .carrier import Partition, PointSet, _Record, _set, reach_bits, same_carrier
 from .space import TopSpace, clopen_sets
 
 
@@ -66,13 +65,16 @@ def mcp(s: TopSpace, A: PointSet) -> PointSet:
     return PointSet(block if A.bits & ~block == 0 else 0, s.n)
 
 
-@dataclass(frozen=True, slots=True)
-class ComponentDecomposition:
+class ComponentDecomposition(_Record):
     """Maximal connected sets; they partition the carrier (no blocks for
-    the empty space) and every block is closed."""
+    the empty space) and every block is closed.  ``index`` is each point's
+    block index."""
 
-    blocks: tuple[PointSet, ...]
-    index: tuple[int, ...]  # per-point block index
+    __slots__ = ("blocks", "index")
+
+    def __init__(self, blocks: tuple[PointSet, ...], index: tuple[int, ...]) -> None:
+        _set(self, "blocks", blocks)
+        _set(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.blocks)

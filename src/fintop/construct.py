@@ -27,7 +27,6 @@ it is built without validation, which is kept for families from outside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import compact as compact_mod
@@ -36,6 +35,8 @@ from .carrier import (
     Family,
     Partition,
     PointSet,
+    _Record,
+    _set,
     check_carrier,
     family_union,
     reach_bits,
@@ -52,13 +53,16 @@ from .maps import FiniteMap, image_bits, preimage_bits
 from .space import MAX_OPENS_LOG2, TopSpace, _build, _point_meets
 
 
-@dataclass(frozen=True, slots=True)
-class BaseProblem:
-    """Why a family is not a base: it fails to cover, or some pairwise
-    intersection is not a union of members (witnessed by the pair)."""
+class BaseProblem(_Record):
+    """Why a family is not a base: it fails to cover ("NotCovering"), or
+    some pairwise intersection is not a union of members
+    ("IntersectionNotUnion", witnessed by the pair)."""
 
-    kind: str  # "NotCovering" | "IntersectionNotUnion"
-    witness: tuple[PointSet, ...] = ()
+    __slots__ = ("kind", "witness")
+
+    def __init__(self, kind: str, witness: tuple[PointSet, ...] = ()) -> None:
+        _set(self, "kind", kind)
+        _set(self, "witness", witness)
 
 
 def check_base_conditions(n: int, B: Family) -> Optional[BaseProblem]:
@@ -197,12 +201,14 @@ def subspace(s: TopSpace, Y: PointSet) -> tuple[TopSpace, FiniteMap]:
     return _build(len(points), opens, ups), FiniteMap(len(points), s.n, points)
 
 
-@dataclass(frozen=True, slots=True)
-class PairEncoding:
+class PairEncoding(_Record):
     """Bijection {0..n1-1} x {0..n2-1} -> {0..n1*n2-1} via (i, j) -> i*n2 + j."""
 
-    n1: int
-    n2: int
+    __slots__ = ("n1", "n2")
+
+    def __init__(self, n1: int, n2: int) -> None:
+        _set(self, "n1", n1)
+        _set(self, "n2", n2)
 
     def encode(self, i: int, j: int) -> int:
         if not (0 <= i < self.n1 and 0 <= j < self.n2):
@@ -260,16 +266,13 @@ def quotient(s: TopSpace, P: Partition) -> tuple[TopSpace, FiniteMap]:
     return _build(k, sorted(opens), ups), FiniteMap(s.n, k, index)
 
 
-@dataclass(frozen=True, slots=True)
-class MetricTable:
+class MetricTable(_Record):
     """Exact integer distances between carrier points."""
 
-    n: int
-    d: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "d")
 
-    def __post_init__(self) -> None:
-        check_carrier(self.n)
-        n, d = self.n, self.d
+    def __init__(self, n: int, d: tuple[tuple[int, ...], ...]) -> None:
+        check_carrier(n)
         if len(d) != n or any(len(row) != n for row in d):
             raise InvalidMetric("shape", (n,))
         for i in range(n):
@@ -285,6 +288,8 @@ class MetricTable:
                 for k in range(n):
                     if d[i][k] > d[i][j] + d[j][k]:
                         raise InvalidMetric("triangle", (i, j, k))
+        _set(self, "n", n)
+        _set(self, "d", d)
 
     @classmethod
     def of(cls, rows: Sequence[Sequence[int]]) -> "MetricTable":

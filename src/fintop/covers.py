@@ -8,27 +8,35 @@ subsets, and checks the open-cover and closed-cover sufficient conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .carrier import Family, PointSet, family_union, reach_bits, same_carrier
+from .carrier import Family, PointSet, _Record, _set, family_union, reach_bits, same_carrier
 from .construct import subspace
 from .errors import NotACover, NotFundamental
 from .maps import FiniteMap, check_map, restrict
 from .space import TopSpace
 
 
-@dataclass(frozen=True, slots=True)
-class CoverReport:
+class CoverReport(_Record):
     """is_cover/open/closed/locally-finite flags; fundamental is None when
     the target is not the whole carrier (fundamentality is only defined for
     covers of the space)."""
 
-    is_cover: bool
-    open_cover: bool
-    closed_cover: bool
-    locally_finite: bool
-    fundamental: Optional[bool]
+    __slots__ = ("is_cover", "open_cover", "closed_cover", "locally_finite", "fundamental")
+
+    def __init__(
+        self,
+        is_cover: bool,
+        open_cover: bool,
+        closed_cover: bool,
+        locally_finite: bool,
+        fundamental: Optional[bool],
+    ) -> None:
+        _set(self, "is_cover", is_cover)
+        _set(self, "open_cover", open_cover)
+        _set(self, "closed_cover", closed_cover)
+        _set(self, "locally_finite", locally_finite)
+        _set(self, "fundamental", fundamental)
 
 
 def relative_opens(s: TopSpace, S: int) -> frozenset[int]:

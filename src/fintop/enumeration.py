@@ -14,7 +14,6 @@ spaces lives in :mod:`fintop.theorems`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Union
 
@@ -22,7 +21,7 @@ from . import compact as compact_mod
 from . import connect as connect_mod
 from . import construct as construct_mod
 from . import separation as separation_mod
-from .carrier import subsets_iter
+from .carrier import _Record, subsets_iter
 from .errors import CarrierTooLarge
 from .minopen import _class_leaders, _code_shifts, _minopen_index, _perm_table
 from .space import TopSpace, _build
@@ -34,18 +33,24 @@ CLASS_CAP = 5
 Predicate = Union[str, Callable[[TopSpace], bool], None]
 
 
-@dataclass
-class EnumConfig:
-    n: int
-    mode: str = "labeled"  # "labeled" | "up_to_homeomorphism"
-    predicate: Predicate = None
+class EnumConfig(_Record):
+    """The one mutable record: its fields can be reassigned, so it has no
+    hash."""
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("labeled", "up_to_homeomorphism"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        cap = LABELED_CAP if self.mode == "labeled" else CLASS_CAP
-        if not 0 <= self.n <= cap:
+    __slots__ = ("n", "mode", "predicate")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, n: int, mode: str = "labeled", predicate: Predicate = None) -> None:
+        if mode not in ("labeled", "up_to_homeomorphism"):
+            raise ValueError(f"unknown mode {mode!r}")
+        cap = LABELED_CAP if mode == "labeled" else CLASS_CAP
+        if not 0 <= n <= cap:
             raise CarrierTooLarge(f"enumeration capped at n <= {cap}")
+        self.n = n
+        self.mode = mode
+        self.predicate = predicate
 
 
 # -- generators ---------------------------------------------------------------

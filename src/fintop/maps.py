@@ -30,10 +30,9 @@ call them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .carrier import PointSet, mask_points, same_carrier
+from .carrier import PointSet, _Record, _set, _setters, mask_points, same_carrier
 from .errors import NotALimitPoint
 from .space import TopSpace
 
@@ -59,22 +58,20 @@ def preimage_bits(table, mask: int) -> int:
     return bits
 
 
-@dataclass(frozen=True, slots=True)
-class FiniteMap:
+class FiniteMap(_Record):
     """A total function table between two carriers."""
 
-    dom_n: int
-    cod_n: int
-    table: tuple[int, ...]
+    __slots__ = ("dom_n", "cod_n", "table")
 
-    def __post_init__(self) -> None:
-        if len(self.table) != self.dom_n:
-            raise ValueError(
-                f"table length {len(self.table)} != domain size {self.dom_n}"
-            )
-        for v in self.table:
-            if not 0 <= v < self.cod_n:
-                raise ValueError(f"table entry {v} outside codomain of size {self.cod_n}")
+    def __init__(self, dom_n: int, cod_n: int, table: tuple[int, ...]) -> None:
+        if len(table) != dom_n:
+            raise ValueError(f"table length {len(table)} != domain size {dom_n}")
+        for v in table:
+            if not 0 <= v < cod_n:
+                raise ValueError(f"table entry {v} outside codomain of size {cod_n}")
+        _set_dom_n(self, dom_n)
+        _set_cod_n(self, cod_n)
+        _set_table(self, table)
 
     @classmethod
     def of(cls, dom_n: int, cod_n: int, table) -> "FiniteMap":
@@ -119,15 +116,37 @@ class FiniteMap:
         return FiniteMap(self.cod_n, self.dom_n, tuple(inv))
 
 
-@dataclass(frozen=True, slots=True)
-class MapReport:
-    continuous: bool
-    open_map: bool
-    closed_map: bool
-    injective: bool
-    surjective: bool
-    homeomorphism: bool
-    embedding: bool
+_set_dom_n, _set_cod_n, _set_table = _setters(FiniteMap)
+
+
+class MapReport(_Record):
+    __slots__ = (
+        "continuous",
+        "open_map",
+        "closed_map",
+        "injective",
+        "surjective",
+        "homeomorphism",
+        "embedding",
+    )
+
+    def __init__(
+        self,
+        continuous: bool,
+        open_map: bool,
+        closed_map: bool,
+        injective: bool,
+        surjective: bool,
+        homeomorphism: bool,
+        embedding: bool,
+    ) -> None:
+        _set(self, "continuous", continuous)
+        _set(self, "open_map", open_map)
+        _set(self, "closed_map", closed_map)
+        _set(self, "injective", injective)
+        _set(self, "surjective", surjective)
+        _set(self, "homeomorphism", homeomorphism)
+        _set(self, "embedding", embedding)
 
 
 def _check_compat(f: FiniteMap, s1: TopSpace, s2: TopSpace) -> None:

@@ -44,23 +44,30 @@ the tests on every space with n ≤ 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 from typing import Sequence
 
-from .carrier import PointSet
+from .carrier import PointSet, _Record, _set
 from .errors import CarrierTooLarge, CrossCheckFailure
 from .operators import closure
 from .space import TopSpace, meet_topologies
 
 
-@dataclass(frozen=True, slots=True)
-class PairClass:
-    indistinguishable: bool
-    partially_distinguishable: bool
-    distinguishable: bool
-    separated: bool
+class PairClass(_Record):
+    __slots__ = ("indistinguishable", "partially_distinguishable", "distinguishable", "separated")
+
+    def __init__(
+        self,
+        indistinguishable: bool,
+        partially_distinguishable: bool,
+        distinguishable: bool,
+        separated: bool,
+    ) -> None:
+        _set(self, "indistinguishable", indistinguishable)
+        _set(self, "partially_distinguishable", partially_distinguishable)
+        _set(self, "distinguishable", distinguishable)
+        _set(self, "separated", separated)
 
 
 def classify_pair(s: TopSpace, p: int, q: int) -> PairClass:
@@ -74,15 +81,19 @@ def classify_pair(s: TopSpace, p: int, q: int) -> PairClass:
     return PairClass(indist, not indist, dist, up & uq == 0)
 
 
-@dataclass(frozen=True, slots=True)
-class SeparationReport:
-    t0: bool
-    t1: bool
-    t2: bool
-    t3: bool
-    t4: bool
-    regular: bool
-    normal: bool
+class SeparationReport(_Record):
+    __slots__ = ("t0", "t1", "t2", "t3", "t4", "regular", "normal")
+
+    def __init__(
+        self, t0: bool, t1: bool, t2: bool, t3: bool, t4: bool, regular: bool, normal: bool
+    ) -> None:
+        _set(self, "t0", t0)
+        _set(self, "t1", t1)
+        _set(self, "t2", t2)
+        _set(self, "t3", t3)
+        _set(self, "t4", t4)
+        _set(self, "regular", regular)
+        _set(self, "normal", normal)
 
 
 def _cross(name: str, first: bool, second: bool) -> bool:

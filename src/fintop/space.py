@@ -47,7 +47,6 @@ X ∉ F), and both witnesses take O(|F|·n) with U_p the minimal opens of G:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import and_, or_
 from typing import Iterable, Sequence, Union
 
@@ -55,6 +54,9 @@ from .carrier import (
     MAX_CARRIER,
     Family,
     PointSet,
+    _Record,
+    _set,
+    _setters,
     check_carrier,
     mask_points,
     reach_bits,
@@ -77,33 +79,43 @@ VIOLATION_KINDS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class AxiomViolation:
-    kind: str
-    witness: tuple[PointSet, ...] = ()
+class AxiomViolation(_Record):
+    __slots__ = ("kind", "witness")
 
-    def __post_init__(self) -> None:
-        if self.kind not in VIOLATION_KINDS:
-            raise ValueError(f"unknown violation kind {self.kind!r}")
+    def __init__(self, kind: str, witness: tuple[PointSet, ...] = ()) -> None:
+        if kind not in VIOLATION_KINDS:
+            raise ValueError(f"unknown violation kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "witness", witness)
 
 
-@dataclass(frozen=True, slots=True)
-class TopSpace:
+class TopSpace(_Record):
     """A validated topological space.
 
     Construct via :func:`validate_topology` or :func:`space`.  A space is
     ``n``, its ``opens`` and ``ups``, the mask of each point's minimal open
     set U_p.  ``closeds`` and ``downs`` (the cl{p} masks) are built on
-    first read and cached; the caches are not constructor arguments, so
-    ``dataclasses.replace`` never carries a stale one over.  Equality,
-    hashing and repr use ``n`` and ``opens`` only.
+    first read and cached; the caches are not constructor arguments.
+    Equality, hashing and repr use ``n`` and ``opens`` only.
     """
 
-    n: int
-    opens: Family
-    ups: tuple[int, ...] = field(compare=False, repr=False)
-    _closeds: Family | None = field(default=None, init=False, compare=False, repr=False)
-    _downs: tuple[int, ...] | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("n", "opens", "ups", "_closeds", "_downs")
+    _compared = ("n", "opens")
+
+    def __init__(self, n: int, opens: Family, ups: tuple[int, ...]) -> None:
+        _set_n(self, n)
+        _set_opens(self, opens)
+        _set_ups(self, ups)
+        _set_closeds(self, None)
+        _set_downs(self, None)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.opens == other.opens
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.opens))
 
     @property
     def closeds(self) -> Family:
@@ -111,7 +123,7 @@ class TopSpace:
         if closeds is None:
             full = (1 << self.n) - 1
             closeds = Family._from_masks(self.n, [full ^ m for m in reversed(self.opens.masks)])
-            object.__setattr__(self, "_closeds", closeds)
+            _set_closeds(self, closeds)
         return closeds
 
     @property
@@ -124,8 +136,11 @@ class TopSpace:
                 for p in mask_points(u):
                     cl[p] |= 1 << q
             downs = tuple(cl)
-            object.__setattr__(self, "_downs", downs)
+            _set_downs(self, downs)
         return downs
+
+
+_set_n, _set_opens, _set_ups, _set_closeds, _set_downs = _setters(TopSpace)
 
 
 def _canonical_masks(n: int, fam) -> tuple[list[int], list[AxiomViolation]]:

@@ -1,6 +1,19 @@
+import inspect
+
 import pytest
 
 from fintop import space
+
+
+def replace(obj, **changes):
+    """`obj` rebuilt through its constructor, with `changes` in place of the
+    fields of the same names (a fault injector for fintop's records).  The
+    constructor's parameters name the fields that are read from `obj`, so a
+    cache that is not a constructor argument starts empty again, and a
+    change to one raises TypeError."""
+    cls = type(obj)
+    fields = {name: getattr(obj, name) for name in inspect.signature(cls).parameters}
+    return cls(**{**fields, **changes})
 
 
 @pytest.fixture

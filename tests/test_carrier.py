@@ -14,6 +14,7 @@ from fintop import (
     subsets_iter,
 )
 from fintop.errors import NotAPartition
+from fintop.maps import FiniteMap
 
 
 class TestPointSet:
@@ -61,6 +62,38 @@ class TestPointSet:
     def test_carrier_mismatch(self):
         with pytest.raises(CarrierMismatch):
             PointSet.of(2, [0]) | PointSet.of(3, [0])
+
+    def test_post_init_runs_once_per_pointset_built(self, monkeypatch):
+        # The benchmark's carrier.pointset_built counter wraps
+        # PointSet.__dict__["__post_init__"]; every route that builds a
+        # PointSet must call it exactly once, or the counter reads short.
+        count = [0]
+        post_init = PointSet.__dict__["__post_init__"]
+
+        def counting(obj):
+            count[0] += 1
+            return post_init(obj)
+
+        monkeypatch.setattr(PointSet, "__post_init__", counting)
+        fam = Family.of(3, [0b001, 0b011, 0b111])
+        f = FiniteMap(2, 3, (0, 2))
+        A = PointSet.of(2, [0, 1])
+        routes = [
+            (lambda: (PointSet(0b101, 3),), 1),
+            (lambda: (PointSet.of(3, [0, 2]),), 1),
+            (lambda: fam.members, 3),
+            (lambda: (f.image(A),), 1),
+        ]
+        for build, expected in routes:
+            count[0] = 0
+            built = build()
+            assert count[0] == len(built) == expected
+            assert all(type(b) is PointSet for b in built)
+        # The carrier check itself is what runs there.
+        count[0] = 0
+        with pytest.raises(ValueError):
+            PointSet(0b100, 2)
+        assert count[0] == 1
 
 
 class TestFamily:

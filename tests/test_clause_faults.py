@@ -7,10 +7,10 @@ or method replaced through its module.  ``tests/trace_returns.py`` checks
 that, with these, every counterexample return of ``fintop.theorems`` runs.
 """
 
-import dataclasses
 
 import pytest
 
+from conftest import replace
 from fintop import (
     Family,
     PointSet,
@@ -119,7 +119,7 @@ def _components_edit(edit):
             def fake(s):
                 got = real(s)
                 blocks = edit(s, [b.bits for b in got.blocks])
-                return dataclasses.replace(got, blocks=tuple(PointSet(b, s.n) for b in blocks))
+                return replace(got, blocks=tuple(PointSet(b, s.n) for b in blocks))
 
             return fake
 
@@ -179,7 +179,7 @@ def _closeds_stale(s, Y, sub):
 
 def _one_point_not_normal(mp):
     _patch(mp, separation, "separation_report", lambda real: (
-        lambda s: dataclasses.replace(real(s), normal=False) if s.n == 1 else real(s)
+        lambda s: replace(real(s), normal=False) if s.n == 1 else real(s)
     ))
 
 
@@ -198,7 +198,7 @@ def _infinity_without_open(mp):
     def make(real):
         def fake(s):
             ext = real(s)
-            return dataclasses.replace(ext, ups=(*ext.ups[:-1], 0))
+            return replace(ext, ups=(*ext.ups[:-1], 0))
 
         return fake
 
@@ -434,7 +434,7 @@ CLAUSE_FAULTS = {
     ),
     "quotient_without_opens": (
         "product_quotient_preservation",
-        _quotient_is(lambda q: dataclasses.replace(q, ups=(0,) * q.n)),
+        _quotient_is(lambda q: replace(q, ups=(0,) * q.n)),
         _cx(D2, "", "quotient not compact: Partition(blocks=(PointSet({0,1}, n=2),), n=2)"),
         _cx(D3, "", "quotient not compact: Partition(blocks=(PointSet({0,1,2}, n=3),), n=3)"),
     ),

@@ -200,8 +200,21 @@ def test_module_entry_point_runs_cli_once():
     assert fintop.cli_dispatch is fintop.cli.cli_dispatch
 
 
+def test_validate_reads_stdin_for_a_dash(monkeypatch, capsys):
+    # The cold-start probe's path (`fintop validate -`), in process.
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": 2, "opens": [[], [1], [0, 1]]}'))
+    assert run(capsys, ["validate", "-"]) == (
+        '{"canonical":{"n":2,"opens":[[],[1],[0,1]]},"valid":true}',
+        0,
+    )
+    assert sys.stdin.read() == ""
+
+
 _LAZY_SWEEP_SCRIPT = """
 import contextlib, io, sys
+# Record machinery that fintop must not load; one the interpreter loaded
+# before fintop (a site hook, say) is not checked.
+unloaded = [name for name in ("dataclasses", "inspect") if name not in sys.modules]
 import fintop
 from fintop import EnumConfig, cli_dispatch, count_topologies, enumerate_topologies
 
@@ -224,6 +237,8 @@ from fintop import sweep_theorems
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli_dispatch(["sweep", "--n", "2"]) == 0
 assert sweep_theorems is sys.modules["fintop.theorems"].sweep_theorems
+loaded = [name for name in unloaded if name in sys.modules]
+assert not loaded, loaded
 print("ok")
 """
 
@@ -231,7 +246,7 @@ print("ok")
 def test_counting_and_documents_load_no_sweep_code(tmp_path):
     # The counts and the enumerate/check/validate subcommands never compile
     # the theorem sweep; `from fintop import sweep_theorems` and `fintop
-    # sweep` still reach it.
+    # sweep` still reach it.  None of it loads dataclasses or inspect.
     doc = tmp_path / "sierp.json"
     doc.write_text('{"n": 2, "opens": [[], [0], [0, 1]]}')
     env = dict(os.environ)

@@ -1,9 +1,9 @@
-import dataclasses
 import itertools
 import time
 
 import pytest
 
+from conftest import replace
 from fintop import (
     CodomainNotHausdorff,
     FiniteMap,
@@ -47,7 +47,7 @@ class TestCompactness:
         for s, p, u in bad_tables:
             table = list(s.ups)
             table[p] = u
-            bad = dataclasses.replace(s, ups=tuple(table))
+            bad = replace(s, ups=tuple(table))
             assert not is_compact(bad)
             assert not is_compact_set(bad, PointSet(1 << p, s.n))
             assert not is_locally_compact(bad)

@@ -1,8 +1,8 @@
-import dataclasses
 import itertools
 
 import pytest
 
+from conftest import replace
 from fintop import (
     Partition,
     PointSet,
@@ -210,7 +210,7 @@ def _corrupt(s, p, u):
     """s with its minimal open U_p replaced by the mask u."""
     mins = list(s.ups)
     mins[p] = u
-    return dataclasses.replace(s, ups=tuple(mins))
+    return replace(s, ups=tuple(mins))
 
 
 class TestMinimalOpenWitnesses:

@@ -1,8 +1,8 @@
-import dataclasses
 import itertools
 
 import pytest
 
+from conftest import replace
 from fintop import (
     CarrierTooLarge,
     EnumConfig,
@@ -270,7 +270,7 @@ class TestPredicates:
             for s in all_spaces(n):
                 if not separation_report(s).t0:
                     continue
-                bad = dataclasses.replace(s, ups=(s.ups[0],) * 2 + s.ups[2:])
+                bad = replace(s, ups=(s.ups[0],) * 2 + s.ups[2:])
                 with pytest.raises(CrossCheckFailure, match="^T0:"):
                     separation._literal_cross_check(bad)
                 corrupted += 1

@@ -12,7 +12,6 @@ on the class representatives at n = 4 too, and under faults injected into
 the tables of each.
 """
 
-import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -21,6 +20,7 @@ import pytest
 
 import map_sweep_reference as reference
 from test_enumeration import _FUNDAMENTAL_FAULTS
+from conftest import replace
 from fintop import (
     FiniteMap,
     PointSet,
@@ -333,7 +333,7 @@ def test_base_criterion_reads_the_codomain_minimal_opens():
     # pull {1} back to a non-open.
     spaces = list(enum_mod.all_spaces(2))
     assert spaces[2].ups == (3, 2)
-    spaces[2] = dataclasses.replace(spaces[2], ups=(3, 3))
+    spaces[2] = replace(spaces[2], ups=(3, 3))
     cx = _failed_as_reference(2, spaces, "base_continuity_criterion")
     assert cx == (
         f"s1={_SIERPINSKI_0} s2={_SIERPINSKI_1} f=[0, 1]: minimal-open-base criterion mismatch"
@@ -344,7 +344,7 @@ def test_t1_pullback_reads_the_domain_t1_flag():
     # A copy of the discrete space whose U_0 is the carrier is not T1, yet
     # the identity from it into the discrete space is continuous.
     spaces = list(enum_mod.all_spaces(2))
-    spaces.append(dataclasses.replace(spaces[0], ups=(3, 2)))
+    spaces.append(replace(spaces[0], ups=(3, 2)))
     assert not separation_mod.is_t1(spaces[-1])
     cx = _failed_as_reference(2, spaces, "t1_pullback_and_indiscrete_maps")
     assert cx == (

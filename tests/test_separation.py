@@ -1,8 +1,8 @@
-import dataclasses
 import itertools
 
 import pytest
 
+from conftest import replace
 from fintop import (
     CarrierTooLarge,
     FiniteMap,
@@ -105,7 +105,7 @@ class TestSeparationReport:
     def test_ladder_check_fires(self):
         # A discrete space whose U_p are swapped: no point is in its own
         # U_p, so T2 holds while T1 fails, and the ladder check must say so.
-        s = dataclasses.replace(discrete(2), ups=(2, 1))
+        s = replace(discrete(2), ups=(2, 1))
         with pytest.raises(CrossCheckFailure, match="^separation ladder"):
             separation_report(s)
 
@@ -178,7 +178,7 @@ class TestSeparationReport:
 
 def _with_ups(n, opens, ups):
     """The space of `opens` with its minimal opens replaced by `ups`."""
-    return dataclasses.replace(space(n, opens), ups=tuple(ups))
+    return replace(space(n, opens), ups=tuple(ups))
 
 
 # Corrupted minimal opens, each the minimal opens of another space on the
@@ -246,7 +246,7 @@ class TestLiteralCrossCheck:
             ("is_t4", lambda orig: lambda s: True, "T4: preorder=True literal=False"),
             (
                 "classify_pair",
-                lambda orig: lambda s, p, q: dataclasses.replace(
+                lambda orig: lambda s, p, q: replace(
                     orig(s, p, q), separated=False
                 ),
                 "pair (0, 1): preorder=",

@@ -6,6 +6,13 @@ topologies are validated open-set families, and every classical notion
 evaluated from its literal definition or from an equivalent
 characterization, the two cross-checked, and regression-swept over the
 exhaustive enumeration of all small topologies.
+
+The package attribute ``space`` is the function :func:`space`, which
+shadows the submodule of the same name: ``import fintop.space as m`` and
+``from fintop import space`` both bind the function.  The module is
+reached only through ``from fintop.space import ...`` or
+``importlib.import_module("fintop.space")``; patch it there, not through
+the package attribute.
 """
 
 from .carrier import (

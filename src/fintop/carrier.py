@@ -39,25 +39,36 @@ def _setters(cls: type) -> tuple:
 
 def _rebuild(cls: type, values: tuple) -> "_Record":
     obj = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        _set(obj, name, value)
+    _Record.__init__(obj, *values)
     return obj
 
 
 class _Record:
     """An immutable record over the fields in ``__slots__``.
 
-    Each subclass writes its own ``__init__``, which sets every field with
-    ``_set`` or a slot setter.  Equality (between instances of one class
-    only), hashing and repr read the fields named in ``_compared``: all of
-    ``__slots__`` unless the class names fewer.  The hash is the hash of
-    the tuple of those fields, and the repr is ``Cls(field=value, ...)``.
+    The constructor takes one value per field, positionally and in
+    ``__slots__`` order.  A class that checks its arguments ends its own
+    ``__init__`` with ``_Record.__init__(self, ...)``; a hot class sets its
+    fields with slot setters instead.  Equality (between instances of one
+    class only), hashing and repr read the fields named in ``_compared``:
+    all of ``__slots__`` unless the class names fewer.  The hash is the
+    hash of the tuple of those fields, and the repr is
+    ``Cls(field=value, ...)``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._compared = vars(cls).get("_compared", cls.__slots__)
+
+    def __init__(self, *values: object) -> None:
+        slots = self.__slots__
+        if len(values) != len(slots):
+            raise TypeError(
+                f"{self.__class__.__qualname__} takes {len(slots)} fields, got {len(values)}"
+            )
+        for name, value in zip(slots, values):
+            _set(self, name, value)
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._compared])
@@ -367,8 +378,7 @@ class Partition(_Record):
         lows = [(b.bits & -b.bits) for b in blocks]
         if lows != sorted(lows):
             raise NotAPartition("blocks must be ordered by smallest member")
-        _set(self, "blocks", blocks)
-        _set(self, "n", n)
+        _Record.__init__(self, blocks, n)
 
     @classmethod
     def of(cls, n: int, blocks: Iterable[PointSet | int | Iterable[int]]) -> "Partition":

@@ -24,7 +24,10 @@ from . import maps as maps_mod
 from . import operators as operators_mod
 from . import separation as separation_mod
 from .carrier import Family, Partition, PointSet
+from .errors import FintopError, InvalidTopology
+from .maps import FiniteMap
 from .space import (
+    TopSpace,
     clopen_sets,
     closed_sets,
     compare,
@@ -35,9 +38,6 @@ from .space import (
     neighborhoods,
     one_point_extension,
 )
-from .errors import FintopError, InvalidTopology
-from .maps import FiniteMap
-from .space import TopSpace
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1

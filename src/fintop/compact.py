@@ -13,7 +13,7 @@ corrupted table makes it fail.
 from __future__ import annotations
 
 from . import separation as separation_mod
-from .carrier import PointSet, _Record, _set, same_carrier
+from .carrier import PointSet, _Record, same_carrier
 from .errors import CodomainNotHausdorff
 from .maps import FiniteMap, check_map
 from .space import TopSpace
@@ -34,10 +34,6 @@ def is_compact_set(s: TopSpace, A: PointSet) -> bool:
 
 class CompactnessReport(_Record):
     __slots__ = ("compact", "locally_compact")
-
-    def __init__(self, compact: bool, locally_compact: bool) -> None:
-        _set(self, "compact", compact)
-        _set(self, "locally_compact", locally_compact)
 
 
 def compactness_report(s: TopSpace) -> CompactnessReport:

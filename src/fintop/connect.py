@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .carrier import Partition, PointSet, _Record, _set, reach_bits, same_carrier
+from .carrier import Partition, PointSet, _Record, reach_bits, same_carrier
 from .space import TopSpace, clopen_sets
 
 
@@ -71,10 +71,6 @@ class ComponentDecomposition(_Record):
     block index."""
 
     __slots__ = ("blocks", "index")
-
-    def __init__(self, blocks: tuple[PointSet, ...], index: tuple[int, ...]) -> None:
-        _set(self, "blocks", blocks)
-        _set(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.blocks)

@@ -36,7 +36,6 @@ from .carrier import (
     Partition,
     PointSet,
     _Record,
-    _set,
     check_carrier,
     family_union,
     reach_bits,
@@ -60,10 +59,6 @@ class BaseProblem(_Record):
 
     __slots__ = ("kind", "witness")
 
-    def __init__(self, kind: str, witness: tuple[PointSet, ...] = ()) -> None:
-        _set(self, "kind", kind)
-        _set(self, "witness", witness)
-
 
 def check_base_conditions(n: int, B: Family) -> Optional[BaseProblem]:
     """None iff B covers the carrier and every pairwise intersection is a
@@ -77,7 +72,7 @@ def check_base_conditions(n: int, B: Family) -> Optional[BaseProblem]:
     check_carrier(n)
     same_carrier(B.n, n)
     if family_union(B).bits != (1 << n) - 1:
-        return BaseProblem("NotCovering")
+        return BaseProblem("NotCovering", ())
     masks = B.masks
     if B.mask_set.issuperset(_point_meets(n, masks)):
         return None
@@ -206,10 +201,6 @@ class PairEncoding(_Record):
 
     __slots__ = ("n1", "n2")
 
-    def __init__(self, n1: int, n2: int) -> None:
-        _set(self, "n1", n1)
-        _set(self, "n2", n2)
-
     def encode(self, i: int, j: int) -> int:
         if not (0 <= i < self.n1 and 0 <= j < self.n2):
             raise ValueError(f"pair ({i},{j}) outside {self.n1}x{self.n2}")
@@ -288,8 +279,7 @@ class MetricTable(_Record):
                 for k in range(n):
                     if d[i][k] > d[i][j] + d[j][k]:
                         raise InvalidMetric("triangle", (i, j, k))
-        _set(self, "n", n)
-        _set(self, "d", d)
+        _Record.__init__(self, n, d)
 
     @classmethod
     def of(cls, rows: Sequence[Sequence[int]]) -> "MetricTable":

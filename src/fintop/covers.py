@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .carrier import Family, PointSet, _Record, _set, family_union, reach_bits, same_carrier
+from .carrier import Family, PointSet, _Record, family_union, reach_bits, same_carrier
 from .construct import subspace
 from .errors import NotACover, NotFundamental
 from .maps import FiniteMap, check_map, restrict
@@ -23,20 +23,6 @@ class CoverReport(_Record):
     covers of the space)."""
 
     __slots__ = ("is_cover", "open_cover", "closed_cover", "locally_finite", "fundamental")
-
-    def __init__(
-        self,
-        is_cover: bool,
-        open_cover: bool,
-        closed_cover: bool,
-        locally_finite: bool,
-        fundamental: Optional[bool],
-    ) -> None:
-        _set(self, "is_cover", is_cover)
-        _set(self, "open_cover", open_cover)
-        _set(self, "closed_cover", closed_cover)
-        _set(self, "locally_finite", locally_finite)
-        _set(self, "fundamental", fundamental)
 
 
 def relative_opens(s: TopSpace, S: int) -> frozenset[int]:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .carrier import PointSet, _Record, _set, _setters, mask_points, same_carrier
+from .carrier import PointSet, _Record, _setters, mask_points, same_carrier
 from .errors import NotALimitPoint
 from .space import TopSpace
 
@@ -129,24 +129,6 @@ class MapReport(_Record):
         "homeomorphism",
         "embedding",
     )
-
-    def __init__(
-        self,
-        continuous: bool,
-        open_map: bool,
-        closed_map: bool,
-        injective: bool,
-        surjective: bool,
-        homeomorphism: bool,
-        embedding: bool,
-    ) -> None:
-        _set(self, "continuous", continuous)
-        _set(self, "open_map", open_map)
-        _set(self, "closed_map", closed_map)
-        _set(self, "injective", injective)
-        _set(self, "surjective", surjective)
-        _set(self, "homeomorphism", homeomorphism)
-        _set(self, "embedding", embedding)
 
 
 def _check_compat(f: FiniteMap, s1: TopSpace, s2: TopSpace) -> None:

@@ -8,7 +8,7 @@ checkable rather than being true by construction.
 
 from __future__ import annotations
 
-from .carrier import PointSet, _Record, _set, _setters, same_carrier
+from .carrier import PointSet, _Record, same_carrier
 from .space import TopSpace
 
 
@@ -46,32 +46,6 @@ class RoleFlags(_Record):
     """Classification of one point relative to one set."""
 
     __slots__ = ("interior", "exterior", "boundary", "adherent", "limit", "isolated")
-
-    def __init__(
-        self,
-        interior: bool,
-        exterior: bool,
-        boundary: bool,
-        adherent: bool,
-        limit: bool,
-        isolated: bool,
-    ) -> None:
-        _set_interior(self, interior)
-        _set_exterior(self, exterior)
-        _set_boundary(self, boundary)
-        _set_adherent(self, adherent)
-        _set_limit(self, limit)
-        _set_isolated(self, isolated)
-
-
-(
-    _set_interior,
-    _set_exterior,
-    _set_boundary,
-    _set_adherent,
-    _set_limit,
-    _set_isolated,
-) = _setters(RoleFlags)
 
 
 def point_roles(s: TopSpace, A: PointSet, p: int) -> RoleFlags:
@@ -114,14 +88,6 @@ def isolated_set(s: TopSpace, A: PointSet) -> PointSet:
 
 class DensityReport(_Record):
     __slots__ = ("dense", "dense_in_itself", "nowhere_dense", "perfect")
-
-    def __init__(
-        self, dense: bool, dense_in_itself: bool, nowhere_dense: bool, perfect: bool
-    ) -> None:
-        _set(self, "dense", dense)
-        _set(self, "dense_in_itself", dense_in_itself)
-        _set(self, "nowhere_dense", nowhere_dense)
-        _set(self, "perfect", perfect)
 
 
 def density_report(s: TopSpace, A: PointSet) -> DensityReport:

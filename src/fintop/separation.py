@@ -48,7 +48,7 @@ from functools import reduce
 from operator import and_, or_
 from typing import Sequence
 
-from .carrier import PointSet, _Record, _set
+from .carrier import PointSet, _Record
 from .errors import CarrierTooLarge, CrossCheckFailure
 from .operators import closure
 from .space import TopSpace, meet_topologies
@@ -56,18 +56,6 @@ from .space import TopSpace, meet_topologies
 
 class PairClass(_Record):
     __slots__ = ("indistinguishable", "partially_distinguishable", "distinguishable", "separated")
-
-    def __init__(
-        self,
-        indistinguishable: bool,
-        partially_distinguishable: bool,
-        distinguishable: bool,
-        separated: bool,
-    ) -> None:
-        _set(self, "indistinguishable", indistinguishable)
-        _set(self, "partially_distinguishable", partially_distinguishable)
-        _set(self, "distinguishable", distinguishable)
-        _set(self, "separated", separated)
 
 
 def classify_pair(s: TopSpace, p: int, q: int) -> PairClass:
@@ -83,17 +71,6 @@ def classify_pair(s: TopSpace, p: int, q: int) -> PairClass:
 
 class SeparationReport(_Record):
     __slots__ = ("t0", "t1", "t2", "t3", "t4", "regular", "normal")
-
-    def __init__(
-        self, t0: bool, t1: bool, t2: bool, t3: bool, t4: bool, regular: bool, normal: bool
-    ) -> None:
-        _set(self, "t0", t0)
-        _set(self, "t1", t1)
-        _set(self, "t2", t2)
-        _set(self, "t3", t3)
-        _set(self, "t4", t4)
-        _set(self, "regular", regular)
-        _set(self, "normal", normal)
 
 
 def _cross(name: str, first: bool, second: bool) -> bool:

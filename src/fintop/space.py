@@ -55,7 +55,6 @@ from .carrier import (
     Family,
     PointSet,
     _Record,
-    _set,
     _setters,
     check_carrier,
     mask_points,
@@ -85,8 +84,7 @@ class AxiomViolation(_Record):
     def __init__(self, kind: str, witness: tuple[PointSet, ...] = ()) -> None:
         if kind not in VIOLATION_KINDS:
             raise ValueError(f"unknown violation kind {kind!r}")
-        _set(self, "kind", kind)
-        _set(self, "witness", witness)
+        _Record.__init__(self, kind, witness)
 
 
 class TopSpace(_Record):

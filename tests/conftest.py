@@ -3,15 +3,23 @@ import inspect
 import pytest
 
 from fintop import space
+from fintop.carrier import _Record
 
 
 def replace(obj, **changes):
     """`obj` rebuilt through its constructor, with `changes` in place of the
     fields of the same names (a fault injector for fintop's records).  The
-    constructor's parameters name the fields that are read from `obj`, so a
-    cache that is not a constructor argument starts empty again, and a
-    change to one raises TypeError."""
+    constructor's parameters name the fields that are read from `obj`: the
+    class's ``__slots__``, in order, when it uses the positional
+    ``_Record.__init__``, else its signature.  So a cache that is not a
+    constructor argument starts empty again, and a change to one raises
+    TypeError."""
     cls = type(obj)
+    if cls.__init__ is _Record.__init__:
+        unknown = sorted(set(changes) - set(cls.__slots__))
+        if unknown:
+            raise TypeError(f"{cls.__qualname__} has no fields {unknown}")
+        return cls(*(changes.get(name, getattr(obj, name)) for name in cls.__slots__))
     fields = {name: getattr(obj, name) for name in inspect.signature(cls).parameters}
     return cls(**{**fields, **changes})
 

@@ -40,6 +40,38 @@ def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
 
 
+def repeated_import_sources(source: str) -> list[str]:
+    """Modules that two module-level ``from <module> import ...``
+    statements both import from, with their lines.  ``from . import x``
+    imports the module x rather than from it, and an import inside a
+    function may be deferred on purpose, so neither counts."""
+    lines: dict[str, list[int]] = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.module:
+            lines.setdefault("." * node.level + node.module, []).append(node.lineno)
+    return [f"{module} (lines {at})" for module, at in lines.items() if len(at) > 1]
+
+
+def test_scan_flags_a_repeated_import_source():
+    source = (
+        "import os\n"
+        "from os import path\n"
+        "from . import a\n"
+        "from . import b\n"
+        "from .x import y\n"
+        "from .a import c\n"
+        "from .x import z\n"
+        "def f():\n"
+        "    from .a import w\n"
+    )
+    assert repeated_import_sources(source) == [".x (lines [5, 7])"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_each_module_is_imported_from_once(path):
+    assert repeated_import_sources(path.read_text()) == []
+
+
 def carrier_cap_literals(sources: dict[str, str]) -> list[str]:
     """Places where the int literal 24, the carrier cap, is written other
     than in the definition of ``MAX_CARRIER``."""

@@ -152,6 +152,11 @@ RECORDS = {
     ),
 }
 FROZEN = sorted(set(RECORDS) - {"EnumConfig"})
+#: The records built by the positional ``_Record.__init__`` alone.
+FIELD_ONLY = sorted([
+    "BaseProblem", "CompactnessReport", "ComponentDecomposition", "CoverReport", "DensityReport",
+    "MapReport", "PairClass", "PairEncoding", "RoleFlags", "SeparationReport",
+])
 
 
 def _build(name):
@@ -243,3 +248,17 @@ def test_enum_config_is_mutable_and_unhashable():
     assert not hasattr(cfg, "predicate")
     with pytest.raises(AttributeError):
         cfg.extra = 1
+
+
+@pytest.mark.parametrize("name", FIELD_ONLY)
+def test_field_only_records_take_one_value_per_field(name):
+    obj = _build(name)
+    cls = type(obj)
+    assert "__init__" not in vars(cls)
+    values = tuple(getattr(obj, f) for f in cls.__slots__)
+    assert cls(*values) == obj
+    for wrong in (values[:-1], (*values, None)):
+        with pytest.raises(TypeError, match=name):
+            cls(*wrong)
+    with pytest.raises(TypeError):
+        cls(**dict(zip(cls.__slots__, values)))

@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import itertools
+import sys
 import time
 import tracemalloc
 
@@ -450,3 +453,18 @@ class TestMaskPrimary:
                 TopSpace(2, sierpinski.opens, sierpinski.ups, **{cache: ()})
             with pytest.raises(TypeError, match=cache):
                 replace(sierpinski, **{cache: ()})
+
+
+def test_package_attribute_space_is_the_function_not_the_module():
+    # fintop re-exports space() under its module's name, so both import
+    # forms below bind the function; a test that patches the module by
+    # package attribute would patch the function instead.
+    import fintop
+    import fintop.space as bound
+    from fintop import space as imported
+
+    module = importlib.import_module("fintop.space")
+    assert inspect.isfunction(bound) and inspect.isfunction(imported)
+    assert bound is imported is fintop.space is space is module.space
+    assert inspect.ismodule(module) and module is sys.modules["fintop.space"]
+    assert module.TopSpace is TopSpace

@@ -7,27 +7,17 @@ Run from the repository root (extra arguments go to pytest):
 It runs pytest in this process, with ``sys.settrace`` on inside each call
 of ``theorems._sweep`` and line events only in frames of
 ``fintop.theorems``, then keys every ``return`` of a registered check
-by its theorem and message (an f-string keeps its ``{...}`` fields).  A
-return that never ran must be on the backlog: a row of the unreached
-returns table in ``CHANGES.md`` whose status cell reads ``backlog``.  The
-run fails (exit 1) on an unrun return missing from the backlog, and on a
-backlog row that names no unrun return, so the backlog only shrinks.  If
-the tests themselves fail, pytest's exit code is returned.  The file is
+by its theorem and message (an f-string keeps its ``{...}`` fields).  The
+run fails (exit 1) if any of these returns never ran, and names each one.
+If the tests themselves fail, pytest's exit code is returned.  The file is
 not collected by pytest (its name has no ``test_`` prefix).
 """
 
 from __future__ import annotations
 
 import ast
-import re
 import sys
 from pathlib import Path
-
-CHANGES = Path(__file__).resolve().parent.parent / "CHANGES.md"
-
-#: A backlog row: | `theorem` | `message` | backlog | ... (pipes in a cell
-#: are escaped as \|).
-_CELL = re.compile(r"(?<!\\)\|")
 
 
 def _message(node: ast.expr) -> str:
@@ -61,16 +51,6 @@ def counterexample_returns() -> dict[tuple[str, str], range]:
                     raise ValueError(f"two returns share the key {key}")
                 out[key] = range(node.lineno, node.end_lineno + 1)
     return out
-
-
-def backlog() -> set[tuple[str, str]]:
-    """The (theorem, message) keys of the backlog rows of CHANGES.md."""
-    rows = set()
-    for line in CHANGES.read_text().splitlines():
-        cells = [c.strip().replace("\\|", "|") for c in _CELL.split(line)[1:-1]]
-        if len(cells) >= 3 and cells[2] == "backlog":
-            rows.add((cells[0].strip("`"), cells[1].strip("`")))
-    return rows
 
 
 def main(argv: list[str]) -> int:
@@ -108,15 +88,12 @@ def main(argv: list[str]) -> int:
         theorems._sweep = real
     if status != 0:
         return int(status)
-    unrun = {key for key, lines in counterexample_returns().items() if ran.isdisjoint(lines)}
-    listed = backlog()
-    new, stale = sorted(unrun - listed), sorted(listed - unrun)
-    print(f"{len(unrun)} counterexample returns unrun, {len(listed)} on the backlog")
-    for theorem, message in new:
-        print(f"unrun, not on the backlog: {theorem}: {message}")
-    for theorem, message in stale:
-        print(f"on the backlog, but run or gone: {theorem}: {message}")
-    return 1 if new or stale else 0
+    returns = counterexample_returns()
+    unrun = sorted(key for key, lines in returns.items() if ran.isdisjoint(lines))
+    print(f"{len(unrun)} counterexample returns unrun")
+    for theorem, message in unrun:
+        print(f"unrun: {theorem}: {message}")
+    return 1 if unrun else 0
 
 
 if __name__ == "__main__":

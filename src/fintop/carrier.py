@@ -27,16 +27,6 @@ from .errors import (
 MAX_CARRIER = 24
 
 
-#: Sets a field of a record past its frozen ``__setattr__``.
-_set = object.__setattr__
-
-
-def _setters(cls: type) -> tuple:
-    """The slot setters of a record class, in ``__slots__`` order: a faster
-    way than ``_set`` past the frozen ``__setattr__``, for hot classes."""
-    return tuple(vars(cls)[name].__set__ for name in cls.__slots__)
-
-
 def _rebuild(cls: type, values: tuple) -> "_Record":
     obj = object.__new__(cls)
     _Record.__init__(obj, *values)
@@ -46,29 +36,31 @@ def _rebuild(cls: type, values: tuple) -> "_Record":
 class _Record:
     """An immutable record over the fields in ``__slots__``.
 
-    The constructor takes one value per field, positionally and in
+    ``cls._setters`` holds each subclass's slot setters, in ``__slots__``
+    order; they set a field past the frozen ``__setattr__``.  The
+    constructor takes one value per field, positionally and in
     ``__slots__`` order.  A class that checks its arguments ends its own
-    ``__init__`` with ``_Record.__init__(self, ...)``; a hot class sets its
-    fields with slot setters instead.  Equality (between instances of one
-    class only), hashing and repr read the fields named in ``_compared``:
-    all of ``__slots__`` unless the class names fewer.  The hash is the
-    hash of the tuple of those fields, and the repr is
-    ``Cls(field=value, ...)``.
+    ``__init__`` with ``_Record.__init__(self, ...)``; a hot class calls
+    its setters instead.  Equality (between instances of one class only),
+    hashing and repr read the fields named in ``_compared``: all of
+    ``__slots__`` unless the class names fewer.  The hash is the hash of
+    the tuple of those fields, and the repr is ``Cls(field=value, ...)``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         cls._compared = vars(cls).get("_compared", cls.__slots__)
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
 
     def __init__(self, *values: object) -> None:
-        slots = self.__slots__
-        if len(values) != len(slots):
+        setters = self._setters
+        if len(values) != len(setters):
             raise TypeError(
-                f"{self.__class__.__qualname__} takes {len(slots)} fields, got {len(values)}"
+                f"{self.__class__.__qualname__} takes {len(setters)} fields, got {len(values)}"
             )
-        for name, value in zip(slots, values):
-            _set(self, name, value)
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._compared])
@@ -198,19 +190,11 @@ class PointSet(_Record):
     def complement(self) -> "PointSet":
         return PointSet(~self.bits & (1 << self.n) - 1, self.n)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.bits == other.bits and self.n == other.n
-
-    def __hash__(self) -> int:
-        return hash((self.bits, self.n))
-
     def __repr__(self) -> str:
         return f"PointSet({{{','.join(map(str, self.points()))}}}, n={self.n})"
 
 
-_set_bits, _set_n = _setters(PointSet)
+_set_bits, _set_n = PointSet._setters
 
 
 class Family(_Record):
@@ -222,6 +206,7 @@ class Family(_Record):
     """
 
     __slots__ = ("n", "_masks", "_mask_set")
+    _compared = ("n", "_masks")
 
     def __init__(self, members: Iterable[PointSet], n: int) -> None:
         check_carrier(n)
@@ -293,14 +278,6 @@ class Family(_Record):
         bits = item.bits if isinstance(item, PointSet) else item
         return bits in self.mask_set
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self._masks == other._masks
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._masks))
-
     def __repr__(self) -> str:
         inner = ",".join(
             "{%s}" % ",".join(str(p) for p in range(self.n) if m >> p & 1)
@@ -309,7 +286,7 @@ class Family(_Record):
         return f"Family([{inner}], n={self.n})"
 
 
-_fam_set_n, _fam_set_masks, _fam_set_mask_set = _setters(Family)
+_fam_set_n, _fam_set_masks, _fam_set_mask_set = Family._setters
 
 
 def family_union(fam: Family) -> PointSet:

@@ -25,7 +25,6 @@ from . import operators as operators_mod
 from . import separation as separation_mod
 from .carrier import Family, Partition, PointSet
 from .errors import FintopError, InvalidTopology
-from .maps import FiniteMap
 from .space import (
     TopSpace,
     clopen_sets,
@@ -455,11 +454,11 @@ def _cmd_components(args):
     return out, EXIT_TRUE
 
 
-def _parse_table(raw: str, dom_n: int, cod_n: int) -> FiniteMap:
+def _parse_table(raw: str, dom_n: int, cod_n: int) -> maps_mod.FiniteMap:
     table = _points_arg(raw)
     if len(table) != dom_n or any(not 0 <= v < max(cod_n, 1) for v in table):
         raise docio.DocumentError(f"bad function table {raw!r}")
-    return FiniteMap(dom_n, cod_n, tuple(table))
+    return maps_mod.FiniteMap(dom_n, cod_n, tuple(table))
 
 
 def _cmd_homeo(args):

@@ -21,7 +21,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .carrier import Partition, PointSet, _Record, reach_bits, same_carrier
-from .space import TopSpace, clopen_sets
+from .errors import CarrierTooLarge
+from .space import MAX_OPENS_LOG2, TopSpace, clopen_sets
 
 
 def is_connected(s: TopSpace) -> bool:
@@ -42,7 +43,10 @@ def is_connected_set(s: TopSpace, A: PointSet) -> bool:
 
 def connected_set_masks(s: TopSpace) -> frozenset[int]:
     """Bitmasks of all connected subsets of the space, memoized on its
-    adjacency (see the module docstring)."""
+    adjacency (see the module docstring).  Capped, like ``discrete``, at
+    MAX_OPENS_LOG2 points: up to 2**n masks are held."""
+    if s.n > MAX_OPENS_LOG2:
+        raise CarrierTooLarge(f"connected sets of {s.n} points: up to 2**{s.n} masks")
     return _connected_masks(_adjacency(s))
 
 

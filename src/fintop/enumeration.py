@@ -34,13 +34,11 @@ Predicate = Union[str, Callable[[TopSpace], bool], None]
 
 
 class EnumConfig(_Record):
-    """The one mutable record: its fields can be reassigned, so it has no
-    hash."""
+    """What to enumerate: ``n`` points, labeled or up to homeomorphism,
+    optionally filtered by a predicate.  A frozen record, so the mode and
+    carrier cap checked here hold for every use of it."""
 
     __slots__ = ("n", "mode", "predicate")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, n: int, mode: str = "labeled", predicate: Predicate = None) -> None:
         if mode not in ("labeled", "up_to_homeomorphism"):
@@ -48,9 +46,7 @@ class EnumConfig(_Record):
         cap = LABELED_CAP if mode == "labeled" else CLASS_CAP
         if not 0 <= n <= cap:
             raise CarrierTooLarge(f"enumeration capped at n <= {cap}")
-        self.n = n
-        self.mode = mode
-        self.predicate = predicate
+        _Record.__init__(self, n, mode, predicate)
 
 
 # -- generators ---------------------------------------------------------------

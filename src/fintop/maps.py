@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .carrier import PointSet, _Record, _setters, mask_points, same_carrier
+from .carrier import PointSet, _Record, mask_points, same_carrier
 from .errors import NotALimitPoint
 from .space import TopSpace
 
@@ -116,7 +116,7 @@ class FiniteMap(_Record):
         return FiniteMap(self.cod_n, self.dom_n, tuple(inv))
 
 
-_set_dom_n, _set_cod_n, _set_table = _setters(FiniteMap)
+_set_dom_n, _set_cod_n, _set_table = FiniteMap._setters
 
 
 class MapReport(_Record):

@@ -55,7 +55,6 @@ from .carrier import (
     Family,
     PointSet,
     _Record,
-    _setters,
     check_carrier,
     mask_points,
     reach_bits,
@@ -107,14 +106,6 @@ class TopSpace(_Record):
         _set_closeds(self, None)
         _set_downs(self, None)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.opens == other.opens
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.opens))
-
     @property
     def closeds(self) -> Family:
         closeds = self._closeds
@@ -138,7 +129,7 @@ class TopSpace(_Record):
         return downs
 
 
-_set_n, _set_opens, _set_ups, _set_closeds, _set_downs = _setters(TopSpace)
+_set_n, _set_opens, _set_ups, _set_closeds, _set_downs = TopSpace._setters
 
 
 def _canonical_masks(n: int, fam) -> tuple[list[int], list[AxiomViolation]]:

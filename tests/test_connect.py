@@ -4,6 +4,7 @@ import pytest
 
 from conftest import replace
 from fintop import (
+    CarrierTooLarge,
     Partition,
     PointSet,
     boundary,
@@ -84,6 +85,13 @@ class TestConnectedSets:
                 assert d.index == tuple(
                     next(i for i, c in enumerate(maximal) if c >> p & 1) for p in range(n)
                 )
+
+    def test_masks_are_refused_above_the_opens_cap(self):
+        # 2**21 masks are refused before the memo is read or filled.
+        before = connected_set_masks.cache_info()
+        with pytest.raises(CarrierTooLarge, match="21 points"):
+            connected_set_masks(indiscrete(21))
+        assert connected_set_masks.cache_info() == before
 
     def test_union_laws(self):
         for s in all_spaces(3):

@@ -41,14 +41,16 @@ def test_every_import_is_read(path):
 
 
 def repeated_import_sources(source: str) -> list[str]:
-    """Modules that two module-level ``from <module> import ...``
-    statements both import from, with their lines.  ``from . import x``
-    imports the module x rather than from it, and an import inside a
-    function may be deferred on purpose, so neither counts."""
+    """Modules that two module-level ``from ... import`` statements both
+    reach, with their lines.  ``from . import x`` and ``from .x import y``
+    both reach ``.x``.  An import inside a function may be deferred on
+    purpose, so it does not count."""
     lines: dict[str, list[int]] = {}
     for node in ast.parse(source).body:
-        if isinstance(node, ast.ImportFrom) and node.module:
-            lines.setdefault("." * node.level + node.module, []).append(node.lineno)
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            for name in names:
+                lines.setdefault("." * node.level + name, []).append(node.lineno)
     return [f"{module} (lines {at})" for module, at in lines.items() if len(at) > 1]
 
 
@@ -64,7 +66,7 @@ def test_scan_flags_a_repeated_import_source():
         "def f():\n"
         "    from .a import w\n"
     )
-    assert repeated_import_sources(source) == [".x (lines [5, 7])"]
+    assert repeated_import_sources(source) == [".a (lines [3, 6])", ".x (lines [5, 7])"]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)

@@ -275,8 +275,10 @@ class Family(_Record):
         return len(self._masks)
 
     def __contains__(self, item: PointSet | int) -> bool:
-        bits = item.bits if isinstance(item, PointSet) else item
-        return bits in self.mask_set
+        if isinstance(item, PointSet):
+            same_carrier(item.n, self.n)
+            item = item.bits
+        return item in self.mask_set
 
     def __repr__(self) -> str:
         inner = ",".join(
@@ -291,20 +293,33 @@ _fam_set_n, _fam_set_masks, _fam_set_mask_set = Family._setters
 
 def family_union(fam: Family) -> PointSet:
     """Union of all members; the empty family yields the empty set."""
-    bits = 0
-    for m in fam.masks:
-        bits |= m
-    return PointSet(bits, fam.n)
+    return PointSet(_join_bits(fam.masks, (1 << fam.n) - 1), fam.n)
 
 
 def family_intersection(fam: Family) -> PointSet:
     """Intersection of all members; undefined (raises) for the empty family."""
     if not fam.masks:
         raise EmptyFamilyIntersection("intersection of an empty family is undefined")
-    bits = (1 << fam.n) - 1
-    for m in fam.masks:
-        bits &= m
-    return PointSet(bits, fam.n)
+    return PointSet(_meet_bits(fam.masks, 0, (1 << fam.n) - 1), fam.n)
+
+
+def _join_bits(masks: Iterable[int], within: int) -> int:
+    """The union of the masks inside `within` (0 when none is)."""
+    bits = 0
+    for m in masks:
+        if m | within == within:
+            bits |= m
+    return bits
+
+
+def _meet_bits(masks: Iterable[int], over: int, full: int) -> int:
+    """The intersection of the masks that hold `over`, or `full` (the
+    identity of the empty meet) when none does."""
+    bits = full
+    for m in masks:
+        if m & over == over:
+            bits &= m
+    return bits
 
 
 def reach_bits(step: Sequence[int], seed: int, within: int) -> int:

@@ -36,6 +36,7 @@ from .carrier import (
     Partition,
     PointSet,
     _Record,
+    _join_bits,
     check_carrier,
     family_union,
     reach_bits,
@@ -122,14 +123,7 @@ def is_base_for(s: TopSpace, B: Family) -> bool:
     opens = s.opens.mask_set
     if any(m not in opens for m in B.masks):
         return False
-    for u in s.opens.masks:
-        bits = 0
-        for m in B.masks:
-            if m & ~u == 0:
-                bits |= m
-        if bits != u:
-            return False
-    return True
+    return all(_join_bits(B.masks, u) == u for u in s.opens.masks)
 
 
 def base_generates_same(n: int, B1: Family, B2: Family) -> str:
@@ -143,14 +137,9 @@ def base_generates_same(n: int, B1: Family, B2: Family) -> str:
     t2 = topology_from_base(n, B2)
 
     def pointwise_coarser(coarse: Family, fine: Family) -> bool:
-        # Every member of `coarse` is resolvable pointwise by `fine`.
-        for b in coarse.masks:
-            for p in range(n):
-                if not b >> p & 1:
-                    continue
-                if not any(m >> p & 1 and m & ~b == 0 for m in fine.masks):
-                    return False
-        return True
+        # Every member of `coarse` is resolvable pointwise by `fine`: each
+        # of its points lies in a member of `fine` inside it.
+        return all(_join_bits(fine.masks, b) == b for b in coarse.masks)
 
     one_sub_two = t1.opens.mask_set <= t2.opens.mask_set
     two_sub_one = t2.opens.mask_set <= t1.opens.mask_set

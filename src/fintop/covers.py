@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .carrier import Family, PointSet, _Record, family_union, reach_bits, same_carrier
+from .carrier import Family, PointSet, _Record, _join_bits, family_union, reach_bits, same_carrier
 from .construct import subspace
 from .errors import NotACover, NotFundamental
 from .maps import FiniteMap, check_map, restrict
@@ -86,10 +86,7 @@ def is_refinement(C_ref: Family, C: Family, s: TopSpace) -> bool:
     """C_ref covers the carrier and every member sits inside some member of C."""
     same_carrier(C_ref.n, C.n, s.n)
     full = (1 << s.n) - 1
-    union = 0
-    for m in C_ref.masks:
-        union |= m
-    if union != full:
+    if _join_bits(C_ref.masks, full) != full:
         return False
     return all(any(m & ~big == 0 for big in C.masks) for m in C_ref.masks)
 

@@ -8,28 +8,20 @@ checkable rather than being true by construction.
 
 from __future__ import annotations
 
-from .carrier import PointSet, _Record, same_carrier
+from .carrier import PointSet, _Record, _join_bits, _meet_bits, same_carrier
 from .space import TopSpace
 
 
 def interior(s: TopSpace, A: PointSet) -> PointSet:
     """Union of all opens contained in A (the largest open inside A)."""
     same_carrier(s.n, A.n)
-    bits = 0
-    for m in s.opens.masks:
-        if m & ~A.bits == 0:
-            bits |= m
-    return PointSet(bits, s.n)
+    return PointSet(_join_bits(s.opens.masks, A.bits), s.n)
 
 
 def closure(s: TopSpace, A: PointSet) -> PointSet:
     """Intersection of all closeds containing A (the smallest closed over A)."""
     same_carrier(s.n, A.n)
-    bits = (1 << s.n) - 1
-    for m in s.closeds.masks:
-        if A.bits & ~m == 0:
-            bits &= m
-    return PointSet(bits, s.n)
+    return PointSet(_meet_bits(s.closeds.masks, A.bits, (1 << s.n) - 1), s.n)
 
 
 def exterior(s: TopSpace, A: PointSet) -> PointSet:

@@ -55,6 +55,8 @@ from .carrier import (
     Family,
     PointSet,
     _Record,
+    _join_bits,
+    _meet_bits,
     check_carrier,
     mask_points,
     reach_bits,
@@ -170,15 +172,8 @@ def _canonical_masks(n: int, fam) -> tuple[list[int], list[AxiomViolation]]:
 
 def _point_meets(n: int, masks: Sequence[int]) -> list[int]:
     """U_p for every point p: the intersection of the members containing p."""
-    mins = []
-    for p in range(n):
-        bit = 1 << p
-        u = (1 << n) - 1
-        for m in masks:
-            if m & bit:
-                u &= m
-        mins.append(u)
-    return mins
+    full = (1 << n) - 1
+    return [_meet_bits(masks, 1 << p, full) for p in range(n)]
 
 
 def _minimal_opens(n: int, masks: list[int], mask_set: set[int]) -> list[int] | None:
@@ -204,7 +199,7 @@ def _pair_violations(n: int, masks: list[int], mask_set: set[int]) -> list[Axiom
         inter_witness = _least_witness(n, masks, mask_set, and_, [full ^ m for m in masks])
         union_witness = _least_witness(n, masks, mask_set, or_, masks)
     else:
-        inter_witness = None if 0 in mask_set else _disjoint_witness(masks, mins)
+        inter_witness = None if 0 in mask_set else _disjoint_witness(n, masks, mins)
         union_witness = None if full in mask_set else _covering_witness(n, masks, mins)
     violations = []
     for kind, witness in (
@@ -251,15 +246,13 @@ def _union_closed(n: int, family: list[int]) -> bool:
     return set(joins).issubset([0, *family])
 
 
-def _disjoint_witness(masks: list[int], mins: list[int]) -> tuple[int, int] | None:
+def _disjoint_witness(n: int, masks: list[int], mins: list[int]) -> tuple[int, int] | None:
     """The least disjoint pair a < b of members of a family whose union with
     {∅, X} is a topology with minimal opens ``mins``."""
+    full = (1 << n) - 1
     for i, a in enumerate(masks):
-        inside = 0  # the largest open disjoint from a
-        for u in mins:
-            if not u & a:
-                inside |= u
-        if inside > a:
+        # Is the largest open disjoint from a past a?
+        if _join_bits(mins, full ^ a) > a:
             return a, next(b for b in masks[i + 1 :] if not a & b)
     return None
 

@@ -30,7 +30,7 @@ from . import docio
 from . import maps as maps_mod
 from . import operators as operators_mod
 from . import separation as separation_mod
-from .carrier import Family, Partition, PointSet, mask_points
+from .carrier import Family, Partition, PointSet, _meet_bits, mask_points
 from .enumeration import EnumConfig, all_spaces, enumerate_topologies
 from .errors import CarrierTooLarge, FintopError
 from .space import TopSpace, space
@@ -258,16 +258,8 @@ def _chk_point_roles_match_operators(c):
 
 
 def _chk_neighborhood_intersection(c):
-    s = c.s
-    eq_everywhere = True
-    for m in range(c.N):
-        inter = c.full
-        for u in c.opens:
-            if m & ~u == 0:
-                inter &= u
-        if inter != m:
-            eq_everywhere = False
-    if eq_everywhere != separation_mod.is_t1(s):
+    eq_everywhere = all(_meet_bits(c.opens, m, c.full) == m for m in range(c.N))
+    if eq_everywhere != separation_mod.is_t1(c.s):
         return c.cx("nei-intersection equality iff T1 broken")
 
 

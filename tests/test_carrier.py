@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from fintop import (
     family_union,
     subsets_iter,
 )
+from fintop.carrier import _join_bits, _meet_bits
 from fintop.errors import NotAPartition
 from fintop.maps import FiniteMap
 
@@ -136,6 +140,13 @@ class TestFamily:
         with pytest.raises(ValueError, match=r"^bits -0x1 outside carrier of size 2$"):
             Family.of(2, [-1])
 
+    def test_membership_checks_the_carrier_of_a_point_set(self):
+        fam = Family.of(2, [[0]])
+        with pytest.raises(CarrierMismatch):
+            PointSet(0b1, 5) in fam
+        assert PointSet(0b1, 2) in fam
+        assert 0b1 in fam and 0b10 not in fam
+
     def test_accepts_point_iterables(self):
         fam = Family.of(3, [[0, 1], [2]])
         assert fam.masks == (0b011, 0b100)
@@ -162,6 +173,62 @@ class TestFamily:
             i = family_intersection(fam)
             for m in fam:
                 assert i <= m
+
+
+def _points(n, mask):
+    return frozenset(p for p in range(n) if mask >> p & 1)
+
+
+def _mask(points):
+    return sum(1 << p for p in points)
+
+
+def _join_by_definition(n, masks, within):
+    inside = _points(n, within)
+    members = [_points(n, m) for m in masks]
+    return _mask(frozenset().union(*[m for m in members if m <= inside]))
+
+
+def _meet_by_definition(n, masks, over):
+    held = _points(n, over)
+    members = [_points(n, m) for m in masks]
+    return _mask(frozenset(range(n)).intersection(*[m for m in members if held <= m]))
+
+
+class TestFoldKernels:
+    """``_join_bits`` and ``_meet_bits`` against their set definitions."""
+
+    def test_every_family_on_at_most_three_points(self):
+        for n in range(4):
+            full = (1 << n) - 1
+            subsets = range(1 << n)
+            for size in range(len(subsets) + 1):
+                for masks in itertools.combinations(subsets, size):
+                    for x in subsets:
+                        assert _join_bits(masks, x) == _join_by_definition(n, masks, x)
+                        assert _meet_bits(masks, x, full) == _meet_by_definition(n, masks, x)
+
+    def test_seeded_random_families_on_24_points(self):
+        n, full = 24, (1 << 24) - 1
+        rng = random.Random(24)
+        for _ in range(300):
+            masks = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(rng.randrange(1, 40))]
+            a, b = rng.choice(masks), rng.choice(masks)
+            # a | b holds two members and a & r sits inside one, so both folds
+            # keep some member; a random mask alone rarely makes them.
+            for x in (rng.getrandbits(n), a | b, a & rng.getrandbits(n)):
+                assert _join_bits(masks, x) == _join_by_definition(n, masks, x)
+                assert _meet_bits(masks, x, full) == _meet_by_definition(n, masks, x)
+
+    def test_any_iterable_of_masks(self):
+        masks = (0b0011, 0b0110, 0b0111, 0b1000)
+        for shape in (tuple, list, frozenset):
+            assert _join_bits(shape(masks), 0b0111) == 0b0111
+            assert _join_bits(shape(masks), 0b1101) == 0b1000
+            assert _meet_bits(shape(masks), 0b0010, 0b1111) == 0b0010
+            assert _meet_bits(shape(masks), 0b1001, 0b1111) == 0b1111
+            assert _join_bits(shape(()), 0b1111) == 0
+            assert _meet_bits(shape(()), 0, 0b1111) == 0b1111
 
 
 class TestSubsetsIter:

@@ -131,6 +131,30 @@ class TestBaseGeneratesSame:
             == "incomparable"
         )
 
+    def test_every_pair_of_bases_on_at_most_three_points(self):
+        # Bases without ∅ (adding ∅ generates the same topology): 1, 1, 5
+        # and 71 for n = 0..3, so 5,068 ordered pairs.
+        pairs = 0
+        for n in range(4):
+            families = (
+                Family.of(n, masks)
+                for size in range(1 << n)
+                for masks in itertools.combinations(range(1, 1 << n), size)
+            )
+            bases = [B for B in families if check_base_conditions(n, B) is None]
+            opens = [topology_from_base(n, B).opens.mask_set for B in bases]
+            for B1, o1 in zip(bases, opens):
+                for B2, o2 in zip(bases, opens):
+                    expected = {
+                        (True, True): "equal",
+                        (True, False): "t1_coarser",
+                        (False, True): "t2_coarser",
+                        (False, False): "incomparable",
+                    }[o1 <= o2, o2 <= o1]
+                    assert base_generates_same(n, B1, B2) == expected
+                    pairs += 1
+        assert pairs == 5068
+
     def test_criteria_disagreement_is_caught(self, monkeypatch):
         # With every generated topology indiscrete the subset test says
         # "equal", while the pointwise criterion on the bases says {0, 1}

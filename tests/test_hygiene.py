@@ -252,3 +252,67 @@ def test_scan_flags_a_function_import():
 def test_function_imports_are_listed():
     sources = {path.stem: path.read_text() for path in PACKAGE}
     assert function_imports(sources) == sorted(FUNCTION_IMPORTS)
+
+
+def mask_folds(source: str) -> list[str]:
+    """``for`` loops over an attribute named ``masks`` whose body folds the
+    loop variable in by ``x |= v`` or ``x &= v``, in line order, each with
+    its innermost function (or ``<module>``): the union and intersection folds that
+    ``carrier._join_bits`` and ``carrier._meet_bits`` hold.  The kernels
+    themselves iterate a parameter, so they are not flagged."""
+    tree = ast.parse(source)
+    owner = {}
+    for fn in ast.walk(tree):  # breadth-first, so the innermost function wins
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+    found = []
+    for loop in ast.walk(tree):
+        if not (
+            isinstance(loop, ast.For)
+            and isinstance(loop.iter, ast.Attribute)
+            and loop.iter.attr == "masks"
+            and isinstance(loop.target, ast.Name)
+        ):
+            continue
+        if any(
+            isinstance(node, ast.AugAssign)
+            and isinstance(node.op, (ast.BitOr, ast.BitAnd))
+            and isinstance(node.value, ast.Name)
+            and node.value.id == loop.target.id
+            for stmt in loop.body
+            for node in ast.walk(stmt)
+        ):
+            found.append((loop.lineno, owner.get(loop, "<module>")))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_scan_flags_a_mask_fold():
+    source = (
+        "def union(fam):\n"
+        "    bits = 0\n"
+        "    for m in fam.masks:\n"
+        "        bits |= m\n"
+        "def meet(s, a):\n"
+        "    def inner():\n"
+        "        for m in s.closeds.masks:\n"
+        "            if a & m == a:\n"
+        "                a &= m\n"
+        "    return inner\n"
+        "def kernel(masks, fam):\n"
+        "    for m in masks:\n"
+        "        bits |= m\n"
+        "    for m in fam.masks:\n"
+        "        bits |= m << 1\n"
+        "    for m in fam.members:\n"
+        "        bits |= m\n"
+        "    for m in fam.masks:\n"
+        "        bits ^= m\n"
+        "for m in fam.masks:\n"
+        "    bits &= m\n"
+    )
+    assert mask_folds(source) == ["union (line 3)", "inner (line 7)", "<module> (line 20)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_folds_masks_by_hand(path):
+    assert mask_folds(path.read_text()) == []

@@ -35,7 +35,6 @@ from .compact import (
     is_locally_compact,
 )
 from .connect import (
-    ComponentDecomposition,
     component_partition,
     components,
     connected_set_masks,

@@ -101,6 +101,16 @@ def same_carrier(*sizes: int) -> int:
     return first
 
 
+def _check_point(n: int, p: int) -> None:
+    if not 0 <= p < n:
+        raise ValueError(f"point {p} outside carrier of size {n}")
+
+
+def _check_bits(n: int, bits: int) -> None:
+    if bits < 0 or bits >> n:
+        raise ValueError(f"bits {bits:#x} outside carrier of size {n}")
+
+
 #: The points of each byte value, ascending.
 _BYTE_POINTS = tuple(bytes(p for p in range(8) if b >> p & 1) for b in range(256))
 
@@ -129,15 +139,13 @@ class PointSet(_Record):
 
     def __post_init__(self) -> None:
         check_carrier(self.n)
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError(f"bits {self.bits:#x} outside carrier of size {self.n}")
+        _check_bits(self.n, self.bits)
 
     @classmethod
     def of(cls, n: int, points: Iterable[int] = ()) -> "PointSet":
         bits = 0
         for p in points:
-            if not 0 <= p < n:
-                raise ValueError(f"point {p} outside carrier of size {n}")
+            _check_point(n, p)
             bits |= 1 << p
         return cls(bits, n)
 
@@ -197,6 +205,18 @@ class PointSet(_Record):
 _set_bits, _set_n = PointSet._setters
 
 
+def _member_bits(n: int, m: PointSet | int | Iterable[int]) -> int:
+    """The mask of a family member over carrier n: a PointSet, a bitmask,
+    or an iterable of point indices."""
+    if isinstance(m, PointSet):
+        same_carrier(m.n, n)
+        return m.bits
+    if isinstance(m, int):
+        _check_bits(n, m)
+        return m
+    return PointSet.of(n, m).bits
+
+
 class Family(_Record):
     """A canonical (sorted, deduplicated) sequence of subsets of one carrier.
 
@@ -238,18 +258,7 @@ class Family(_Record):
         """Build a canonical family; members may be PointSets, bitmasks, or
         iterables of point indices."""
         check_carrier(n)
-        masks = set()
-        for m in members:
-            if isinstance(m, PointSet):
-                same_carrier(m.n, n)
-                masks.add(m.bits)
-            elif isinstance(m, int):
-                if m < 0 or m >> n:
-                    raise ValueError(f"bits {m:#x} outside carrier of size {n}")
-                masks.add(m)
-            else:
-                masks.add(PointSet.of(n, m).bits)
-        return cls._from_masks(n, sorted(masks))
+        return cls._from_masks(n, sorted({_member_bits(n, m) for m in members}))
 
     @property
     def members(self) -> tuple[PointSet, ...]:
@@ -349,7 +358,7 @@ class Partition(_Record):
     """Pairwise-disjoint nonempty blocks covering the carrier.
 
     Blocks are ordered by their smallest member, which fixes the block
-    indexing used by quotients and component decompositions.
+    indexing used by quotients and by components.
     """
 
     __slots__ = ("blocks", "n")
@@ -374,16 +383,8 @@ class Partition(_Record):
 
     @classmethod
     def of(cls, n: int, blocks: Iterable[PointSet | int | Iterable[int]]) -> "Partition":
-        sets = []
-        for b in blocks:
-            if isinstance(b, PointSet):
-                sets.append(b)
-            elif isinstance(b, int):
-                sets.append(PointSet(b, n))
-            else:
-                sets.append(PointSet.of(n, b))
-        sets.sort(key=lambda b: b.bits & -b.bits if b.bits else -1)
-        return cls(tuple(sets), n)
+        masks = sorted((_member_bits(n, b) for b in blocks), key=lambda b: b & -b if b else -1)
+        return cls(tuple(PointSet(b, n) for b in masks), n)
 
     def block_index(self) -> tuple[int, ...]:
         """Per-point index of the containing block."""

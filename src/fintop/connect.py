@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .carrier import Partition, PointSet, _Record, reach_bits, same_carrier
+from .carrier import Partition, PointSet, _check_point, reach_bits, same_carrier
 from .errors import CarrierTooLarge
 from .space import MAX_OPENS_LOG2, TopSpace, clopen_sets
 
@@ -69,19 +69,9 @@ def mcp(s: TopSpace, A: PointSet) -> PointSet:
     return PointSet(block if A.bits & ~block == 0 else 0, s.n)
 
 
-class ComponentDecomposition(_Record):
-    """Maximal connected sets; they partition the carrier (no blocks for
-    the empty space) and every block is closed.  ``index`` is each point's
-    block index."""
-
-    __slots__ = ("blocks", "index")
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
-def components(s: TopSpace) -> ComponentDecomposition:
-    """Components of the adjacency graph, ordered by smallest member."""
+def components(s: TopSpace) -> Partition:
+    """The maximal connected sets, which are closed: the components of the
+    adjacency graph, as the carrier's partition (no blocks when n = 0)."""
     adj = _adjacency(s)
     full = (1 << s.n) - 1
     blocks: list[int] = []
@@ -89,12 +79,11 @@ def components(s: TopSpace) -> ComponentDecomposition:
     while left:
         blocks.append(reach_bits(adj, left & -left, full))
         left &= ~blocks[-1]
-    index = [next(i for i, b in enumerate(blocks) if b >> p & 1) for p in range(s.n)]
-    return ComponentDecomposition(tuple(PointSet(b, s.n) for b in blocks), tuple(index))
+    return Partition(tuple(PointSet(b, s.n) for b in blocks), s.n)
 
 
 def component_partition(s: TopSpace) -> Partition:
-    return Partition.of(s.n, components(s).blocks)
+    return components(s)
 
 
 def is_totally_disconnected(s: TopSpace) -> bool:
@@ -105,8 +94,7 @@ def is_totally_disconnected(s: TopSpace) -> bool:
 def is_locally_connected_at(s: TopSpace, p: int) -> bool:
     """Every neighborhood of p contains a connected one; the witness is U_p,
     the least open set holding p, which must hold p, be open and connected."""
-    if not 0 <= p < s.n:
-        raise ValueError(f"point {p} outside carrier of size {s.n}")
+    _check_point(s.n, p)
     u = s.ups[p]
     return bool(u >> p & 1) and u in s.opens and is_connected_set(s, PointSet(u, s.n))
 

@@ -39,6 +39,7 @@ from .carrier import (
     _join_bits,
     check_carrier,
     family_union,
+    mask_points,
     reach_bits,
     same_carrier,
 )
@@ -137,9 +138,10 @@ def base_generates_same(n: int, B1: Family, B2: Family) -> str:
     t2 = topology_from_base(n, B2)
 
     def pointwise_coarser(coarse: Family, fine: Family) -> bool:
-        # Every member of `coarse` is resolvable pointwise by `fine`: each
-        # of its points lies in a member of `fine` inside it.
-        return all(_join_bits(fine.masks, b) == b for b in coarse.masks)
+        # Each point p of each member of `coarse` lies in a member of `fine`
+        # inside it, so in M_p, the least one as `fine` is a base.
+        least = _point_meets(n, fine.masks)
+        return all(least[p] & ~b == 0 for b in coarse.masks for p in mask_points(b))
 
     one_sub_two = t1.opens.mask_set <= t2.opens.mask_set
     two_sub_one = t2.opens.mask_set <= t1.opens.mask_set

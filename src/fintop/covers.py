@@ -109,6 +109,8 @@ def minimal_subcover(s: TopSpace, C: Family, target: Optional[PointSet] = None) 
     same_carrier(s.n, C.n)
     full = (1 << s.n) - 1
     tgt = full if target is None else target.bits
+    if target is not None:
+        same_carrier(target.n, s.n)
     masks = list(C.masks)
     if tgt & ~family_union(C).bits:
         raise NotACover(f"family does not cover target {tgt:#x}")

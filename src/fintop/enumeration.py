@@ -21,7 +21,7 @@ from . import compact as compact_mod
 from . import connect as connect_mod
 from . import construct as construct_mod
 from . import separation as separation_mod
-from .carrier import _Record, subsets_iter
+from .carrier import _Record, _check_bits, subsets_iter
 from .errors import CarrierTooLarge
 from .minopen import _class_leaders, _code_shifts, _minopen_index, _perm_table
 from .space import TopSpace, _build
@@ -96,6 +96,8 @@ def canonical_form(n: int, opens: tuple[int, ...]) -> tuple[int, ...]:
     """Lexicographically least relabeling of the opens family."""
     if not 0 <= n <= CLASS_CAP:
         raise CarrierTooLarge(f"canonical form capped at n <= {CLASS_CAP}")
+    for m in opens:
+        _check_bits(n, m)
     return min(tuple(sorted(row[m] for m in opens)) for row in _perm_table(n))
 
 

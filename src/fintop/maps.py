@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .carrier import PointSet, _Record, mask_points, same_carrier
+from .carrier import PointSet, _Record, _check_point, mask_points, same_carrier
 from .errors import NotALimitPoint
 from .space import TopSpace
 
@@ -168,8 +168,7 @@ def is_continuous_at(f: FiniteMap, s1: TopSpace, s2: TopSpace, p: int) -> bool:
     """Local continuity: f(U_p) ⊆ U_{f(p)}, that is, every neighborhood of
     f(p) holds the image of some neighborhood of p."""
     _check_compat(f, s1, s2)
-    if not 0 <= p < s1.n:
-        raise ValueError(f"point {p} outside carrier of size {s1.n}")
+    _check_point(s1.n, p)
     return image_bits(f.table, s1.ups[p]) & ~s2.ups[f.table[p]] == 0
 
 
@@ -194,8 +193,7 @@ def limits_at(
     points = A.points()
     if f.dom_n != len(points):
         raise ValueError("map domain must match |A|")
-    if not 0 <= p < s1.n:
-        raise ValueError(f"point {p} outside carrier of size {s1.n}")
+    _check_point(s1.n, p)
     punctured = s1.ups[p] & A.bits & ~(1 << p)
     if not punctured:
         raise NotALimitPoint(f"{p} is not a limit point of the set")

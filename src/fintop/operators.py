@@ -8,7 +8,7 @@ checkable rather than being true by construction.
 
 from __future__ import annotations
 
-from .carrier import PointSet, _Record, _join_bits, _meet_bits, same_carrier
+from .carrier import PointSet, _Record, _check_point, _join_bits, _meet_bits, same_carrier
 from .space import TopSpace
 
 
@@ -43,8 +43,7 @@ class RoleFlags(_Record):
 def point_roles(s: TopSpace, A: PointSet, p: int) -> RoleFlags:
     """Classify p against A from the neighborhood definitions directly."""
     same_carrier(s.n, A.n)
-    if not 0 <= p < s.n:
-        raise ValueError(f"point {p} outside carrier of size {s.n}")
+    _check_point(s.n, p)
     pbit = 1 << p
     neis = [m for m in s.opens.masks if m & pbit]
     interior_pt = any(m & ~A.bits == 0 for m in neis)

@@ -48,7 +48,7 @@ from functools import reduce
 from operator import and_, or_
 from typing import Sequence
 
-from .carrier import PointSet, _Record
+from .carrier import PointSet, _Record, _check_point
 from .errors import CarrierTooLarge, CrossCheckFailure
 from .operators import closure
 from .space import TopSpace, meet_topologies
@@ -60,9 +60,8 @@ class PairClass(_Record):
 
 def classify_pair(s: TopSpace, p: int, q: int) -> PairClass:
     """Classify an ordered pair of points by their minimal opens."""
-    for x in (p, q):
-        if not 0 <= x < s.n:
-            raise ValueError(f"point {x} outside carrier of size {s.n}")
+    _check_point(s.n, p)
+    _check_point(s.n, q)
     up, uq = s.ups[p], s.ups[q]
     indist = up == uq
     dist = not up >> q & 1 and not uq >> p & 1

@@ -55,6 +55,7 @@ from .carrier import (
     Family,
     PointSet,
     _Record,
+    _check_point,
     _join_bits,
     _meet_bits,
     check_carrier,
@@ -343,7 +344,7 @@ def closed_sets(s: TopSpace) -> Family:
 def clopen_sets(s: TopSpace) -> Family:
     """Sets that are simultaneously open and closed."""
     closed = s.closeds.mask_set
-    return Family.of(s.n, (m for m in s.opens.masks if m in closed))
+    return Family._from_masks(s.n, [m for m in s.opens.masks if m in closed])
 
 
 def neighborhoods(s: TopSpace, A: PointSet, kind: str = "open") -> Family:
@@ -355,13 +356,12 @@ def neighborhoods(s: TopSpace, A: PointSet, kind: str = "open") -> Family:
         pool = s.closeds
     else:
         raise ValueError(f"kind must be 'open' or 'closed', got {kind!r}")
-    return Family.of(s.n, (m for m in pool.masks if A.bits & ~m == 0))
+    return Family._from_masks(s.n, [m for m in pool.masks if A.bits & ~m == 0])
 
 
 def minimal_open(s: TopSpace, p: int) -> PointSet:
     """Intersection of all open neighborhoods of {p}; itself open."""
-    if not 0 <= p < s.n:
-        raise ValueError(f"point {p} outside carrier of size {s.n}")
+    _check_point(s.n, p)
     return PointSet(s.ups[p], s.n)
 
 

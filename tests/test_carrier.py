@@ -266,6 +266,22 @@ class TestPartition:
         assert len(Partition.of(4, [[3, 1], [0, 2]])) == 2
         assert len(Partition.of(0, [])) == 0
 
+    @pytest.mark.parametrize(
+        "member, error, message",
+        [
+            (PointSet.of(3, [0]), CarrierMismatch, "carrier sizes differ: (3, 2)"),
+            (4, ValueError, "bits 0x4 outside carrier of size 2"),
+            (-1, ValueError, "bits -0x1 outside carrier of size 2"),
+            ([0, 2], ValueError, "point 2 outside carrier of size 2"),
+        ],
+        ids=["pointset", "mask", "negative_mask", "points"],
+    )
+    def test_members_are_refused_as_in_family_of(self, member, error, message):
+        for build in (Family.of, Partition.of):
+            with pytest.raises(ValueError) as info:
+                build(2, [member])
+            assert (type(info.value), str(info.value)) == (error, message)
+
     def test_blocks_built_directly_are_checked(self):
         # The constructor, not only Partition.of, checks carriers and order.
         with pytest.raises(CarrierMismatch, match="block carrier mismatch"):

@@ -300,23 +300,23 @@ CLAUSE_FAULTS = {
         _cx(D2, "[0, 1]", "component not connected"),
         _cx(D3, "[0, 2]", "component not connected"),
     ),
-    "components_are_up_sets": (
+    "components_are_singletons": (
         "components_structure",
-        _components_edit(lambda s, b: [s.ups[(x & -x).bit_length() - 1] for x in b]),
+        _components_edit(lambda s, b: [1 << p for p in range(s.n)]),
         _cx(S2, "[0]", "component not closed"),
         _cx(W3, "[0]", "component not closed"),
     ),
     "components_repeat_first": (
         "components_structure",
         _components_edit(lambda s, b: [*b, b[0]]),
-        _cx(D2, "[0]", "components overlap"),
-        _cx(D3, "[0]", "components overlap"),
+        _cx(D2, "", "blocks overlap"),
+        _cx(D3, "", "blocks overlap"),
     ),
     "components_drop_last": (
         "components_structure",
         _components_edit(lambda s, b: b[:-1] if len(b) > 1 else b),
-        _cx(D2, "", "components do not cover X"),
-        _cx(D3, "", "components do not cover X"),
+        _cx(D2, "", "blocks do not cover the carrier"),
+        _cx(D3, "", "blocks do not cover the carrier"),
     ),
     "indiscrete_closeds_gain_point": (
         "coarser_operator_comparison",

@@ -82,7 +82,7 @@ class TestConnectedSets:
                 maximal.sort(key=lambda c: c & -c)
                 d = components(s)
                 assert [b.bits for b in d.blocks] == maximal
-                assert d.index == tuple(
+                assert d.block_index() == tuple(
                     next(i for i, c in enumerate(maximal) if c >> p & 1) for p in range(n)
                 )
 
@@ -136,7 +136,7 @@ class TestComponents:
     def test_discrete(self):
         d = components(discrete(3))
         assert [b.points() for b in d.blocks] == [(0,), (1,), (2,)]
-        assert d.index == (0, 1, 2)
+        assert d.block_index() == (0, 1, 2)
 
     def test_sierpinski(self, sierpinski):
         d = components(sierpinski)
@@ -155,6 +155,15 @@ class TestComponents:
             assert component_partition(s) == Partition.of(
                 3, [b.points() for b in d.blocks]
             )
+
+    def test_components_are_the_carrier_partition(self):
+        # Each component is clopen, so the quotient by them is discrete.
+        for n in range(5):
+            for s in all_spaces(n):
+                P = components(s)
+                assert isinstance(P, Partition)
+                assert P == component_partition(s)
+                assert quotient(s, P)[0] == discrete(len(P))
 
     def test_homeomorphic_spaces_same_component_count(self):
         for s1 in all_spaces(3):
@@ -177,7 +186,7 @@ class TestMcp:
         for s in all_spaces(3):
             d = components(s)
             for p in range(3):
-                assert mcp(s, PointSet.of(3, [p])) == d.blocks[d.index[p]]
+                assert mcp(s, PointSet.of(3, [p])) == d.blocks[d.block_index()[p]]
 
 
 class TestTotallyDisconnected:

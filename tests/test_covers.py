@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from fintop import (
+    CarrierMismatch,
     Family,
     FiniteMap,
     NotACover,
@@ -244,6 +245,12 @@ class TestMinimalSubcover:
         C = fam(3, [0], [1], [0, 1])
         out = minimal_subcover(three_point, C, PointSet.of(3, [0, 1]))
         assert out.masks == (0b011,)
+
+    def test_target_on_another_carrier(self):
+        # classify_cover and is_subcover refuse this target too.
+        C = Family.of(2, [[0], [1], [0, 1]])
+        with pytest.raises(CarrierMismatch, match=r"^carrier sizes differ: \(5, 2\)$"):
+            minimal_subcover(discrete(2), C, PointSet(1, 5))
 
     def test_not_a_cover(self, three_point):
         with pytest.raises(NotACover):

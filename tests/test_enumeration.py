@@ -177,6 +177,11 @@ class TestCanonicalForm:
                 canonical_form(n, (0, (1 << max(n, 0)) - 1))
         assert _perm_table.cache_info().misses == misses
 
+    def test_masks_outside_the_carrier(self):
+        for opens, text in (((0, -1), "-0x1"), ((0, 8), "0x8")):
+            with pytest.raises(ValueError, match=rf"^bits {text} outside carrier of size 2$"):
+                canonical_form(2, opens)
+
     def test_class_counts(self):
         reps2 = list(enumerate_topologies(EnumConfig(2, mode="up_to_homeomorphism")))
         assert len(reps2) == 3

@@ -254,6 +254,15 @@ def test_function_imports_are_listed():
     assert function_imports(sources) == sorted(FUNCTION_IMPORTS)
 
 
+def _owners(tree: ast.AST) -> dict:
+    """Each node inside a function, mapped to its innermost function's name."""
+    owner = {}
+    for fn in ast.walk(tree):  # breadth-first, so the innermost function wins
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+    return owner
+
+
 def mask_folds(source: str) -> list[str]:
     """``for`` loops over an attribute named ``masks`` whose body folds the
     loop variable in by ``x |= v`` or ``x &= v``, in line order, each with
@@ -261,10 +270,7 @@ def mask_folds(source: str) -> list[str]:
     ``carrier._join_bits`` and ``carrier._meet_bits`` hold.  The kernels
     themselves iterate a parameter, so they are not flagged."""
     tree = ast.parse(source)
-    owner = {}
-    for fn in ast.walk(tree):  # breadth-first, so the innermost function wins
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+    owner = _owners(tree)
     found = []
     for loop in ast.walk(tree):
         if not (
@@ -316,3 +322,57 @@ def test_scan_flags_a_mask_fold():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_module_folds_masks_by_hand(path):
     assert mask_folds(path.read_text()) == []
+
+
+def copied_carrier_checks(source: str) -> list[str]:
+    """Each ``raise ValueError(...)`` whose message, a string or an
+    f-string, contains "outside carrier of size", in line order, with its
+    innermost function (or ``<module>``): the point and mask checks that
+    ``carrier._check_point`` and ``carrier._check_bits`` hold."""
+    tree = ast.parse(source)
+    owner = _owners(tree)
+    found = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)
+            and node.exc.func.id == "ValueError"
+            and node.exc.args
+        ):
+            continue
+        message = node.exc.args[0]
+        parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+        text = "".join(
+            part.value
+            for part in parts
+            if isinstance(part, ast.Constant) and isinstance(part.value, str)
+        )
+        if "outside carrier of size" in text:
+            found.append((node.lineno, owner.get(node, "<module>")))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_scan_flags_a_copied_carrier_check():
+    source = (
+        "def point(n, p):\n"
+        "    if not 0 <= p < n:\n"
+        '        raise ValueError(f"point {p} outside carrier of size {n}")\n'
+        "def mask(n, m):\n"
+        '    raise ValueError("mask outside carrier of size n")\n'
+        "def document(n, p):\n"
+        '    raise DocumentError(f"point {p} outside carrier of size {n}")\n'
+        "def other(n):\n"
+        '    raise ValueError(f"carrier size {n} too large")\n'
+        'raise ValueError(f"bits {m:#x} outside carrier of size {n}")\n'
+    )
+    assert copied_carrier_checks(source) == [
+        "point (line 3)", "mask (line 5)", "<module> (line 10)"
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in PACKAGE if path.name != "carrier.py"], ids=lambda p: p.name
+)
+def test_point_and_mask_checks_live_in_carrier(path):
+    assert copied_carrier_checks(path.read_text()) == []

@@ -19,9 +19,7 @@ from fintop import (
     classify_cover,
     classify_pair,
     compactness_report,
-    components,
     density_report,
-    discrete,
     enumerate_topologies,
     point_roles,
     separation_report,
@@ -114,12 +112,6 @@ RECORDS = {
         ("compact", "locally_compact"),
         ("compact", "locally_compact"),
     ),
-    "ComponentDecomposition": (
-        lambda: components(discrete(2)),
-        "ComponentDecomposition(blocks=(PointSet({0}, n=2), PointSet({1}, n=2)), index=(0, 1))",
-        ("blocks", "index"),
-        ("blocks", "index"),
-    ),
     "BaseProblem": (
         lambda: check_base_conditions(2, Family.of(2, [1])),
         "BaseProblem(kind='NotCovering', witness=())",
@@ -154,8 +146,8 @@ RECORDS = {
 }
 #: The records built by the positional ``_Record.__init__`` alone.
 FIELD_ONLY = sorted([
-    "BaseProblem", "CompactnessReport", "ComponentDecomposition", "CoverReport", "DensityReport",
-    "MapReport", "PairClass", "PairEncoding", "RoleFlags", "SeparationReport",
+    "BaseProblem", "CompactnessReport", "CoverReport", "DensityReport", "MapReport",
+    "PairClass", "PairEncoding", "RoleFlags", "SeparationReport",
 ])
 
 

@@ -115,6 +115,15 @@ def _check_bits(n: int, bits: int) -> None:
 _BYTE_POINTS = tuple(bytes(p for p in range(8) if b >> p & 1) for b in range(256))
 
 
+def _points_bits(n: int, points: Iterable[int]) -> int:
+    """The mask of the points, each checked to lie in carrier n."""
+    bits = 0
+    for p in points:
+        _check_point(n, p)
+        bits |= 1 << p
+    return bits
+
+
 def mask_points(mask: int) -> list[int]:
     """The points of a mask, ascending, one table lookup per byte."""
     points = list(_BYTE_POINTS[mask & 255])
@@ -143,11 +152,7 @@ class PointSet(_Record):
 
     @classmethod
     def of(cls, n: int, points: Iterable[int] = ()) -> "PointSet":
-        bits = 0
-        for p in points:
-            _check_point(n, p)
-            bits |= 1 << p
-        return cls(bits, n)
+        return cls(_points_bits(n, points), n)
 
     @classmethod
     def empty(cls, n: int) -> "PointSet":
@@ -214,7 +219,7 @@ def _member_bits(n: int, m: PointSet | int | Iterable[int]) -> int:
     if isinstance(m, int):
         _check_bits(n, m)
         return m
-    return PointSet.of(n, m).bits
+    return _points_bits(n, m)
 
 
 class Family(_Record):
@@ -383,6 +388,7 @@ class Partition(_Record):
 
     @classmethod
     def of(cls, n: int, blocks: Iterable[PointSet | int | Iterable[int]]) -> "Partition":
+        check_carrier(n)
         masks = sorted((_member_bits(n, b) for b in blocks), key=lambda b: b & -b if b else -1)
         return cls(tuple(PointSet(b, n) for b in masks), n)
 

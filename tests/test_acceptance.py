@@ -6,11 +6,8 @@ generous for CI noise but tight enough to catch algorithmic regressions.
 """
 
 import itertools
-import json
 import math
 import time
-
-import pytest
 
 from fintop import (
     Family,

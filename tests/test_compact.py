@@ -10,12 +10,10 @@ from fintop import (
     Partition,
     PointSet,
     check_map,
-    closure,
     compactness_report,
     discrete,
     find_homeomorphism,
     hausdorff_compact_checks,
-    indiscrete,
     is_compact,
     is_compact_set,
     is_locally_compact,

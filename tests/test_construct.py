@@ -8,7 +8,6 @@ from fintop import (
     CarrierTooLarge,
     CrossCheckFailure,
     Family,
-    FiniteMap,
     InvalidBase,
     InvalidMetric,
     MetricTable,

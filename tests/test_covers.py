@@ -9,14 +9,12 @@ from fintop import (
     NotACover,
     NotFundamental,
     PointSet,
-    check_map,
     classify_cover,
     discrete,
     is_refinement,
     is_subcover,
     minimal_subcover,
     relative_opens,
-    space,
     verify_pasting,
 )
 from fintop import theorems

@@ -5,7 +5,6 @@ import pytest
 from fintop import (
     CarrierTooLarge,
     DocumentError,
-    Family,
     FiniteMap,
     InvalidTopology,
     MetricTable,
@@ -17,7 +16,6 @@ from fintop import (
     parse_map,
     parse_metric,
     parse_space,
-    space,
 )
 from fintop import docio
 from fintop.enumeration import all_spaces

@@ -9,6 +9,7 @@ import fintop
 
 PACKAGE = sorted(Path(fintop.__file__).parent.glob("*.py"))
 MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,7 +36,11 @@ def test_scan_flags_an_unused_import():
     assert unused_imports("from .a import b as c\nc()\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TESTS,
+    ids=lambda p: p.name if p in MODULES else f"tests/{p.name}",
+)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []
 

@@ -1,5 +1,3 @@
-import pytest
-
 from fintop import (
     PointSet,
     boundary,

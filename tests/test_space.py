@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import itertools
+import random
 import sys
 import time
 import tracemalloc
@@ -39,6 +40,7 @@ from fintop import (
     subspace,
     validate_topology,
 )
+from fintop.space import _column_preorder, _minimal_opens, _point_meets, _up_set_count
 
 
 class TestValidateTopology:
@@ -187,7 +189,7 @@ class TestValidateTopology:
     def test_validation_is_linear_time(self):
         # The pairwise scan needs about 19 s here (about x4 per point).
         start = time.perf_counter()
-        s = discrete(14)
+        s = validate_topology(14, range(1 << 14))
         assert time.perf_counter() - start < 1.0
         assert len(s.opens) == 1 << 14
         assert s.ups == tuple(1 << p for p in range(14))
@@ -239,6 +241,124 @@ class TestValidateTopology:
         result = validate_topology(n, members(n))
         assert time.perf_counter() - start < 0.5
         assert [(v.kind, tuple(w.bits for w in v.witness)) for v in result] == expected
+
+
+class TestUpSetCount:
+    """The accept test counts the up-sets of the preorder read from the
+    family's columns; it must agree with the ``m | U_p`` criterion it
+    replaced, kept here as :func:`_replaced_minimal_opens`."""
+
+    @pytest.mark.parametrize("n", [*range(5, 13), 24])
+    def test_matches_the_replaced_criterion(self, n):
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        accepted = rejected = 0
+        for _ in range(40):
+            opens = _random_topology(rng, n)
+            inner = [m for m in opens if 0 < m < full]
+            families = [
+                opens,
+                [m for m in opens if m != rng.choice(inner or [0])],
+                opens + [rng.getrandbits(n)],
+                [0, full, *(rng.getrandbits(n) for _ in range(rng.randrange(1, 3 * n)))],
+            ]
+            for fam in families:
+                masks = sorted({0, full, *fam})
+                got = _minimal_opens(n, masks)
+                assert got == _replaced_minimal_opens(n, masks), (n, masks)
+                memo = _CountingMemo()
+                _up_set_count(*_column_preorder(n, masks), len(masks), memo)
+                assert memo.calls <= 2 * len(masks) + n + 1
+                if got is None:
+                    rejected += 1
+                else:
+                    accepted += 1
+                    assert validate_topology(n, masks).ups == tuple(got)
+        assert accepted >= 40 and rejected >= 40
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 9, 12, 24])
+    def test_column_preorder_is_the_meets(self, n):
+        rng = random.Random(100 + n)
+        for size in (0, 1, 2, 5, 30):
+            masks = sorted({rng.getrandbits(n) for _ in range(size)})
+            ups, downs = _column_preorder(n, masks)
+            assert ups == _point_meets(n, masks)
+            assert downs == [
+                sum(1 << q for q in range(n) if ups[q] >> p & 1) for p in range(n)
+            ]
+
+    def test_count_is_exact_below_its_limit(self):
+        # Twelve disjoint 2-chains have 3**12 up-sets.
+        ups, downs = _column_preorder(24, _interleaved_chains())
+        assert _up_set_count(ups, downs, 3**12, {}) == 3**12
+        assert _up_set_count(ups, downs, 3**12 - 1, {}) > 3**12 - 1
+
+    def test_count_stops_once_it_passes_the_family(self):
+        # Without the cutoff the count makes 16,381 calls here.
+        masks = _interleaved_chains()
+        ups, downs = _column_preorder(24, masks)
+        memo = _CountingMemo()
+        assert _up_set_count(ups, downs, len(masks), memo) > len(masks)
+        assert memo.calls <= 2 * (len(masks) + 1)
+        assert _minimal_opens(24, masks) is None
+
+
+class _CountingMemo(dict):
+    """A memo that counts its lookups: one per call of the count."""
+
+    calls = 0
+
+    def get(self, key, default=None):
+        self.calls += 1
+        return super().get(key, default)
+
+
+def _interleaved_chains():
+    """∅, the carrier and the 24 minimal opens of twelve 2-chains on 24
+    points, each chain pairing p with p + 12: 26 members, 3**12 up-sets."""
+    ups = [1 << p | 1 << p + 12 for p in range(12)] + [1 << p for p in range(12, 24)]
+    return sorted({0, (1 << 24) - 1, *ups})
+
+
+def _random_topology(rng, n):
+    """The opens of a random preorder on n points with at most 4096 of
+    them: each U_p is p plus random points, mostly above p, closed under
+    reach."""
+    while True:
+        rate = rng.uniform(0.5, 4) / n
+        ups = [
+            1 << p | sum(1 << q for q in range(n) if rng.random() < (rate if q > p else rate / 4))
+            for p in range(n)
+        ]
+        changed = True
+        while changed:
+            changed = False
+            for p in range(n):
+                reach = ups[p]
+                for q in range(n):
+                    if ups[p] >> q & 1:
+                        reach |= ups[q]
+                changed |= reach != ups[p]
+                ups[p] = reach
+        opens = {0}
+        for u in ups:
+            opens |= {m | u for m in opens}
+            if len(opens) > 4096:
+                break
+        else:
+            return sorted(opens)
+
+
+def _replaced_minimal_opens(n, masks):
+    """The accept test the up-set count replaced: with U_p the meet of the
+    members holding p, a family holding ∅ and the carrier is a topology iff
+    every ``m | U_p`` is a member."""
+    mins = _point_meets(n, masks)
+    members = set(masks)
+    for u in mins:
+        if not members.issuperset([m | u for m in masks]):
+            return None
+    return mins
 
 
 def _pairwise_reference(n, masks):

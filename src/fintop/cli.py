@@ -195,9 +195,10 @@ _SET_OPS = {
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The argparse tree, built on the first dispatch and then reused:
-    ``parse_args`` returns a fresh namespace each time and keeps no state."""
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The argparse tree and its subcommand parsers by name, built on the
+    first dispatch and then reused: ``parse_args`` returns a fresh
+    namespace each time and keeps no state."""
     parser = _Parser(prog="fintop", description=__doc__)
     parser.add_argument("--pretty", action="store_true", help="indented output")
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
@@ -293,7 +294,20 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="theorem-regression sweep")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--no-maps", dest="maps", action="store_false")
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """An argv that starts with a subcommand's name is parsed by that
+    subcommand's parser alone, the one the top-level parser would hand the
+    rest to; any other argv (empty, ``--pretty`` first, ``-h``, an unknown
+    name) goes through the top-level parser."""
+    parser, subparsers = _build_parser()
+    if argv and argv[0] in subparsers:
+        args = subparsers[argv[0]].parse_args(argv[1:])
+        args.command, args.pretty = argv[0], False
+        return args
+    return parser.parse_args(argv)
 
 
 def _cmd_validate(args):
@@ -306,7 +320,7 @@ def _cmd_validate(args):
         ]
         return {"valid": False, "violations": violations}, EXIT_FALSE
     out = {"valid": True, "canonical": docio.space_obj(result)}
-    if args.compare:
+    if args.compare is not None:
         other = _load_space(args.compare)
         out["comparison"] = compare(result, other)
         out["finer"] = is_finer(result, other)
@@ -389,20 +403,20 @@ def _cmd_generate(args):
         return {"space": docio.space_obj(discrete(args.discrete))}, EXIT_TRUE
     if args.indiscrete is not None:
         return {"space": docio.space_obj(indiscrete(args.indiscrete))}, EXIT_TRUE
-    if args.metric:
+    if args.metric is not None:
         rows = docio.parse_metric(_read(args.metric))
         s = construct_mod.metric_topology(construct_mod.MetricTable.of(rows))
         return {"space": docio.space_obj(s)}, EXIT_TRUE
-    n, fam = docio.parse_family(_read(args.base or args.subbase))
+    n, fam = docio.parse_family(_read(args.subbase if args.base is None else args.base))
     out = {"family": docio.family_obj(fam)}
-    if args.subbase:
+    if args.subbase is not None:
         out["space"] = docio.space_obj(construct_mod.topology_from_subbase(n, fam))
         return out, EXIT_TRUE
-    if args.is_base_for:
+    if args.is_base_for is not None:
         target = _load_space(args.is_base_for)
         out["is_base"] = construct_mod.is_base_for(target, fam)
         return out, EXIT_TRUE if out["is_base"] else EXIT_FALSE
-    if args.base2:
+    if args.base2 is not None:
         n2, fam2 = docio.parse_family(_read(args.base2))
         if n2 != n:
             raise docio.DocumentError("bases must share a carrier size")
@@ -551,9 +565,8 @@ _HANDLERS = {
 
 
 def cli_dispatch(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         if args.command is None:
             raise _UsageError("a subcommand is required")
         out, code = _HANDLERS[args.command](args)

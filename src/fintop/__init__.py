@@ -13,7 +13,13 @@ shadows the submodule of the same name: ``import fintop.space as m`` and
 reached only through ``from fintop.space import ...`` or
 ``importlib.import_module("fintop.space")``; patch it there, not through
 the package attribute.
+
+Adding an operation is one row of :data:`OPERATION_TABLE`: the package
+binds it from the module the row names, lists it in :data:`OPERATIONS`,
+and files it under the row's subcommand in :data:`fintop.cli.COVERAGE`.
 """
+
+import importlib as _importlib
 
 from .carrier import (
     MAX_CARRIER,
@@ -21,73 +27,17 @@ from .carrier import (
     Partition,
     PointSet,
     check_carrier,
-    family_intersection,
-    family_union,
     same_carrier,
-    subsets_iter,
 )
-from .compact import (
-    CompactnessReport,
-    compactness_report,
-    hausdorff_compact_checks,
-    is_compact,
-    is_compact_set,
-    is_locally_compact,
-)
-from .connect import (
-    component_partition,
-    components,
-    connected_set_masks,
-    is_connected,
-    is_connected_set,
-    is_locally_connected,
-    is_locally_connected_at,
-    is_totally_disconnected,
-    mcp,
-)
-from .construct import (
-    BaseProblem,
-    MetricTable,
-    PairEncoding,
-    alexandroff,
-    base_generates_same,
-    check_base_conditions,
-    is_base_for,
-    is_metrizable,
-    metric_topology,
-    product,
-    quotient,
-    subspace,
-    topology_from_base,
-    topology_from_subbase,
-)
-from .covers import (
-    CoverReport,
-    classify_cover,
-    is_refinement,
-    is_subcover,
-    minimal_subcover,
-    relative_opens,
-    verify_pasting,
-)
-from .docio import (
-    DocumentError,
-    canonical_json,
-    emit_family,
-    emit_map,
-    emit_space,
-    parse_family,
-    parse_map,
-    parse_metric,
-    parse_space,
-)
+from .compact import CompactnessReport
+from .construct import BaseProblem, MetricTable, PairEncoding
+from .covers import CoverReport
+from .docio import DocumentError, canonical_json
 from .enumeration import (
     PREDICATES,
     EnumConfig,
     all_spaces,
     canonical_form,
-    count_topologies,
-    enumerate_topologies,
     topologies_minopen,
     topologies_naive,
 )
@@ -108,55 +58,10 @@ from .errors import (
     NotFundamental,
     SubbaseDoesNotCover,
 )
-from .maps import (
-    FiniteMap,
-    MapReport,
-    check_map,
-    embeddings_equivalent,
-    find_homeomorphism,
-    homeomorphic,
-    is_continuous_at,
-    limits_at,
-    restrict,
-)
-from .operators import (
-    DensityReport,
-    RoleFlags,
-    boundary,
-    closure,
-    density_report,
-    exterior,
-    interior,
-    is_dense_in,
-    isolated_set,
-    limit_set,
-    pair_relation,
-    point_roles,
-)
-from .separation import (
-    PairClass,
-    SeparationReport,
-    classify_pair,
-    separation_report,
-    t1_minimum,
-)
-from .space import (
-    VIOLATION_KINDS,
-    AxiomViolation,
-    TopSpace,
-    clopen_sets,
-    closed_sets,
-    compare,
-    discrete,
-    indiscrete,
-    is_finer,
-    meet_topologies,
-    minimal_open,
-    neighborhoods,
-    one_point_extension,
-    space,
-    validate_topology,
-)
+from .maps import FiniteMap, MapReport
+from .operators import DensityReport, RoleFlags
+from .separation import PairClass, SeparationReport
+from .space import VIOLATION_KINDS, AxiomViolation, TopSpace
 
 __version__ = "1.0.0"
 
@@ -178,85 +83,98 @@ def __getattr__(name: str):
         return sweep_theorems
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-#: Spec-level operations of the library (the CLI coverage map in
-#: :data:`fintop.cli.COVERAGE` must reach every one of these but
-#: ``family_intersection`` and ``subsets_iter``).
-OPERATIONS = (
-    "family_union",
-    "family_intersection",
-    "subsets_iter",
-    "validate_topology",
-    "space",
-    "discrete",
-    "indiscrete",
-    "closed_sets",
-    "clopen_sets",
-    "neighborhoods",
-    "minimal_open",
-    "compare",
-    "is_finer",
-    "meet_topologies",
-    "one_point_extension",
-    "check_base_conditions",
-    "topology_from_base",
-    "is_base_for",
-    "base_generates_same",
-    "topology_from_subbase",
-    "subspace",
-    "product",
-    "quotient",
-    "metric_topology",
-    "is_metrizable",
-    "alexandroff",
-    "interior",
-    "closure",
-    "exterior",
-    "boundary",
-    "point_roles",
-    "limit_set",
-    "isolated_set",
-    "density_report",
-    "pair_relation",
-    "is_dense_in",
-    "check_map",
-    "is_continuous_at",
-    "limits_at",
-    "find_homeomorphism",
-    "homeomorphic",
-    "embeddings_equivalent",
-    "restrict",
-    "classify_cover",
-    "relative_opens",
-    "is_subcover",
-    "is_refinement",
-    "verify_pasting",
-    "minimal_subcover",
-    "is_connected",
-    "is_connected_set",
-    "connected_set_masks",
-    "components",
-    "component_partition",
-    "mcp",
-    "is_totally_disconnected",
-    "is_locally_connected",
-    "is_locally_connected_at",
-    "classify_pair",
-    "separation_report",
-    "t1_minimum",
-    "is_compact",
-    "is_compact_set",
-    "compactness_report",
-    "hausdorff_compact_checks",
-    "is_locally_compact",
-    "enumerate_topologies",
-    "count_topologies",
-    "sweep_theorems",
-    "parse_space",
-    "emit_space",
-    "parse_map",
-    "emit_map",
-    "parse_family",
-    "emit_family",
-    "parse_metric",
-    "cli_dispatch",
+
+#: The spec-level operations of the library, one row each: the operation's
+#: name, the module that defines it, and the subcommand that reaches it
+#: (``-`` where none does).
+OPERATION_TABLE = tuple(
+    tuple(row.split())
+    for row in """
+family_union             carrier     cover
+family_intersection      carrier     -
+subsets_iter             carrier     -
+validate_topology        space       validate
+space                    space       sweep
+discrete                 space       generate
+indiscrete               space       generate
+closed_sets              space       ops
+clopen_sets              space       ops
+neighborhoods            space       ops
+minimal_open             space       ops
+compare                  space       validate
+is_finer                 space       validate
+meet_topologies          space       check
+one_point_extension      space       alexandroff
+check_base_conditions    construct   generate
+topology_from_base       construct   generate
+is_base_for              construct   generate
+base_generates_same      construct   generate
+topology_from_subbase    construct   generate
+subspace                 construct   subspace
+product                  construct   product
+quotient                 construct   quotient
+metric_topology          construct   generate
+is_metrizable            construct   check
+alexandroff              construct   alexandroff
+interior                 operators   ops
+closure                  operators   ops
+exterior                 operators   ops
+boundary                 operators   ops
+point_roles              operators   ops
+limit_set                operators   ops
+isolated_set             operators   ops
+density_report           operators   ops
+pair_relation            operators   ops
+is_dense_in              operators   ops
+check_map                maps        homeo
+is_continuous_at         maps        homeo
+limits_at                maps        homeo
+find_homeomorphism       maps        homeo
+homeomorphic             maps        homeo
+embeddings_equivalent    maps        homeo
+restrict                 maps        homeo
+classify_cover           covers      cover
+relative_opens           covers      sweep
+is_subcover              covers      cover
+is_refinement            covers      cover
+verify_pasting           covers      cover
+minimal_subcover         covers      cover
+is_connected             connect     check
+is_connected_set         connect     check
+connected_set_masks      connect     sweep
+components               connect     components
+component_partition      connect     components
+mcp                      connect     components
+is_totally_disconnected  connect     check
+is_locally_connected     connect     check
+is_locally_connected_at  connect     sweep
+classify_pair            separation  sweep
+separation_report        separation  check
+t1_minimum               separation  check
+is_compact               compact     check
+is_compact_set           compact     check
+compactness_report       compact     check
+hausdorff_compact_checks compact     sweep
+is_locally_compact       compact     check
+enumerate_topologies     enumeration enumerate
+count_topologies         enumeration enumerate
+sweep_theorems           theorems    sweep
+parse_space              docio       validate
+emit_space               docio       validate
+parse_map                docio       cover
+emit_map                 docio       homeo
+parse_family             docio       generate
+emit_family              docio       generate
+parse_metric             docio       generate
+cli_dispatch             cli         -
+""".strip().splitlines()
+)
+OPERATIONS = tuple(name for name, _, _ in OPERATION_TABLE)
+
+# Bind each operation from its module; the rows of ``cli`` and ``theorems``
+# are resolved by ``__getattr__`` on first use.
+globals().update(
+    (name, getattr(_importlib.import_module(f".{module}", __name__), name))
+    for name, module, _ in OPERATION_TABLE
+    if module not in ("cli", "theorems")
 )

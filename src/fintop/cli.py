@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from . import compact as compact_mod
 from . import connect as connect_mod
 from . import construct as construct_mod
 from . import covers as covers_mod
-from . import docio
+from . import OPERATION_TABLE, docio
 from . import enumeration as enum_mod
 from . import maps as maps_mod
 from . import operators as operators_mod
@@ -42,92 +43,6 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_USAGE = 64
-
-#: Which library operations each subcommand calls, directly or through the
-#: library; tests trace every subcommand's argvs to check each entry.
-#: ``family_intersection`` and ``subsets_iter`` are not listed: no
-#: subcommand computes them.
-COVERAGE = {
-    "validate": ("validate_topology", "compare", "is_finer", "parse_space", "emit_space"),
-    "ops": (
-        "interior",
-        "closure",
-        "exterior",
-        "boundary",
-        "limit_set",
-        "isolated_set",
-        "density_report",
-        "point_roles",
-        "pair_relation",
-        "is_dense_in",
-        "neighborhoods",
-        "minimal_open",
-        "closed_sets",
-        "clopen_sets",
-    ),
-    "check": (
-        "separation_report",
-        "is_connected",
-        "is_connected_set",
-        "is_compact",
-        "is_compact_set",
-        "compactness_report",
-        "is_metrizable",
-        "is_locally_connected",
-        "is_totally_disconnected",
-        "is_locally_compact",
-        "t1_minimum",
-        "meet_topologies",
-    ),
-    "generate": (
-        "check_base_conditions",
-        "topology_from_base",
-        "topology_from_subbase",
-        "is_base_for",
-        "base_generates_same",
-        "metric_topology",
-        "discrete",
-        "indiscrete",
-        "parse_family",
-        "parse_metric",
-        "emit_family",
-    ),
-    "subspace": ("subspace",),
-    "product": ("product",),
-    "quotient": ("quotient",),
-    "alexandroff": ("alexandroff", "one_point_extension"),
-    "components": ("components", "component_partition", "mcp"),
-    "homeo": (
-        "find_homeomorphism",
-        "homeomorphic",
-        "check_map",
-        "is_continuous_at",
-        "restrict",
-        "limits_at",
-        "embeddings_equivalent",
-        "emit_map",
-    ),
-    "cover": (
-        "classify_cover",
-        "is_subcover",
-        "is_refinement",
-        "verify_pasting",
-        "minimal_subcover",
-        "family_union",
-        "parse_map",
-    ),
-    "enumerate": ("enumerate_topologies", "count_topologies"),
-    "sweep": (
-        "sweep_theorems",
-        "hausdorff_compact_checks",
-        "is_locally_connected_at",
-        "classify_pair",
-        "connected_set_masks",
-        "relative_opens",
-        "space",
-    ),
-}
-
 
 class _UsageError(Exception):
     pass
@@ -563,6 +478,14 @@ _HANDLERS = {
     "sweep": _cmd_sweep,
 }
 
+#: Which library operations each subcommand calls, directly or through the
+#: library: the command column of :data:`fintop.OPERATION_TABLE`.  Tests
+#: trace every subcommand's argvs to check each entry.
+COVERAGE = {
+    command: tuple(name for name, _, row in OPERATION_TABLE if row == command)
+    for command in _HANDLERS
+}
+
 
 def cli_dispatch(argv) -> int:
     try:
@@ -586,7 +509,20 @@ def cli_dispatch(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_dispatch(sys.argv[1:]))
+    """The console script.  A reply that cannot be written, into a pipe
+    whose reader has gone or onto a full device, exits 2 (the I/O error
+    code) with nothing more on stdout or stderr."""
+    try:
+        code = cli_dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except OSError:
+        # What is left in the buffer goes to the null device, so the
+        # interpreter's final flush of stdout does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_INPUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

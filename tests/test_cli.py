@@ -200,6 +200,45 @@ def test_module_entry_point_runs_cli_once():
     assert fintop.cli_dispatch is fintop.cli.cli_dispatch
 
 
+def _cli_process_env():
+    env = dict(os.environ)
+    src_root = str(Path(fintop.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_reply_into_a_closed_pipe_exits_2():
+    # `enumerate --n 5` writes 596,052 bytes, more than a pipe buffer holds,
+    # so the write fails once the reader has closed its end.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fintop.cli", "enumerate", "--n", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_cli_process_env(),
+    )
+    head = proc.stdout.read(40)
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert head.startswith(b'{"count":6942,')
+    assert proc.returncode == 2
+    assert stderr == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_reply_onto_a_full_device_exits_2():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fintop.cli", "enumerate", "--n", "2", "--count"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_cli_process_env(),
+            timeout=60,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+
+
 def test_validate_reads_stdin_for_a_dash(monkeypatch, capsys):
     # The cold-start probe's path (`fintop validate -`), in process.
     monkeypatch.setattr(sys, "stdin", io.StringIO('{"n": 2, "opens": [[], [1], [0, 1]]}'))
@@ -693,6 +732,14 @@ class TestCoverage:
         assert not missing, f"operations without a subcommand: {sorted(missing)}"
         for name in covered:
             assert hasattr(fintop, name), name
+
+    def test_table_columns(self):
+        # The module column names the module that defines the operation,
+        # and the command column a subcommand or "-".
+        assert len(set(fintop.OPERATIONS)) == len(fintop.OPERATION_TABLE)
+        for name, module, command in fintop.OPERATION_TABLE:
+            assert getattr(fintop, name).__module__ == f"fintop.{module}", name
+            assert command in cli_module._HANDLERS or command == "-", name
 
     def test_every_operation_reachable(self, golden_docs):
         # Trace the golden argvs of each subcommand; each operation that

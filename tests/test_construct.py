@@ -39,7 +39,7 @@ from fintop import (
 from fintop import construct as construct_mod
 from fintop.carrier import family_union, mask_points
 from fintop.enumeration import all_spaces
-from fintop.space import _point_meets
+from fintop.space import MAX_OPENS_LOG2, _point_meets
 
 
 def fam(n, *point_lists):
@@ -303,6 +303,17 @@ class TestGenerationKernel:
             build()
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.2f} s"
+
+    def test_opens_cap_admits_exactly_its_bound(self):
+        # The singletons and the carrier of MAX_OPENS_LOG2 points generate
+        # exactly 2**MAX_OPENS_LOG2 opens, which the cap admits; one point
+        # more is refused.
+        n = MAX_OPENS_LOG2
+        base = Family.of(n, [[p] for p in range(n)] + [list(range(n))])
+        assert len(topology_from_base(n, base).opens) == 1 << n
+        wider = Family.of(n + 1, [[p] for p in range(n + 1)] + [list(range(n + 1))])
+        with pytest.raises(CarrierTooLarge):
+            topology_from_base(n + 1, wider)
 
 
 class TestSubspace:

@@ -119,9 +119,10 @@ MODULE_HOOKS = {"__getattr__"}
 def unread_definitions(sources: dict[str, str]) -> list[str]:
     """Module-level defs and classes whose name no module reads, as a name,
     an attribute or an imported name (so ``__init__`` imports count); a
-    module hook counts as read."""
+    module hook and a name that the package binds from its operation table
+    count as read."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = set(MODULE_HOOKS)
+    read = set(MODULE_HOOKS) | set(fintop.OPERATIONS)
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):

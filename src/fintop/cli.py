@@ -81,7 +81,7 @@ def _blocks_arg(n: int, raw: str) -> list[PointSet]:
 
 def _pset(n: int, pts: list[int]) -> PointSet:
     for p in pts:
-        if not 0 <= p < max(n, 1):
+        if not 0 <= p < n:
             raise docio.DocumentError(f"point {p} outside carrier of size {n}")
     return PointSet.of(n, pts)
 
@@ -385,7 +385,7 @@ def _cmd_components(args):
 
 def _parse_table(raw: str, dom_n: int, cod_n: int) -> maps_mod.FiniteMap:
     table = _points_arg(raw)
-    if len(table) != dom_n or any(not 0 <= v < max(cod_n, 1) for v in table):
+    if len(table) != dom_n or any(not 0 <= v < cod_n for v in table):
         raise docio.DocumentError(f"bad function table {raw!r}")
     return maps_mod.FiniteMap(dom_n, cod_n, tuple(table))
 

@@ -4,8 +4,9 @@ metric topologies, and the Alexandroff (one-point) extension.
 A finite topology is the family of unions of its minimal opens U_p, the
 intersection of the opens holding p (Alexandroff 1937, "Diskrete Räume";
 Stong 1966, "Finite topological spaces").  One kernel, :func:`_unions`,
-builds every generated topology from its U_p.  With M_p the intersection
-of the generator's members holding p:
+builds every generated topology from its U_p.  Construction reads M_p,
+the intersection of the generator's members holding p, from the
+validator's column kernel, :func:`space._column_preorder`:
 
 - *Base.*  A covering family B is a base iff every M_p is a member.  If
   so, members a, b holding p give p ∈ M_p ⊆ a ∩ b.  Conversely, applying
@@ -51,7 +52,7 @@ from .errors import (
     SubbaseDoesNotCover,
 )
 from .maps import FiniteMap, image_bits, preimage_bits
-from .space import MAX_OPENS_LOG2, TopSpace, _build, _point_meets
+from .space import MAX_OPENS_LOG2, TopSpace, _build, _column_preorder
 
 
 class BaseProblem(_Record):
@@ -68,26 +69,20 @@ def check_base_conditions(n: int, B: Family) -> Optional[BaseProblem]:
 
     A covering B is accepted when the meet of the members holding p is a
     member for every point p (the module docstring proves this equivalent).
-    Only a rejected B is scanned pair by pair, point by point, for the
-    least pair whose intersection some point cannot be resolved in.
+    Only a rejected B is scanned pair by pair for the least pair whose
+    intersection is not the union of the members inside it.
     """
     check_carrier(n)
     same_carrier(B.n, n)
     if family_union(B).bits != (1 << n) - 1:
         return BaseProblem("NotCovering", ())
     masks = B.masks
-    if B.mask_set.issuperset(_point_meets(n, masks)):
+    if B.mask_set.issuperset(_column_preorder(n, masks)[0]):
         return None
     # Some M_p is not a member, so some pair fails (module docstring): the
     # scan always finds one.
     a, b = next(
-        (a, b)
-        for i, a in enumerate(masks)
-        for b in masks[i:]
-        if any(
-            (a & b) >> p & 1 and not any(m >> p & 1 and m & ~(a & b) == 0 for m in masks)
-            for p in range(n)
-        )
+        (a, b) for i, a in enumerate(masks) for b in masks[i:] if _join_bits(masks, a & b) != a & b
     )
     return BaseProblem("IntersectionNotUnion", (PointSet(a, n), PointSet(b, n)))
 
@@ -115,7 +110,7 @@ def topology_from_base(n: int, B: Family) -> TopSpace:
     problem = check_base_conditions(n, B)
     if problem is not None:
         raise InvalidBase(problem)
-    return _unions(n, _point_meets(n, B.masks))
+    return _unions(n, _column_preorder(n, B.masks)[0])
 
 
 def is_base_for(s: TopSpace, B: Family) -> bool:
@@ -140,7 +135,7 @@ def base_generates_same(n: int, B1: Family, B2: Family) -> str:
     def pointwise_coarser(coarse: Family, fine: Family) -> bool:
         # Each point p of each member of `coarse` lies in a member of `fine`
         # inside it, so in M_p, the least one as `fine` is a base.
-        least = _point_meets(n, fine.masks)
+        least = _column_preorder(n, fine.masks)[0]
         return all(least[p] & ~b == 0 for b in coarse.masks for p in mask_points(b))
 
     one_sub_two = t1.opens.mask_set <= t2.opens.mask_set
@@ -170,7 +165,7 @@ def topology_from_subbase(n: int, S: Family) -> TopSpace:
     union = family_union(S).bits
     if union != full:
         raise SubbaseDoesNotCover(f"sub-base covers {union:#x}, carrier is {full:#x}")
-    return _unions(n, _point_meets(n, S.masks))
+    return _unions(n, _column_preorder(n, S.masks)[0])
 
 
 def subspace(s: TopSpace, Y: PointSet) -> tuple[TopSpace, FiniteMap]:

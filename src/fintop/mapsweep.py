@@ -38,7 +38,7 @@ from . import covers as covers_mod
 from . import separation as separation_mod
 from .carrier import PointSet
 from .maps import FiniteMap, image_bits, preimage_bits
-from .space import _point_meets
+from .space import _column_preorder
 
 if TYPE_CHECKING:
     from .theorems import _Ctx
@@ -120,7 +120,7 @@ def _space_families(c: _Ctx) -> dict:
     # of u (or of a trace of u); an open holding U_p adds nothing to it.
     # Met from the opens, not read from ``ups``: the sweep must agree with
     # the literal loops over the opens on a space whose ``ups`` is corrupted.
-    least = _point_meets(c.n, c.opens)
+    least = _column_preorder(c.n, c.opens)[0]
     # Per limit point p of A: the trace U_p & A - p, each distinct one read
     # once, through a table over its image.
     traces = sorted({

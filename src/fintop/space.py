@@ -36,6 +36,8 @@ inside big-int tests.
 
 A family already known to be a topology (one the generator or a
 constructor yields) is built with its U_p, not validated again.
+Construction and the map sweep read U_p from the same column kernel,
+:func:`_column_preorder`, and ``validate_topology`` runs it once per call.
 
 A rejected family is reported with the lexicographically least pair of
 members whose intersection, and whose union, is not a member.  Let G be
@@ -72,7 +74,6 @@ from .carrier import (
     _Record,
     _check_point,
     _join_bits,
-    _meet_bits,
     check_carrier,
     mask_points,
     reach_bits,
@@ -186,17 +187,11 @@ def _canonical_masks(n: int, fam) -> tuple[list[int], list[AxiomViolation]]:
     return sorted(set(raw)), violations
 
 
-def _point_meets(n: int, masks: Sequence[int]) -> list[int]:
-    """U_p for every point p: the intersection of the members containing p."""
-    full = (1 << n) - 1
-    return [_meet_bits(masks, 1 << p, full) for p in range(n)]
-
-
 #: Bit k of a byte moved to bit 0, for each k: a column's byte lane.
 _LANE_BIT = tuple(bytes(b >> k & 1 for b in range(256)) for k in range(8))
 
 
-def _column_preorder(n: int, masks: Sequence[int]) -> tuple[list[int], list[int]]:
+def _column_preorder(n: int, masks: Iterable[int]) -> tuple[list[int], list[int]]:
     """U_p and cl{p} for every point p of any family of masks inside carrier
     n: q ∈ U_p iff every member that holds p holds q, read from one column
     per point, the int with byte i set to 1 when member i holds p."""
@@ -254,14 +249,15 @@ def _minimal_opens(n: int, masks: list[int]) -> list[int] | None:
     return ups
 
 
-def _pair_violations(n: int, masks: list[int], mask_set: set[int]) -> list[AxiomViolation]:
+def _pair_violations(
+    n: int, masks: list[int], mask_set: set[int], mins: list[int] | None
+) -> list[AxiomViolation]:
     """The lexicographically least pair whose intersection, and the least
-    pair whose union, is not a member: from the minimal opens in O(|F|·n)
-    when adding ∅ and the carrier makes the family a topology (see the
-    module docstring), else by :func:`_least_witness`."""
+    pair whose union, is not a member: in O(|F|·n) from ``mins``, the
+    minimal opens of the family with ∅ and the carrier added, when that is
+    a topology (see the module docstring), else (``mins`` None) by
+    :func:`_least_witness`."""
     full = (1 << n) - 1
-    completed = sorted(mask_set | {0, full})
-    mins = _minimal_opens(n, completed)
     if mins is None:
         inter_witness = _least_witness(n, masks, mask_set, and_, [full ^ m for m in masks])
         union_witness = _least_witness(n, masks, mask_set, or_, masks)
@@ -367,9 +363,11 @@ def validate_topology(
         violations.append(AxiomViolation("MissingEmpty"))
     if full not in mask_set:
         violations.append(AxiomViolation("MissingCarrier"))
-    mins = None if violations else _minimal_opens(n, masks)
-    if mins is None:
-        return violations + _pair_violations(n, masks, mask_set)
+    # One column pass, over the family with ∅ and the carrier added (the
+    # family itself when it holds both), accepts it or feeds the witnesses.
+    mins = _minimal_opens(n, sorted(mask_set | {0, full}) if violations else masks)
+    if violations or mins is None:
+        return violations + _pair_violations(n, masks, mask_set, mins)
     return _build(n, masks, mins)
 
 

@@ -181,7 +181,7 @@ def _chk_interior_of_frontier(c):
 
 
 def _chk_open_meets_closure(c):
-    for u in c.opens:
+    for u in sorted(c.opens):
         for a in range(c.N):
             if u & c.cl[a] and not u & a:
                 return c.cx("open set meets Cl(A) but not A", u, a)
@@ -577,12 +577,12 @@ def _chk_constructor_laws(c):
         if not construct_mod.is_base_for(sub_y, traced):
             return c.cx("traced base not a base for the subspace", y)
     # open subset of open subspace is open in the whole space (closed analogue)
-    for y in c.opens:
+    for y in sorted(c.opens):
         sub_y, inc_y = c.sub(y)
         for v in sub_y.opens.masks:
             if inc_y.image(PointSet(v, sub_y.n)).bits not in c.opens:
                 return c.cx("open-in-open-subspace not open", y, v)
-    for y in c.closeds:
+    for y in sorted(c.closeds):
         sub_y, inc_y = c.sub(y)
         for v in sub_y.closeds.masks:
             if inc_y.image(PointSet(v, sub_y.n)).bits not in c.closeds:

@@ -3,7 +3,7 @@ import inspect
 import pytest
 
 from fintop import space
-from fintop.carrier import _Record
+from fintop.carrier import _Record, _meet_bits
 
 
 def replace(obj, **changes):
@@ -22,6 +22,14 @@ def replace(obj, **changes):
         return cls(*(changes.get(name, getattr(obj, name)) for name in cls.__slots__))
     fields = {name: getattr(obj, name) for name in inspect.signature(cls).parameters}
     return cls(**{**fields, **changes})
+
+
+def _point_meets(n, masks):
+    """U_p for every point p, met point by point: the intersection of the
+    members containing p (the carrier when none does).  The reference for
+    ``space._column_preorder``, which computes the same U_p for fintop."""
+    full = (1 << n) - 1
+    return [_meet_bits(masks, 1 << p, full) for p in range(n)]
 
 
 @pytest.fixture

@@ -86,6 +86,12 @@ class TestConnectedSets:
                     next(i for i, c in enumerate(maximal) if c >> p & 1) for p in range(n)
                 )
 
+    def test_masks_are_listed_at_the_opens_cap(self):
+        # 20 points is the cap itself: the discrete space's connected sets
+        # are ∅ and its 20 singletons.
+        got = connected_set_masks(discrete(20))
+        assert got == {0, *(1 << p for p in range(20))}
+
     def test_masks_are_refused_above_the_opens_cap(self):
         # 2**21 masks are refused before the memo is read or filled.
         before = connected_set_masks.cache_info()

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from conftest import _point_meets
 from fintop import (
     CarrierTooLarge,
     CrossCheckFailure,
@@ -39,7 +40,7 @@ from fintop import (
 from fintop import construct as construct_mod
 from fintop.carrier import family_union, mask_points
 from fintop.enumeration import all_spaces
-from fintop.space import MAX_OPENS_LOG2, _point_meets
+from fintop.space import MAX_OPENS_LOG2
 
 
 def fam(n, *point_lists):
@@ -216,6 +217,27 @@ def reference_base_problem(n, masks):
     return None
 
 
+def random_covering_families():
+    """Seeded covering families on 4 to 8 points, per carrier: 20 of random
+    members, 20 bases (a random space's minimal opens and some of its
+    opens) and 20 of those bases with one member grown by a point."""
+    rng = random.Random(37)
+    out = []
+    for n in range(4, 9):
+        full = (1 << n) - 1
+        for _ in range(20):
+            members = {rng.randrange(1, full + 1) for _ in range(rng.randrange(1, 2 * n))}
+            uncovered = full ^ family_union(Family.of(n, members)).bits
+            if uncovered:
+                members.add(uncovered)
+            s = random_preorder_space(rng, n)
+            base = {*s.ups, *rng.sample(s.opens.masks, min(4, len(s.opens)))}
+            grown = sorted(base)
+            grown[rng.randrange(len(grown))] |= 1 << rng.randrange(n)
+            out += [(n, Family.of(n, f)) for f in (members, base, grown)]
+    return out
+
+
 def singletons(n):
     return Family.of(n, [[p] for p in range(n)])
 
@@ -229,11 +251,16 @@ class TestGenerationKernel:
     at n <= 3, and its time and size bounds."""
 
     def test_base_conditions_match_pairwise_reference(self):
-        for n, B in SMALL_FAMILIES:
+        kinds = []
+        for n, B in SMALL_FAMILIES + random_covering_families():
             got = check_base_conditions(n, B)
             if got is not None:
                 got = (got.kind, tuple(w.bits for w in got.witness))
             assert got == reference_base_problem(n, B.masks), B
+            kinds.append(got and got[0])
+        # The random families on 4 to 8 points hold over 100 of each verdict.
+        beyond = kinds[len(SMALL_FAMILIES) :]
+        assert beyond.count(None) > 100 and beyond.count("IntersectionNotUnion") > 100
 
     def test_pair_scan_finds_every_meet_failure(self):
         # A covering family with some point meet M_p outside it always has a

@@ -29,7 +29,9 @@ from fintop.enumeration import (
     topologies_naive,
 )
 from fintop.errors import CrossCheckFailure
+from fintop.maps import FiniteMap
 from fintop.space import _build
+from fintop.theorems import _sweep
 
 KNOWN_COUNTS = {0: 1, 1: 1, 2: 4, 3: 29, 4: 355}
 
@@ -324,6 +326,25 @@ class TestSweep:
         assert "closure_idempotent" in failed
         for name in failed:
             assert out[name]["counterexample"]
+
+    def test_least_failing_open_is_named(self, monkeypatch):
+        # Python iterates the opens of {∅, {0}, {0, 1, 2}, X} out of order (a
+        # set of ints follows its hash table, not its values).  Every image
+        # from two or more points gains the last point, so {0, 1, 2} and X
+        # both fail the open-in-open-subspace clause; the least is named.
+        real = FiniteMap.image
+
+        def image(f, A):
+            got = real(f, A)
+            return PointSet(got.bits | 1 << f.cod_n - 1, f.cod_n) if f.dom_n >= 2 else got
+
+        monkeypatch.setattr(FiniteMap, "image", image)
+        s = validate_topology(4, [0b0000, 0b0001, 0b0111, 0b1111])
+        out = _sweep(4, (s,), theorems=["constructor_laws"], include_maps=False)
+        assert out["constructor_laws"]["counterexample"] == (
+            '{"n": 4, "opens": [[], [0], [0, 1, 2], [0, 1, 2, 3]]} '
+            "sets [0, 1, 2] []: open-in-open-subspace not open"
+        )
 
     def test_unknown_override_key_raises(self):
         # A misspelt operator name must not run the clean sweep unnoticed.

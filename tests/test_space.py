@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import replace
+from conftest import _point_meets, replace
 from fintop import (
     MAX_CARRIER,
     AxiomViolation,
@@ -40,7 +40,7 @@ from fintop import (
     subspace,
     validate_topology,
 )
-from fintop.space import _column_preorder, _minimal_opens, _point_meets, _up_set_count
+from fintop.space import _column_preorder, _minimal_opens, _up_set_count
 
 
 class TestValidateTopology:
@@ -286,6 +286,25 @@ class TestUpSetCount:
             assert downs == [
                 sum(1 << q for q in range(n) if ups[q] >> p & 1) for p in range(n)
             ]
+
+    @pytest.mark.parametrize(
+        "masks, valid",
+        [([0, 1, 3, 7], True), ([1, 3, 7], False), ([0, 1, 2, 7], False)],
+    )
+    def test_one_column_pass_per_validation(self, monkeypatch, masks, valid):
+        # A rejected family that holds ∅ and the carrier gets its witnesses
+        # from the same U_p that rejected it.
+        module = importlib.import_module("fintop.space")
+        calls = []
+        real = module._minimal_opens
+
+        def counting(n, masks):
+            calls.append(masks)
+            return real(n, masks)
+
+        monkeypatch.setattr(module, "_minimal_opens", counting)
+        assert isinstance(validate_topology(3, masks), TopSpace) == valid
+        assert len(calls) == 1
 
     def test_count_is_exact_below_its_limit(self):
         # Twelve disjoint 2-chains have 3**12 up-sets.
